@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     DataConsistencyError,
     FormatError,
     NumericError,
+    ShapeError,
     UsageError,
 )
 from .layer import parameter_counts
@@ -227,22 +228,34 @@ def data_root(override: Optional[str] = None) -> Path:
     return Path(override or os.environ.get(DATA_ROOT_ENV, "data"))
 
 
-def _idx_pair(root: Path, name: str, split: str):
+def idx_paths(root: Path, name: str, split: str) -> Tuple[List[Path], List[Path]]:
+    """Locate one split's IDX image and label files under root/name.
+
+    Each file is taken plain or, failing that, gzipped. Returns the files
+    found (images first) and the plain paths of those that are missing.
+    """
     stem = "train" if split == "train" else "t10k"
-    images = root / name / f"{stem}-images-idx3-ubyte"
-    labels = root / name / f"{stem}-labels-idx1-ubyte"
-    found = []
-    for path in (images, labels):
+    found, missing = [], []
+    for kind in ("images-idx3", "labels-idx1"):
+        path = root / name / f"{stem}-{kind}-ubyte"
+        gz = path.with_suffix(path.suffix + ".gz")
         if path.exists():
             found.append(path)
-        elif path.with_suffix(path.suffix + ".gz").exists():
-            found.append(path.with_suffix(path.suffix + ".gz"))
+        elif gz.exists():
+            found.append(gz)
         else:
-            raise FileNotFoundError(
-                f"missing {name} file: {path} (or {path}.gz); place the "
-                f"canonical IDX files under {root / name}/ or point "
-                f"{DATA_ROOT_ENV} at the directory that holds them"
-            )
+            missing.append(path)
+    return found, missing
+
+
+def _idx_pair(root: Path, name: str, split: str) -> List[Path]:
+    found, missing = idx_paths(root, name, split)
+    if missing:
+        raise FileNotFoundError(
+            f"missing {name} file: {missing[0]} (or {missing[0]}.gz); place the "
+            f"canonical IDX files under {root / name}/ or point "
+            f"{DATA_ROOT_ENV} at the directory that holds them"
+        )
     return found
 
 
@@ -578,7 +591,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (FileNotFoundError, OSError, FormatError, DataConsistencyError,
-            UsageError, NumericError) as exc:
+            ShapeError, UsageError, NumericError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -335,7 +335,18 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def write_binned_events(path, dataset: Dataset) -> None:
-    """Write a dataset as a BSE1 container (values stored as float32)."""
+    """Write a dataset as a BSE1 container (values stored as float32).
+
+    Raises FormatError, before the file is opened, when a label does not
+    fit the format's u8 label field.
+    """
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(
+            f"{path}: sample {i} has label {int(dataset.labels[i])}, but the "
+            f"BSE1 label field is one byte (0..255)"
+        )
     n = dataset.num_samples
     t, d, c = dataset.timesteps, dataset.input_dim, dataset.class_count
     with open(path, "wb") as f:

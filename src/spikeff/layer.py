@@ -11,7 +11,7 @@ gradient, and `layer_backward` therefore returns no input gradient.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,7 +245,88 @@ def layer_forward(
     )
 
 
-def goodness(trace: LayerForwardTrace) -> np.ndarray:
+# A step runs its elementwise passes over row blocks of about this many
+# elements, so that a block's buffers stay in the per-core cache between
+# passes. Blocking changes no result: every element sees the same ops.
+BLOCK_ELEMENTS = 1 << 15
+
+
+class EvalRollout:
+    """One layer's eval-mode state for a timestep-major rollout, kept in place.
+
+    Preallocated (rows, n_out) buffers hold the drive, membrane, spikes,
+    scratch, recurrent drive and spike counts of the current timestep only;
+    nothing is recorded. Every step applies the ufuncs of
+    `layer_forward(mode="eval")` in its order (normalization, then recurrent
+    drive, then the membrane recursion of `neuron.membrane_update`, then the
+    threshold), so membranes, spikes and counts equal the reference's bit
+    for bit.
+    """
+
+    def __init__(self, layer: SpikingLayer, rows: int):
+        self.layer = layer
+        cfg = layer.neuron
+        self.zero_reset = cfg.reset_mode == "zero"
+        self.threshold = cfg.threshold
+        if cfg.decay_learnable and layer.decay_raw is not None:
+            self.beta = neuron.sigmoid(layer.decay_raw)
+        else:
+            self.beta = cfg.decay
+        self.std = np.sqrt(layer.running_var + layer.eps)  # (T, n_out)
+        shape = (rows, layer.n_out)
+        self.drive = np.empty(shape)
+        self.membrane = np.zeros(shape)
+        self.spikes = np.zeros(shape)
+        self.scratch = np.empty(shape)
+        self.counts = np.zeros(shape)
+        self.recurrent_drive = None if layer.recurrent is None else np.empty(shape)
+        block = max(1, BLOCK_ELEMENTS // layer.n_out)
+        self.blocks = [slice(lo, lo + block) for lo in range(0, rows, block)]
+
+    def product(self, x: np.ndarray, t: int, out: Optional[np.ndarray] = None):
+        """z = x W^T, checked finite; written to `out` when given."""
+        z = np.matmul(x, self.layer.weights.T, out=out)
+        if not np.all(np.isfinite(z)):
+            raise NumericError(f"non-finite drive at timestep {t}")
+        return z
+
+    def step(self, t: int, z: np.ndarray) -> np.ndarray:
+        """Advance one timestep from the product z; returns the spike buffer.
+
+        z may be `self.drive` itself (it is then overwritten) or a product
+        shared across timesteps (it is only read).
+        """
+        layer = self.layer
+        if self.recurrent_drive is not None:  # from the previous spikes
+            np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive)
+        mean, std = layer.running_mean[t], self.std[t]
+        gamma, shift = layer.gamma[t], layer.shift[t]
+        for rows in self.blocks:
+            drive, u, s, tmp, counts = (
+                self.drive[rows], self.membrane[rows], self.spikes[rows],
+                self.scratch[rows], self.counts[rows],
+            )
+            np.subtract(z[rows], mean, out=drive)
+            np.divide(drive, std, out=drive)
+            np.multiply(gamma, drive, out=drive)
+            np.add(drive, shift, out=drive)
+            if self.recurrent_drive is not None:
+                np.add(drive, self.recurrent_drive[rows], out=drive)
+            np.multiply(self.beta, u, out=u)
+            if self.zero_reset:
+                np.subtract(1.0, s, out=tmp)
+                np.multiply(u, tmp, out=u)
+                np.add(u, drive, out=u)
+            else:
+                np.add(u, drive, out=u)
+                np.multiply(self.threshold, s, out=tmp)
+                np.subtract(u, tmp, out=u)
+            np.greater_equal(u, self.threshold, out=s)
+            np.add(counts, s, out=counts)
+        return self.spikes
+
+
+def goodness(trace: Union[LayerForwardTrace, EvalRollout]) -> np.ndarray:
     """Per-sample goodness: mean over neurons of the squared spike count."""
     return np.square(trace.counts).mean(axis=1)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataio import SampleBatch, embed_label
 from .errors import ShapeError
-from .layer import SpikingLayer, goodness, init_layer, layer_forward
+from .layer import EvalRollout, SpikingLayer, goodness, init_layer, layer_forward
 from .neuron import NeuronConfig
 from .numerics import RngStream
 
@@ -74,14 +74,23 @@ def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray], record: bool = False):
-    """Eval-mode pass (running statistics, no state mutation)."""
+def _count_eval_rows(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
+    """Reject frames of the wrong width, then count the rows run in eval mode."""
     if frames[0].shape[1] != net.input_dim:
         raise ShapeError(
             f"input frames have {frames[0].shape[1]} channels, "
             f"network expects {net.input_dim}"
         )
     net.eval_rows += frames[0].shape[0]
+
+
+def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray], record: bool = False):
+    """Eval-mode pass (running statistics, no state mutation).
+
+    This layer-by-layer pass records full traces; it is the reference that
+    `label_goodness`'s in-place rollout reproduces bit for bit.
+    """
+    _count_eval_rows(net, frames)
     traces = []
     x = frames
     for layer in net.layers:
@@ -95,9 +104,11 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     """Total goodness per candidate class: (B, class_count).
 
     All class_count overlays of the batch are scored inside one batched
-    eval-mode forward of c*B rows; eval normalization uses running
-    statistics only, so this is numerically identical to per-variant
-    forwards.
+    eval-mode rollout of c*B rows; eval normalization uses running
+    statistics only, so this equals the goodness sums of one `forward_eval`
+    per overlay bit for bit. The rollout is timestep-major and in place: at
+    each t every layer advances one step on the previous layer's spikes,
+    and only one step of state per layer is live.
     """
     c = net.class_count
     variants = [
@@ -111,8 +122,20 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
         batch.input_dim,
         batch.timesteps,
     ).frames(net.timesteps)
-    per_layer = forward_eval(net, frames)
+    _count_eval_rows(net, frames)
+    rollouts = [EvalRollout(layer, stacked.shape[0]) for layer in net.layers]
+    # Static data repeats one frame object T times: one layer-0 product.
+    shared = all(f is frames[0] for f in frames)
+    z_shared = rollouts[0].product(frames[0], 0) if shared else None
+    for t in range(net.timesteps):
+        x = frames[t]
+        for k, roll in enumerate(rollouts):
+            if k == 0 and shared:
+                z = z_shared
+            else:
+                z = roll.product(x, t, out=roll.drive)
+            x = roll.step(t, z)
     total = np.zeros(stacked.shape[0])
-    for trace in per_layer:
-        total += goodness(trace)
+    for roll in rollouts:
+        total += goodness(roll)
     return total.reshape(c, batch.size).T

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if not self.loss_sharpness > 0:
             raise ValueError("loss_sharpness must be > 0")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0")
 
 
 @dataclass
@@ -215,11 +217,7 @@ def train_epoch(
     denom = max(sample_total, 1)
     train_acc = test_acc = None
     is_last = epoch == config.epochs - 1
-    if config.eval_every > 0 and (epoch % config.eval_every == 0 or is_last):
-        train_acc = predictor.evaluate(net, dataset)
-        if eval_dataset is not None:
-            test_acc = predictor.evaluate(net, eval_dataset)
-    elif config.eval_every == 0 and is_last:
+    if is_last or (config.eval_every > 0 and epoch % config.eval_every == 0):
         train_acc = predictor.evaluate(net, dataset)
         if eval_dataset is not None:
             test_acc = predictor.evaluate(net, eval_dataset)

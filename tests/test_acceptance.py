@@ -15,9 +15,7 @@ decreases up to x* and strictly rises toward zero from below after it.
 """
 
 import math
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,23 +56,11 @@ def per_sample_loss(delta, alpha):
 
 
 def mnist_paths():
-    root = Path(os.environ.get(cli.DATA_ROOT_ENV, "data")) / "mnist"
-    names = [
-        "train-images-idx3-ubyte",
-        "train-labels-idx1-ubyte",
-        "t10k-images-idx3-ubyte",
-        "t10k-labels-idx1-ubyte",
-    ]
     resolved, missing = [], []
-    for name in names:
-        plain = root / name
-        gz = root / (name + ".gz")
-        if plain.exists():
-            resolved.append(plain)
-        elif gz.exists():
-            resolved.append(gz)
-        else:
-            missing.append(str(plain))
+    for split in ("train", "test"):
+        found, absent = cli.idx_paths(cli.data_root(), "mnist", split)
+        resolved += found
+        missing += [str(path) for path in absent]
     return resolved, missing
 
 

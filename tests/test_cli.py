@@ -286,6 +286,24 @@ class TestCommands:
         assert payload["split"] == "test"
         assert 0.0 <= payload["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_wrong_input_width_is_shape_error(self, tmp_path, capsys, command):
+        config = self.run_tiny(tmp_path)
+        data_dir = tmp_path / "wide"
+        data_dir.mkdir()
+        for name in ("train.bse", "test.bse"):
+            ds = dataio.make_temporal_dataset(4, input_dim=14,
+                                              timesteps=config.timesteps)
+            dataio.write_binned_events(data_dir / name, ds)
+        code = cli.main([
+            command, str(Path(config.out_dir) / "checkpoint.sffc"),
+            "--dataset", f"bse:{data_dir}",
+        ])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ShapeError"
+        assert "14 channels" in record["message"]
+
     def test_predict_command_csv(self, tmp_path):
         config = self.run_tiny(tmp_path)
         out_csv = tmp_path / "scores.csv"

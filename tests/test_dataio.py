@@ -1,13 +1,11 @@
 import gzip
-import os
 import pickle
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spikeff import dataio
+from spikeff import cli, dataio
 from spikeff.errors import (
     DataConsistencyError,
     FormatError,
@@ -15,6 +13,8 @@ from spikeff.errors import (
     UsageError,
 )
 from spikeff.numerics import RngStream
+
+MNIST_TRAIN, MNIST_TRAIN_MISSING = cli.idx_paths(cli.data_root(), "mnist", "train")
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -92,18 +92,11 @@ class TestIdx:
         assert err.value.wanted == 22
 
     @pytest.mark.skipif(
-        not (Path(os.environ.get("SPIKEFF_DATA_ROOT", "data")) / "mnist"
-             / "train-images-idx3-ubyte").exists()
-        and not (Path(os.environ.get("SPIKEFF_DATA_ROOT", "data")) / "mnist"
-                 / "train-images-idx3-ubyte.gz").exists(),
-        reason="MNIST IDX files not present under the data root",
+        bool(MNIST_TRAIN_MISSING),
+        reason="MNIST train IDX files not present under the data root",
     )
     def test_mnist_train_shapes(self):
-        root = Path(os.environ.get("SPIKEFF_DATA_ROOT", "data")) / "mnist"
-        img = root / "train-images-idx3-ubyte"
-        lbl = root / "train-labels-idx1-ubyte"
-        if not img.exists():
-            img, lbl = Path(str(img) + ".gz"), Path(str(lbl) + ".gz")
+        img, lbl = MNIST_TRAIN
         ds = dataio.load_idx(img, lbl)
         assert ds.num_samples == 60000
         assert ds.input_dim == 784
@@ -139,6 +132,17 @@ class TestBse:
         dataio.write_binned_events(path, ds)
         back = dataio.load_binned_events(path)
         np.testing.assert_array_equal(back.inputs, np.zeros((2, 8)))
+
+    @pytest.mark.parametrize("label", [300, 256, -1])
+    def test_label_outside_u8_rejected_before_writing(self, tmp_path, label):
+        ds = dataio.Dataset(
+            np.zeros((2, 8)), np.array([0, 1]), 2, 4, temporal=True, timesteps=2
+        )
+        ds.labels[1] = label  # the u32 header allows such a class count
+        path = tmp_path / "wide-label.bse"
+        with pytest.raises(FormatError, match=f"sample 1 has label {label}"):
+            dataio.write_binned_events(path, ds)
+        assert not path.exists()
 
     def test_nmnist_shaped_header(self, tmp_path):
         ds = dataio.Dataset(

@@ -249,6 +249,21 @@ class TestTrainLoop:
         rows_b = [metrics_csv_row(m) for m in run()]
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize("eval_every,evaluated", [
+        (0, [4]), (1, [0, 1, 2, 3, 4]), (2, [0, 2, 4]), (3, [0, 3, 4]),
+    ])
+    def test_eval_schedule(self, eval_every, evaluated):
+        train_ds = dataio.make_blob_dataset(20, seed=1)
+        net = blob_network(train_ds, hidden=(4,))
+        cfg = TrainConfig(epochs=5, batch_size=20, eval_every=eval_every)
+        history = train(net, train_ds, cfg, eval_dataset=train_ds)
+        assert [m.epoch for m in history if m.train_accuracy is not None] == evaluated
+        assert [m.epoch for m in history if m.test_accuracy is not None] == evaluated
+
+    def test_negative_eval_every_rejected(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainConfig(epochs=1, eval_every=-1)
+
     def test_blobs_reach_train_accuracy(self):
         train_ds = dataio.make_blob_dataset(400, seed=1)
         net = blob_network(train_ds, seed=0)
