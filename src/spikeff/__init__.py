@@ -31,15 +31,8 @@ from .layer import (
     layer_forward,
 )
 from .network import FFNetwork, build_network, forward_eval, forward_train
-from .neuron import (
-    NeuronConfig,
-    NeuronState,
-    lif_step,
-    recurrent_lif_step,
-    smoothed_spike,
-    surrogate_grad,
-)
-from .numerics import AdamState, RngStream, adam_update, matmul
+from .neuron import NeuronConfig, smoothed_spike, surrogate_grad
+from .numerics import AdamState, RngStream, adam_update
 from .predictor import LabelScores, evaluate, score_labels
 from .trainer import (
     EpochMetrics,

@@ -14,11 +14,13 @@ Optimizer moments are not stored; loading yields fresh Adam states.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import CheckpointVersionError, FormatError, TruncatedFileError
+from .dataio import read_exact
+from .errors import CheckpointVersionError, FormatError
 from .layer import SpikingLayer
 from .network import FFNetwork
 from .neuron import NeuronConfig
@@ -84,39 +86,51 @@ def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
             f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (network, meta dict)."""
-    path = str(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, header_len = struct.unpack("<II", f.read(8))
-        if version != VERSION:
-            raise CheckpointVersionError(
-                f"{path}: format version {version} is incompatible with "
-                f"this build (expected {VERSION})"
-            )
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise TruncatedFileError(path, f.tell(), 8 * count - len(raw))
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+def _read_header(f, path: str) -> dict:
+    """Magic, version and the JSON header; the file is left at the tensors."""
+    magic = read_exact(f, 4, path)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: not a checkpoint (magic {magic!r})")
+    version, header_len = struct.unpack("<II", read_exact(f, 8, path))
+    if version != VERSION:
+        raise CheckpointVersionError(
+            f"{path}: format version {version} is incompatible with "
+            f"this build (expected {VERSION})"
+        )
+    blob = read_exact(f, header_len, path)
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{path}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise FormatError(f"{path}: header or its meta is not a JSON object")
+    return header
 
+
+def read_meta(path) -> dict:
+    """The free-form meta dict of a checkpoint, without reading its tensors."""
+    with open(path, "rb") as f:
+        return _read_header(f, str(path)).get("meta", {})
+
+
+def _network(header: dict, f, path: str) -> FFNetwork:
+    """Read the manifest's tensors from f and assemble the network."""
+    arrays = {}
+    for entry in header["tensors"]:
+        shape = tuple(int(n) for n in entry["shape"])
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in tensor shape {shape}")
+        raw = read_exact(f, 8 * math.prod(shape), path)
+        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     layers = []
     for i, lm in enumerate(header["layers"]):
-        cfg = NeuronConfig(**lm["neuron"])
         layer = SpikingLayer(
             weights=arrays[f"layer{i}/weights"],
             gamma=arrays[f"layer{i}/gamma"],
             shift=arrays[f"layer{i}/shift"],
             running_mean=arrays[f"layer{i}/running_mean"],
             running_var=arrays[f"layer{i}/running_var"],
-            neuron=cfg,
+            neuron=NeuronConfig(**lm["neuron"]),
             decay_raw=arrays.get(f"layer{i}/decay_raw"),
             recurrent=arrays.get(f"layer{i}/recurrent"),
             batches_tracked=lm["batches_tracked"],
@@ -128,7 +142,21 @@ def load_checkpoint(path):
             for name, tensor in layer.trainable_tensors().items()
         }
         layers.append(layer)
-    net = FFNetwork(
+    return FFNetwork(
         layers, header["class_count"], header["input_dim"], header["timesteps"]
     )
-    return net, header.get("meta", {})
+
+
+def load_checkpoint(path):
+    """Read a checkpoint; returns (network, meta dict).
+
+    A short file raises TruncatedFileError; a header that is not JSON, lacks
+    a field or holds a bad value raises FormatError.
+    """
+    path = str(path)
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
+        try:
+            return _network(header, f, path), header.get("meta", {})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed header ({exc!r})") from exc

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import dataio, predictor, trainer
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_meta, save_checkpoint
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .layer import parameter_counts
 from .network import build_network
-from .neuron import RESET_MODES, NeuronConfig
+from .neuron import NeuronConfig
 from .numerics import RngStream
 
 DATA_ROOT_ENV = "SPIKEFF_DATA_ROOT"
@@ -188,38 +188,57 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**parse_config_values(text))
 
 
+def neuron_config(config: ExperimentConfig) -> NeuronConfig:
+    """The LIF parameters of a config; raises ConfigError on a bad value."""
+    return NeuronConfig(
+        threshold=config.threshold,
+        decay=config.decay,
+        decay_learnable=config.decay_learnable,
+        reset_mode=config.reset_mode,
+        surrogate_slope=config.surrogate_slope,
+    )
+
+
+def train_config(config: ExperimentConfig) -> trainer.TrainConfig:
+    """The training schedule of a config; raises ConfigError on a bad value."""
+    return trainer.TrainConfig(
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        lr=config.lr,
+        lr_milestones=config.lr_milestones,
+        lr_factors=config.lr_factors,
+        loss_sharpness=config.loss_sharpness,
+        seed=config.seed,
+        dataset=config.dataset,
+        eval_every=config.eval_every,
+    )
+
+
 def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError listing every violated field."""
+    """Raise ConfigError listing every violated field.
+
+    The neuron and training bounds are those of `NeuronConfig` and
+    `TrainConfig`; the checks here cover the fields they do not hold.
+    """
     bad = []
     if not config.dataset:
         bad.append("dataset: must not be empty")
     if not config.hidden_sizes or any(h < 1 for h in config.hidden_sizes):
         bad.append(f"hidden_sizes: need nonempty sizes >= 1, got {config.hidden_sizes}")
-    if not config.threshold > 0:
-        bad.append(f"threshold: must be > 0, got {config.threshold}")
-    if not 0.0 < config.decay <= 1.0:
-        bad.append(f"decay: must be in (0, 1], got {config.decay}")
-    if config.reset_mode not in RESET_MODES:
-        bad.append(f"reset_mode: must be one of {RESET_MODES}, got {config.reset_mode!r}")
     if config.timesteps < 1:
         bad.append(f"timesteps: must be >= 1, got {config.timesteps}")
-    if not config.loss_sharpness > 0:
-        bad.append(f"loss_sharpness: must be > 0, got {config.loss_sharpness}")
-    if not config.surrogate_slope > 0:
-        bad.append(f"surrogate_slope: must be > 0, got {config.surrogate_slope}")
-    if config.epochs < 0:
-        bad.append(f"epochs: must be >= 0, got {config.epochs}")
-    if config.batch_size < 2:
-        bad.append(f"batch_size: must be >= 2, got {config.batch_size}")
     if not config.lr > 0:
         bad.append(f"lr: must be > 0, got {config.lr}")
-    if config.eval_every < 0:
-        bad.append(f"eval_every: must be >= 0, got {config.eval_every}")
     if (config.lr_milestones is None) != (config.lr_factors is None) or (
         config.lr_milestones is not None
         and len(config.lr_milestones) != len(config.lr_factors)
     ):
         bad.append("lr_milestones/lr_factors: must be given together, same length")
+    for build in (neuron_config, train_config):
+        try:
+            build(config)
+        except ConfigError as exc:
+            bad.extend(exc.violations)
     if bad:
         raise ConfigError(bad)
 
@@ -301,19 +320,12 @@ def load_datasets(config: ExperimentConfig, root: Optional[str] = None):
 
 
 def build_from_config(config: ExperimentConfig, train_ds: dataio.Dataset):
-    neuron_cfg = NeuronConfig(
-        threshold=config.threshold,
-        decay=config.decay,
-        decay_learnable=config.decay_learnable,
-        reset_mode=config.reset_mode,
-        surrogate_slope=config.surrogate_slope,
-    )
     return build_network(
         config.hidden_sizes,
         train_ds.input_dim,
         train_ds.class_count,
         config.timesteps,
-        neuron_cfg,
+        neuron_config(config),
         RngStream(config.seed).substream(KEY_INIT),
         recurrent=config.recurrent,
         lr=config.lr,
@@ -358,17 +370,7 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         net = build_from_config(config, train_ds)
         artifacts["config"].write_text(serialize_config(config))
 
-        train_cfg = trainer.TrainConfig(
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            lr_milestones=config.lr_milestones,
-            lr_factors=config.lr_factors,
-            loss_sharpness=config.loss_sharpness,
-            seed=config.seed,
-            dataset=config.dataset,
-            eval_every=config.eval_every,
-        )
+        train_cfg = train_config(config)
         started = time.perf_counter()
         with open(artifacts["metrics"], "w") as csv:
             csv.write(trainer.metrics_csv_header(len(net.layers)) + "\n")
@@ -509,6 +511,12 @@ def run_make_fixtures(out_dir: str) -> int:
 
 def _resolve_config(args) -> ExperimentConfig:
     values = {}
+    if getattr(args, "checkpoint", None):
+        # eval/predict regenerate synthetic data from the training seed
+        # unless the config file or --seed names another
+        seed = read_meta(args.checkpoint).get("seed")
+        if isinstance(seed, int):
+            values["seed"] = seed
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError(

@@ -169,8 +169,9 @@ def embed_label(
         polarity = "negative"
     else:
         polarity = "mixed"
+    width = batch.timesteps * batch.input_dim
     return LabeledVariant(
-        framed.reshape(b, -1), overlay, polarity, batch.input_dim, batch.timesteps
+        framed.reshape(b, width), overlay, polarity, batch.input_dim, batch.timesteps
     )
 
 
@@ -250,7 +251,8 @@ def _open_maybe_gz(path: str):
     return open(path, "rb")
 
 
-def _read_exact(f, count: int, path: str) -> bytes:
+def read_exact(f, count: int, path: str) -> bytes:
+    """Read exactly `count` bytes or raise TruncatedFileError."""
     data = f.read(count)
     if len(data) != count:
         raise TruncatedFileError(path, f.tell(), count - len(data))
@@ -258,7 +260,7 @@ def _read_exact(f, count: int, path: str) -> bytes:
 
 
 def _read_be_u32(f, path: str) -> int:
-    return struct.unpack(">I", _read_exact(f, 4, path))[0]
+    return struct.unpack(">I", read_exact(f, 4, path))[0]
 
 
 def load_idx(
@@ -281,7 +283,7 @@ def load_idx(
         count = _read_be_u32(f, images_path)
         rows = _read_be_u32(f, images_path)
         cols = _read_be_u32(f, images_path)
-        raw = _read_exact(f, count * rows * cols, images_path)
+        raw = read_exact(f, count * rows * cols, images_path)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
     with _open_maybe_gz(labels_path) as f:
@@ -293,7 +295,7 @@ def load_idx(
             )
         label_count = _read_be_u32(f, labels_path)
         labels = np.frombuffer(
-            _read_exact(f, label_count, labels_path), dtype=np.uint8
+            read_exact(f, label_count, labels_path), dtype=np.uint8
         )
     if label_count != count:
         raise DataConsistencyError(
@@ -334,6 +336,11 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _bse_record(timesteps: int, input_dim: int) -> np.dtype:
+    """One BSE1 sample record: a u8 label, then T*d little-endian float32 bins."""
+    return np.dtype([("label", "u1"), ("bins", "<f4", (timesteps * input_dim,))])
+
+
 def write_binned_events(path, dataset: Dataset) -> None:
     """Write a dataset as a BSE1 container (values stored as float32).
 
@@ -349,42 +356,36 @@ def write_binned_events(path, dataset: Dataset) -> None:
         )
     n = dataset.num_samples
     t, d, c = dataset.timesteps, dataset.input_dim, dataset.class_count
+    records = np.empty(n, dtype=_bse_record(t, d))
+    records["label"] = dataset.labels
+    records["bins"] = dataset.inputs
     with open(path, "wb") as f:
         f.write(BSE_MAGIC)
         f.write(struct.pack("<IIII", n, t, d, c))
-        for i in range(n):
-            f.write(struct.pack("<B", int(dataset.labels[i])))
-            f.write(dataset.inputs[i].astype("<f4").tobytes())
+        f.write(records.tobytes())
 
 
 def load_binned_events(path) -> Dataset:
     """Read a BSE1 container as a temporal dataset."""
     path = str(path)
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path)
+        magic = read_exact(f, 4, path)
         if magic != BSE_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {BSE_MAGIC!r}")
-        n, t, d, c = struct.unpack("<IIII", _read_exact(f, 16, path))
+        n, t, d, c = struct.unpack("<IIII", read_exact(f, 16, path))
         if t < 1 or d < 1 or d < c:
             raise DataConsistencyError(
                 f"{path}: inconsistent header (num_samples={n}, T={t}, d={d}, c={c})"
             )
-        sample_bytes = 1 + 4 * t * d
+        record = _bse_record(t, d)
         payload = f.read()
-    if len(payload) != n * sample_bytes:
+    if len(payload) != n * record.itemsize:
         raise DataConsistencyError(
-            f"{path}: header declares {n} samples ({n * sample_bytes} payload "
+            f"{path}: header declares {n} samples ({n * record.itemsize} payload "
             f"bytes) but file carries {len(payload)}"
         )
-    labels = np.empty(n, dtype=np.int64)
-    inputs = np.empty((n, t * d), dtype=np.float64)
-    for i in range(n):
-        off = i * sample_bytes
-        labels[i] = payload[off]
-        inputs[i] = np.frombuffer(
-            payload, dtype="<f4", count=t * d, offset=off + 1
-        ).astype(np.float64)
-    return Dataset(inputs, labels, c, d, temporal=True, timesteps=t)
+    records = np.frombuffer(payload, dtype=record, count=n)
+    return Dataset(records["bins"], records["label"], c, d, temporal=True, timesteps=t)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import neuron
 from .errors import NumericError, ShapeError, UsageError
-from .neuron import NeuronConfig, NeuronState
+from .neuron import NeuronConfig, advance_membrane
 from .numerics import AdamState, RngStream
 
 TRAINABLE = ("weights", "gamma", "shift", "decay_raw", "recurrent")
@@ -170,7 +170,9 @@ def layer_forward(
         raise UsageError("train mode needs a batch of at least 2 (batch variance)")
 
     cfg = layer.neuron
-    state = neuron.initial_state(batch, layer.n_out, layer.decay_raw)
+    beta = neuron.effective_decay(layer.decay_raw, cfg)
+    membrane = np.zeros((batch, layer.n_out))
+    spikes = np.zeros((batch, layer.n_out))
     counts = np.zeros((batch, layer.n_out))
     mu_used = np.empty((t_steps, layer.n_out))
     var_used = np.empty((t_steps, layer.n_out))
@@ -213,13 +215,12 @@ def layer_forward(
         normalized = layer.gamma[t] * xhat + layer.shift[t]
         drive = normalized
         if layer.recurrent is not None:
-            drive = drive + state.spikes @ layer.recurrent
-        membrane = neuron.membrane_update(state, drive, cfg)
+            drive = drive + spikes @ layer.recurrent
+        membrane = neuron.membrane_update(membrane, spikes, drive, beta, cfg)
         if smooth_spikes:
             spikes = neuron.smoothed_spike(membrane, cfg)
         else:
             spikes = (membrane >= cfg.threshold).astype(np.float64)
-        state = NeuronState(membrane, spikes, state.decay_raw)
         counts += spikes
         rec_spk.append(spikes)
         if record:
@@ -258,20 +259,13 @@ class EvalRollout:
     scratch, recurrent drive and spike counts of the current timestep only;
     nothing is recorded. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (normalization, then recurrent
-    drive, then the membrane recursion of `neuron.membrane_update`, then the
-    threshold), so membranes, spikes and counts equal the reference's bit
-    for bit.
+    drive, then `neuron.advance_membrane`, then the threshold), so
+    membranes, spikes and counts equal the reference's bit for bit.
     """
 
     def __init__(self, layer: SpikingLayer, rows: int):
         self.layer = layer
-        cfg = layer.neuron
-        self.zero_reset = cfg.reset_mode == "zero"
-        self.threshold = cfg.threshold
-        if cfg.decay_learnable and layer.decay_raw is not None:
-            self.beta = neuron.sigmoid(layer.decay_raw)
-        else:
-            self.beta = cfg.decay
+        self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
         self.std = np.sqrt(layer.running_var + layer.eps)  # (T, n_out)
         shape = (rows, layer.n_out)
         self.drive = np.empty(shape)
@@ -296,7 +290,7 @@ class EvalRollout:
         z may be `self.drive` itself (it is then overwritten) or a product
         shared across timesteps (it is only read).
         """
-        layer = self.layer
+        layer, cfg = self.layer, self.layer.neuron
         if self.recurrent_drive is not None:  # from the previous spikes
             np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive)
         mean, std = layer.running_mean[t], self.std[t]
@@ -312,16 +306,8 @@ class EvalRollout:
             np.add(drive, shift, out=drive)
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
-            np.multiply(self.beta, u, out=u)
-            if self.zero_reset:
-                np.subtract(1.0, s, out=tmp)
-                np.multiply(u, tmp, out=u)
-                np.add(u, drive, out=u)
-            else:
-                np.add(u, drive, out=u)
-                np.multiply(self.threshold, s, out=tmp)
-                np.subtract(u, tmp, out=u)
-            np.greater_equal(u, self.threshold, out=s)
+            advance_membrane(u, s, drive, self.beta, cfg, out=u, scratch=tmp)
+            np.greater_equal(u, cfg.threshold, out=s)
             np.add(counts, s, out=counts)
         return self.spikes
 
@@ -356,10 +342,7 @@ def layer_backward(
         )
 
     cfg = layer.neuron
-    if cfg.decay_learnable and layer.decay_raw is not None:
-        beta = neuron.sigmoid(layer.decay_raw)  # (n,)
-    else:
-        beta = cfg.decay
+    beta = neuron.effective_decay(layer.decay_raw, cfg)
     zero_reset = cfg.reset_mode == "zero"
 
     d_counts = (2.0 / n) * trace.counts * dgoodness[:, None]

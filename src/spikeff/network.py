@@ -84,17 +84,18 @@ def _count_eval_rows(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
     net.eval_rows += frames[0].shape[0]
 
 
-def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray], record: bool = False):
+def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     """Eval-mode pass (running statistics, no state mutation).
 
-    This layer-by-layer pass records full traces; it is the reference that
-    `label_goodness`'s in-place rollout reproduces bit for bit.
+    This layer-by-layer pass keeps each layer's spike trains and counts; it
+    is the reference that `label_goodness`'s in-place rollout reproduces bit
+    for bit.
     """
     _count_eval_rows(net, frames)
     traces = []
     x = frames
     for layer in net.layers:
-        trace = layer_forward(layer, x, "eval", record=record)
+        trace = layer_forward(layer, x, "eval", record=False)
         traces.append(trace)
         x = trace.spikes
     return traces

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError
 
 RESET_MODES = ("subtract", "zero")
 
@@ -36,30 +36,19 @@ class NeuronConfig:
     surrogate_slope: float = 2.0
 
     def __post_init__(self):
+        bad = []
         if not self.threshold > 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+            bad.append(f"threshold: must be > 0, got {self.threshold}")
         if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+            bad.append(f"decay: must be in (0, 1], got {self.decay}")
         if self.reset_mode not in RESET_MODES:
-            raise ValueError(f"reset_mode must be one of {RESET_MODES}")
+            bad.append(
+                f"reset_mode: must be one of {RESET_MODES}, got {self.reset_mode!r}"
+            )
         if not self.surrogate_slope > 0:
-            raise ValueError("surrogate_slope must be > 0")
-
-
-@dataclass
-class NeuronState:
-    """Per-batch membrane and last spikes; optionally the raw decay vector."""
-
-    membrane: np.ndarray  # (B, N)
-    spikes: np.ndarray  # (B, N), binary
-    decay_raw: Optional[np.ndarray] = None  # (N,), unconstrained
-
-
-def initial_state(batch_size: int, size: int, decay_raw=None) -> NeuronState:
-    """Fresh state: membrane at 0, no prior spikes (start of a presentation)."""
-    return NeuronState(
-        np.zeros((batch_size, size)), np.zeros((batch_size, size)), decay_raw
-    )
+            bad.append(f"surrogate_slope: must be > 0, got {self.surrogate_slope}")
+        if bad:
+            raise ConfigError(bad)
 
 
 def sigmoid(x):
@@ -71,55 +60,38 @@ def raw_decay_for(decay: float) -> float:
     return math.log(decay / (1.0 - decay))
 
 
-def effective_decay(state: NeuronState, config: NeuronConfig):
+def effective_decay(decay_raw: Optional[np.ndarray], config: NeuronConfig):
     """Decay factor(s): sigmoid of the raw vector when learnable, else fixed."""
-    if config.decay_learnable and state.decay_raw is not None:
-        return sigmoid(state.decay_raw)
+    if config.decay_learnable and decay_raw is not None:
+        return sigmoid(decay_raw)
     return config.decay
 
 
-def membrane_update(
-    state: NeuronState, drive: np.ndarray, config: NeuronConfig
+def advance_membrane(
+    membrane, spikes, drive, beta, config: NeuronConfig, out=None, scratch=None
 ) -> np.ndarray:
-    """Advance the membrane one step; reset is driven by the prior spikes."""
-    beta = effective_decay(state, config)
-    if config.reset_mode == "subtract":
-        return beta * state.membrane + drive - config.threshold * state.spikes
-    return beta * state.membrane * (1.0 - state.spikes) + drive
+    """The membrane recursion: one step from the prior membrane and spikes.
 
-
-def lif_step(
-    state: NeuronState, drive: np.ndarray, config: NeuronConfig, timestep=None
-) -> NeuronState:
-    """One LIF step: decay + integrate + reset-from-prior-spike, then threshold."""
-    if drive.shape != state.membrane.shape:
-        raise ShapeError(
-            f"lif_step: drive {drive.shape} vs membrane {state.membrane.shape}"
-        )
-    if not np.all(np.isfinite(drive)):
-        where = "" if timestep is None else f" at timestep {timestep}"
-        raise NumericError(f"non-finite drive{where}")
-    membrane = membrane_update(state, drive, config)
-    spikes = (membrane >= config.threshold).astype(np.float64)
-    return NeuronState(membrane, spikes, state.decay_raw)
-
-
-def recurrent_lif_step(
-    state: NeuronState,
-    drive: np.ndarray,
-    rec: np.ndarray,
-    config: NeuronConfig,
-    timestep=None,
-) -> NeuronState:
-    """LIF step with additive recurrent drive from the previous spikes.
-
-    rec[i, j] is the weight from neuron i to neuron j; the extra drive is
-    S_prev @ rec. With rec = 0 this is exactly `lif_step`.
+    beta is `effective_decay`'s value. `out` may be `membrane` itself (an
+    in-place step); `scratch`, when given, holds the reset term. The ufuncs
+    and their order are fixed, so every caller gets the same bits.
     """
-    n = state.membrane.shape[1]
-    if rec.shape != (n, n):
-        raise ShapeError(f"recurrent weights must be ({n}, {n}), got {rec.shape}")
-    return lif_step(state, drive + state.spikes @ rec, config, timestep)
+    out = np.multiply(beta, membrane, out=out)
+    if config.reset_mode == "zero":
+        np.multiply(out, np.subtract(1.0, spikes, out=scratch), out=out)
+        return np.add(out, drive, out=out)
+    np.add(out, drive, out=out)
+    return np.subtract(out, np.multiply(config.threshold, spikes, out=scratch), out=out)
+
+
+def membrane_update(membrane, spikes, drive, beta, config: NeuronConfig) -> np.ndarray:
+    """Next membrane as a new array; the reset is driven by the prior spikes.
+
+    `layer_forward`'s entry to `advance_membrane`, looked up on this module
+    so that profilers can wrap it; the in-place scoring step calls the
+    kernel directly.
+    """
+    return advance_membrane(membrane, spikes, drive, beta, config)
 
 
 def surrogate_grad(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Dense float64 substrate: checked matmul, Adam updates, seeded RNG streams.
+"""Dense float64 substrate: Adam updates and seeded RNG streams.
 
 All activations and parameters are plain 2-D numpy arrays in row-major,
 batch-major layout (batch index = row), so batch reductions are column-wise
-folds. Public operations verify that results stay finite.
+folds. `adam_update` rejects non-finite gradients.
 """
 
 from dataclasses import dataclass
@@ -10,29 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a C-contiguous 2-D float64 array."""
-    out = np.ascontiguousarray(data, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got shape {out.shape}")
-    return out
-
-
-def ensure_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {context}")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape and finiteness checks."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    return ensure_finite(out, "matmul result")
 
 
 class RngStream:

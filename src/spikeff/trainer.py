@@ -16,7 +16,7 @@ import numpy as np
 
 from . import predictor
 from .dataio import Dataset, SampleBatch, embed_label, iter_batches, make_positive
-from .errors import NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .layer import goodness, layer_backward
 from .network import FFNetwork, forward_train, label_goodness
 from .numerics import RngStream, adam_update
@@ -41,14 +41,17 @@ class TrainConfig:
     eval_every: int = 1  # 0 = only after the final epoch
 
     def __post_init__(self):
+        bad = []
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            bad.append(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            bad.append(f"batch_size: must be >= 2, got {self.batch_size}")
         if not self.loss_sharpness > 0:
-            raise ValueError("loss_sharpness must be > 0")
+            bad.append(f"loss_sharpness: must be > 0, got {self.loss_sharpness}")
         if self.eval_every < 0:
-            raise ValueError("eval_every must be >= 0")
+            bad.append(f"eval_every: must be >= 0, got {self.eval_every}")
+        if bad:
+            raise ConfigError(bad)
 
 
 @dataclass

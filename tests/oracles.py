@@ -10,21 +10,6 @@ import math
 import numpy as np
 
 
-def matmul_triple_loop(a, b):
-    """Naive O(n^3) matrix product."""
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def adam_scalar_sequence(p0, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scalar Adam recursion; returns the parameter value after each step."""
     p, m, v = float(p0), 0.0, 0.0

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -86,6 +87,51 @@ class TestFormatGuards:
         blob = path.read_bytes()
         path.write_bytes(blob[:-40])
         with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
+    def test_truncation_at_any_offset_is_typed(self, tmp_path):
+        net, _ = trained_net(recurrent=True)
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net, meta={"seed": 3})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.sffc"
+        for offset in range(len(blob)):
+            cut.write_bytes(blob[:offset])
+            with pytest.raises((TruncatedFileError, FormatError)):
+                load_checkpoint(cut)
+
+    def test_header_not_json(self, tmp_path):
+        net, _ = trained_net()
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net)
+        blob = bytearray(path.read_bytes())
+        blob[12] = ord("x")  # the header's opening brace
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("layers"),
+        lambda h: h.pop("tensors"),
+        lambda h: h["layers"][0].pop("batches_tracked"),
+        lambda h: h["layers"][0]["neuron"].update(threshold=-1.0),
+        lambda h: h["layers"][0]["neuron"].update(reset="zero"),
+        lambda h: h["tensors"][0].update(shape=[-1, 12]),
+        lambda h: h.update(meta=[1, 2]),
+    ], ids=["no layers", "no tensors", "no batches_tracked", "bad threshold",
+            "unknown neuron key", "negative dimension", "meta not an object"])
+    def test_header_with_wrong_structure(self, tmp_path, edit):
+        net, _ = trained_net()
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        edit(header)
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
+                         + blob[12 + length :])
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_magic_constant(self):

@@ -319,6 +319,20 @@ class TestCommands:
         first = rows[1].split(",")
         assert first[0] == "0" and len(first) == 5
 
+    def test_predict_defaults_to_the_training_seed(self, tmp_path):
+        config = self.run_tiny(tmp_path)
+        checkpoint = str(Path(config.out_dir) / "checkpoint.sffc")
+
+        def predict(*seed_flags):
+            out_csv = tmp_path / f"scores{'-'.join(seed_flags)}.csv"
+            assert cli.main(["predict", checkpoint, "--dataset", "synthetic:blobs",
+                             *seed_flags, "--out", str(out_csv)]) == 0
+            return out_csv.read_bytes()
+
+        default = predict()
+        assert default == predict("--seed", str(config.seed))
+        assert default != predict("--seed", "0")
+
     def test_inspect_command(self, tmp_path, capsys):
         config = self.run_tiny(tmp_path)
         code = cli.main(["inspect", str(Path(config.out_dir) / "checkpoint.sffc")])
@@ -377,6 +391,17 @@ class TestCommands:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "FileNotFoundError"
+
+    def test_inspect_truncated_file_reported(self, tmp_path, capsys):
+        config = self.run_tiny(tmp_path)
+        blob = (Path(config.out_dir) / "checkpoint.sffc").read_bytes()
+        for offset in (6, 40, len(blob) - 8):
+            cut = tmp_path / f"cut{offset}.sffc"
+            cut.write_bytes(blob[:offset])
+            assert cli.main(["inspect", str(cut)]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "TruncatedFileError"
+            assert "truncated" in record["message"]
 
     def test_inspect_version_mismatch_reported(self, tmp_path, capsys):
         import struct

@@ -124,6 +124,19 @@ class TestBse:
         assert (back.class_count, back.input_dim, back.timesteps) == (2, 4, 2)
         assert back.temporal
 
+    def test_written_bytes_match_hand_packed_records(self, tmp_path):
+        inputs = np.array([[1.0, 0.0, 0.5, 2.0, 0.0, 1.0],
+                           [0.0, 3.0, 0.0, 0.0, 0.25, 0.0],
+                           [7.0, 0.0, 1.0, 0.0, 0.0, 4.0]])
+        ds = dataio.Dataset(inputs, np.array([2, 0, 1]), 3, 3,
+                            temporal=True, timesteps=2)
+        path = tmp_path / "three.bse"
+        dataio.write_binned_events(path, ds)
+        expected = b"BSE1" + struct.pack("<IIII", 3, 2, 3, 3)
+        for label, row in zip(ds.labels, inputs):
+            expected += struct.pack("<B6f", int(label), *row)
+        assert path.read_bytes() == expected
+
     def test_empty_sample_accepted(self, tmp_path):
         ds = dataio.Dataset(
             np.zeros((2, 8)), np.array([0, 1]), 2, 4, temporal=True, timesteps=2
@@ -228,6 +241,13 @@ class TestEmbedding:
         assert framed[0, 0, 1] == 0.0 and framed[0, 1, 1] == 0.0
         np.testing.assert_array_equal(framed[0, :, 2:],
                                       rows.reshape(1, 2, 4)[0, :, 2:])
+
+    @pytest.mark.parametrize("timesteps", [1, 3])
+    def test_empty_batch(self, timesteps):
+        batch = self.batch(np.zeros((0, 4 * timesteps)), [], timesteps)
+        out = dataio.embed_label(batch, [], class_count=2)
+        assert out.inputs.shape == (0, 4 * timesteps)
+        assert [f.shape for f in out.frames(timesteps)] == [(0, 4)] * timesteps
 
     def test_out_of_range_overlay(self):
         batch = self.batch([[0.5, 0.5, 0.5]], [0])

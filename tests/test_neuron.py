@@ -4,22 +4,49 @@ import numpy as np
 import pytest
 
 from spikeff import neuron
-from spikeff.errors import NumericError, ShapeError
+from spikeff.errors import ConfigError, NumericError, ShapeError
+from spikeff.layer import SpikingLayer, layer_forward
 from spikeff.neuron import (
     NeuronConfig,
-    NeuronState,
-    initial_state,
-    lif_step,
-    recurrent_lif_step,
+    membrane_update,
     smoothed_spike,
     surrogate_grad,
 )
 from spikeff.numerics import RngStream
 
 
-def state_of(membrane, spikes, decay_raw=None):
-    return NeuronState(np.asarray(membrane, float), np.asarray(spikes, float),
-                       decay_raw)
+def step(membrane, spikes, drive, cfg, decay_raw=None):
+    """One membrane step from a hand-set state, as `layer_forward` takes it."""
+    beta = neuron.effective_decay(decay_raw, cfg)
+    return membrane_update(np.asarray(membrane, float), np.asarray(spikes, float),
+                           np.asarray(drive, float), beta, cfg)
+
+
+def lif_layer(cfg, n, timesteps, decay_raw=None, recurrent=None):
+    """A layer whose eval-mode drive at step t is exactly frames[t].
+
+    Identity weights, zero running mean, unit running variance, eps 0,
+    unit scale and zero shift make the normalization an exact identity, so
+    `layer_forward(mode="eval")` runs the bare LIF recursion on hand drives.
+    """
+    return SpikingLayer(
+        weights=np.eye(n),
+        gamma=np.ones((timesteps, n)),
+        shift=np.zeros((timesteps, n)),
+        running_mean=np.zeros((timesteps, n)),
+        running_var=np.ones((timesteps, n)),
+        neuron=cfg,
+        decay_raw=decay_raw,
+        recurrent=recurrent,
+        batches_tracked=1,
+        eps=0.0,
+    )
+
+
+def run_lif(layer, drives):
+    """Eval-mode rollout over per-timestep (B, n) drives."""
+    frames = [np.asarray(d, float) for d in drives]
+    return layer_forward(layer, frames, "eval", record=True)
 
 
 class TestConfig:
@@ -35,6 +62,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             NeuronConfig(surrogate_slope=0.0)
 
+    def test_every_violation_listed(self):
+        with pytest.raises(ConfigError) as err:
+            NeuronConfig(threshold=0.0, decay=1.5, reset_mode="clamp",
+                         surrogate_slope=0.0)
+        fields = [v.split(":")[0] for v in err.value.violations]
+        assert fields == ["threshold", "decay", "reset_mode", "surrogate_slope"]
+
     def test_raw_decay_round_trip(self):
         raw = neuron.raw_decay_for(0.99)
         assert neuron.sigmoid(raw) == pytest.approx(0.99, abs=1e-12)
@@ -43,101 +77,102 @@ class TestConfig:
 class TestLifStep:
     def test_integrate_to_threshold(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.5)
-        out = lif_step(state_of([[0.0]], [[0.0]]), np.array([[1.0]]), cfg)
-        assert out.membrane[0, 0] == 1.0
-        assert out.spikes[0, 0] == 1.0
+        out = run_lif(lif_layer(cfg, 1, 1), [[[1.0]]])
+        assert out.membranes[0][0, 0] == 1.0
+        assert out.spikes[0][0, 0] == 1.0
 
     def test_decay_only(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.99)
-        out = lif_step(state_of([[0.5]], [[0.0]]), np.array([[0.0]]), cfg)
-        assert out.membrane[0, 0] == pytest.approx(0.495, abs=1e-15)
-        assert out.spikes[0, 0] == 0.0
+        membrane = step([[0.5]], [[0.0]], [[0.0]], cfg)
+        assert membrane[0, 0] == pytest.approx(0.495, abs=1e-15)
+        out = run_lif(lif_layer(cfg, 1, 2), [[[0.5]], [[0.0]]])
+        assert out.membranes[1][0, 0] == pytest.approx(0.495, abs=1e-15)
+        assert out.spikes[1][0, 0] == 0.0
 
     def test_subtract_reset_after_spike(self):
         # decay 1.0 isolates the reset arithmetic
         cfg = NeuronConfig(threshold=1.0, decay=1.0)
-        out = lif_step(state_of([[1.2]], [[1.0]]), np.array([[0.0]]), cfg)
-        assert out.membrane[0, 0] == pytest.approx(0.2, abs=1e-15)
+        membrane = step([[1.2]], [[1.0]], [[0.0]], cfg)
+        assert membrane[0, 0] == pytest.approx(0.2, abs=1e-15)
 
     def test_zero_reset_clears_membrane(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.9, reset_mode="zero")
-        out = lif_step(state_of([[1.4]], [[1.0]]), np.array([[0.0]]), cfg)
-        assert out.membrane[0, 0] == 0.0
+        membrane = step([[1.4]], [[1.0]], [[0.0]], cfg)
+        assert membrane[0, 0] == 0.0
 
     def test_threshold_inclusive(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.5)
-        out = lif_step(state_of([[0.0, 0.0]], [[0.0, 0.0]]),
-                       np.array([[1.0, 0.999999]]), cfg)
-        np.testing.assert_array_equal(out.spikes, [[1.0, 0.0]])
+        out = run_lif(lif_layer(cfg, 2, 1), [[[1.0, 0.999999]]])
+        np.testing.assert_array_equal(out.spikes[0], [[1.0, 0.0]])
 
     def test_spikes_binary_under_random_drive(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.9)
         rng = RngStream(0)
-        state = initial_state(8, 5)
-        for t in range(20):
-            state = lif_step(state, rng.normal((8, 5), scale=2.0), cfg)
-            assert set(np.unique(state.spikes)) <= {0.0, 1.0}
+        drives = [rng.normal((8, 5), scale=2.0) for _ in range(20)]
+        out = run_lif(lif_layer(cfg, 5, 20), drives)
+        for spikes in out.spikes:
+            assert set(np.unique(spikes)) <= {0.0, 1.0}
 
     def test_subthreshold_decay_never_spikes(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.7)
-        state = state_of([[0.99]], [[0.0]])
-        previous = state.membrane[0, 0]
-        for _ in range(50):
-            state = lif_step(state, np.zeros((1, 1)), cfg)
-            assert state.spikes[0, 0] == 0.0
-            assert 0.0 <= state.membrane[0, 0] < previous or previous == 0.0
-            previous = state.membrane[0, 0]
+        drives = [[[0.99]]] + [[[0.0]]] * 50
+        out = run_lif(lif_layer(cfg, 1, 51), drives)
+        previous = out.membranes[0][0, 0]
+        assert previous == 0.99 and out.spikes[0][0, 0] == 0.0
+        for membrane, spikes in zip(out.membranes[1:], out.spikes[1:]):
+            assert spikes[0, 0] == 0.0
+            assert 0.0 <= membrane[0, 0] < previous or previous == 0.0
+            previous = membrane[0, 0]
 
     def test_learnable_decay_used_when_raw_present(self):
         cfg = NeuronConfig(threshold=10.0, decay=0.5, decay_learnable=True)
         raw = np.array([neuron.raw_decay_for(0.25)])
-        out = lif_step(state_of([[1.0]], [[0.0]], raw), np.zeros((1, 1)), cfg)
-        assert out.membrane[0, 0] == pytest.approx(0.25, abs=1e-12)
+        membrane = step([[1.0]], [[0.0]], np.zeros((1, 1)), cfg, raw)
+        assert membrane[0, 0] == pytest.approx(0.25, abs=1e-12)
+        out = run_lif(lif_layer(cfg, 1, 2, decay_raw=raw), [[[1.0]], [[0.0]]])
+        assert out.membranes[1][0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_shape_and_finiteness_errors(self):
         cfg = NeuronConfig()
         with pytest.raises(ShapeError):
-            lif_step(initial_state(2, 3), np.zeros((2, 2)), cfg)
+            run_lif(lif_layer(cfg, 3, 1), [np.zeros((2, 2))])
+        drives = [np.zeros((1, 1))] * 4 + [np.array([[np.inf]])]
         with pytest.raises(NumericError, match="timestep 4"):
-            lif_step(initial_state(1, 1), np.array([[np.inf]]), cfg, timestep=4)
+            run_lif(lif_layer(cfg, 1, 5), drives)
 
 
 class TestRecurrentStep:
     def test_zero_weights_match_plain_step_bitwise(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.9)
         rng = RngStream(1)
-        state = state_of(rng.normal((4, 3)), (rng.uniform((4, 3)) > 0.5) * 1.0)
-        drive = rng.normal((4, 3))
-        plain = lif_step(state, drive, cfg)
-        rec = recurrent_lif_step(state, drive, np.zeros((3, 3)), cfg)
-        assert plain.membrane.tobytes() == rec.membrane.tobytes()
-        assert plain.spikes.tobytes() == rec.spikes.tobytes()
+        drives = [rng.normal((4, 3)) for _ in range(5)]
+        plain = run_lif(lif_layer(cfg, 3, 5), drives)
+        rec = run_lif(lif_layer(cfg, 3, 5, recurrent=np.zeros((3, 3))), drives)
+        for a, b in zip(plain.membranes, rec.membranes):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(plain.spikes, rec.spikes):
+            assert a.tobytes() == b.tobytes()
 
     def test_no_prior_spikes_match_plain_step(self):
         cfg = NeuronConfig(threshold=1.0, decay=0.9)
         rng = RngStream(2)
-        state = initial_state(2, 3)
         drive = rng.normal((2, 3))
         rec_weights = rng.normal((3, 3))
-        plain = lif_step(state, drive, cfg)
-        rec = recurrent_lif_step(state, drive, rec_weights, cfg)
-        np.testing.assert_array_equal(plain.membrane, rec.membrane)
+        plain = run_lif(lif_layer(cfg, 3, 1), [drive])
+        rec = run_lif(lif_layer(cfg, 3, 1, recurrent=rec_weights), [drive])
+        np.testing.assert_array_equal(plain.membranes[0], rec.membranes[0])
 
     def test_hand_example_adds_recurrent_drive(self):
         cfg = NeuronConfig(threshold=10.0, decay=1.0)
         rec_weights = np.array([[0.0, 1.0], [0.0, 0.0]])
-        state = state_of([[0.0, 0.0]], [[1.0, 0.0]])
-        extra = state.spikes @ rec_weights
+        out = run_lif(lif_layer(cfg, 2, 2, recurrent=rec_weights),
+                      [[[10.0, 0.0]], [[0.0, 0.0]]])
+        np.testing.assert_array_equal(out.spikes[0], [[1.0, 0.0]])
+        extra = out.spikes[0] @ rec_weights
         np.testing.assert_array_equal(extra, [[0.0, 1.0]])
-        out = recurrent_lif_step(state, np.zeros((1, 2)), rec_weights, cfg)
-        equivalent = lif_step(state, np.zeros((1, 2)) + extra, cfg)
-        np.testing.assert_array_equal(out.membrane, equivalent.membrane)
-
-    def test_rejects_non_square(self):
-        cfg = NeuronConfig()
-        with pytest.raises(ShapeError):
-            recurrent_lif_step(initial_state(1, 2), np.zeros((1, 2)),
-                               np.zeros((2, 3)), cfg)
+        equivalent = run_lif(lif_layer(cfg, 2, 2),
+                             [[[10.0, 0.0]], np.zeros((1, 2)) + extra])
+        np.testing.assert_array_equal(out.membranes[1], equivalent.membranes[1])
 
 
 class TestSurrogate:

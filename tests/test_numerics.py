@@ -2,48 +2,9 @@ import numpy as np
 import pytest
 
 from spikeff.errors import NumericError, ShapeError
-from spikeff.numerics import AdamState, RngStream, adam_update, matmul
+from spikeff.numerics import AdamState, RngStream, adam_update
 
-from oracles import adam_scalar_sequence, matmul_triple_loop
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        eye = np.eye(2)
-        np.testing.assert_array_equal(matmul(a, eye), a)
-
-    def test_one_by_two_times_two_by_one(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[11.0]])
-
-    def test_random_matches_triple_loop(self):
-        rng = RngStream(42)
-        a = rng.normal((5, 7))
-        b = rng.normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_triple_loop(a, b),
-                                   rtol=0, atol=1e-12)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = RngStream(7)
-        for _ in range(20):
-            dims = rng.integers(1, 17, size=4)
-            a = rng.normal((dims[0], dims[1]))
-            b = rng.normal((dims[1], dims[2]))
-            c = rng.normal((dims[2], dims[3]))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-10)
-
-    def test_nonfinite_result_raises(self):
-        big = np.full((2, 2), 1e308)
-        with pytest.raises(NumericError):
-            matmul(big, big)
+from oracles import adam_scalar_sequence
 
 
 class TestAdam:

@@ -97,6 +97,15 @@ class TestScoreLabels:
         score_labels(net, batch)
         assert net.eval_rows == net.class_count * 5
 
+    @pytest.mark.parametrize("timesteps", [1, 2])
+    def test_empty_batch_scores_nothing(self, timesteps):
+        net = zero_network(input_dim=6, timesteps=2)
+        batch = batch_of(np.zeros((0, 6 * timesteps)), np.zeros(0, int),
+                         timesteps)
+        result = score_labels(net, batch)
+        assert result.scores.shape == (0, net.class_count)
+        assert result.predicted.shape == (0,)
+
     def test_unpopulated_stats_rejected(self):
         net = zero_network()
         net.layers[0].batches_tracked = 0
