@@ -10,12 +10,16 @@ Layout (little-endian):
                  (name, shape) pairs in file order
     then         the tensors as contiguous float64 arrays, manifest order
 
-Optimizer moments are not stored; loading yields fresh Adam states.
+Optimizer moments are not stored; loading yields fresh Adam states. A
+checkpoint is written to a temporary file in the same directory and then
+renamed over the target, so a failed write leaves any previous file whole.
 """
 
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -78,12 +82,19 @@ def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(blob)))
-        f.write(blob)
-        for _, tensor in tensors:
-            f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(blob)))
+            f.write(blob)
+            for _, tensor in tensors:
+                f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_header(f, path: str) -> dict:
@@ -113,6 +124,32 @@ def read_meta(path) -> dict:
         return _read_header(f, str(path)).get("meta", {})
 
 
+def _check_shapes(header: dict, arrays: dict) -> None:
+    """Every tensor's shape must be the one the header's dimensions imply."""
+    t_steps, n_in = int(header["timesteps"]), int(header["input_dim"])
+    for i, lm in enumerate(header["layers"]):
+        if int(lm["n_in"]) != n_in:
+            raise ValueError(f"layer {i} n_in is {lm['n_in']}, expected {n_in}")
+        n_out = int(lm["n_out"])
+        expected = {
+            "weights": (n_out, n_in),
+            "gamma": (t_steps, n_out),
+            "shift": (t_steps, n_out),
+            "running_mean": (t_steps, n_out),
+            "running_var": (t_steps, n_out),
+            "decay_raw": (n_out,),
+            "recurrent": (n_out, n_out),
+        }
+        for name, shape in expected.items():
+            key = f"layer{i}/{name}"
+            if key in arrays and arrays[key].shape != shape:
+                raise ValueError(
+                    f"{key} has shape {arrays[key].shape}, but the header's "
+                    f"timesteps/input_dim/n_in/n_out imply {shape}"
+                )
+        n_in = n_out
+
+
 def _network(header: dict, f, path: str) -> FFNetwork:
     """Read the manifest's tensors from f and assemble the network."""
     arrays = {}
@@ -122,6 +159,7 @@ def _network(header: dict, f, path: str) -> FFNetwork:
             raise ValueError(f"negative dimension in tensor shape {shape}")
         raw = read_exact(f, 8 * math.prod(shape), path)
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    _check_shapes(header, arrays)
     layers = []
     for i, lm in enumerate(header["layers"]):
         layer = SpikingLayer(

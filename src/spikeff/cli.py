@@ -512,11 +512,13 @@ def run_make_fixtures(out_dir: str) -> int:
 def _resolve_config(args) -> ExperimentConfig:
     values = {}
     if getattr(args, "checkpoint", None):
-        # eval/predict regenerate synthetic data from the training seed
-        # unless the config file or --seed names another
-        seed = read_meta(args.checkpoint).get("seed")
-        if isinstance(seed, int):
-            values["seed"] = seed
+        # eval/predict score the training run's dataset, synthetic data
+        # regenerated from its seed, unless a preset, the config file or a
+        # flag names another
+        meta = read_meta(args.checkpoint)
+        for key, kind in (("dataset", str), ("seed", int)):
+            if isinstance(meta.get(key), kind):
+                values[key] = meta[key]
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError(

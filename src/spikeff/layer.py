@@ -17,7 +17,7 @@ import numpy as np
 
 from . import neuron
 from .errors import NumericError, ShapeError, UsageError
-from .neuron import NeuronConfig, advance_membrane
+from .neuron import NeuronConfig, advance_membrane, fire
 from .numerics import AdamState, RngStream
 
 TRAINABLE = ("weights", "gamma", "shift", "decay_raw", "recurrent")
@@ -108,13 +108,21 @@ def init_layer(
     return layer
 
 
+def _normalize(z, mu, var, eps, gamma, shift) -> np.ndarray:
+    """One timestep's normalized drive, gamma * (z - mu) / sqrt(var + eps) + shift."""
+    xhat = (z - mu) / np.sqrt(var + eps)
+    return gamma * xhat + shift
+
+
 @dataclass
 class LayerForwardTrace:
     """Everything one forward pass recorded.
 
     Per-timestep lists are None when the pass ran with record=False (counts
     are always kept). `mu`/`var` are the statistics actually used: batch
-    statistics in train mode, running statistics in eval mode.
+    statistics in train mode, running statistics in eval mode. `gamma` and
+    `shift` are the arrays the pass normalized with; training replaces
+    those tensors rather than mutating them, so they keep the pass's values.
     """
 
     mode: str
@@ -126,12 +134,29 @@ class LayerForwardTrace:
     spikes: List[np.ndarray]  # per-t (B, n_out); always kept (next layer's input)
     inputs: Optional[List[np.ndarray]] = None  # per-t (B, n_in)
     pre_norm: Optional[List[np.ndarray]] = None  # z = X W^T
-    normalized: Optional[List[np.ndarray]] = None  # gamma*xhat + shift
     membranes: Optional[List[np.ndarray]] = None
+    gamma: Optional[np.ndarray] = None  # (T, n_out)
+    shift: Optional[np.ndarray] = None  # (T, n_out)
+    eps: float = 0.0
 
     @property
     def recorded(self) -> bool:
         return self.membranes is not None
+
+    @property
+    def normalized(self) -> Optional[List[np.ndarray]]:
+        """Per-t gamma*xhat + shift, recomputed from the recorded products.
+
+        Not stored: it is derived with the pass's own ufuncs in their
+        order, so it equals the normalized drive the pass used bit for bit.
+        """
+        if self.pre_norm is None:
+            return None
+        return [
+            _normalize(z, self.mu[t], self.var[t], self.eps,
+                       self.gamma[t], self.shift[t])
+            for t, z in enumerate(self.pre_norm)
+        ]
 
 
 def layer_forward(
@@ -178,7 +203,6 @@ def layer_forward(
     var_used = np.empty((t_steps, layer.n_out))
     rec_inputs: Optional[list] = [] if record else None
     rec_pre: Optional[list] = [] if record else None
-    rec_norm: Optional[list] = [] if record else None
     rec_mem: Optional[list] = [] if record else None
     rec_spk: list = []
 
@@ -211,22 +235,19 @@ def layer_forward(
             var = layer.running_var[t]
         mu_used[t] = mu
         var_used[t] = var
-        xhat = (z - mu) / np.sqrt(var + layer.eps)
-        normalized = layer.gamma[t] * xhat + layer.shift[t]
-        drive = normalized
+        drive = _normalize(z, mu, var, layer.eps, layer.gamma[t], layer.shift[t])
         if layer.recurrent is not None:
             drive = drive + spikes @ layer.recurrent
         membrane = neuron.membrane_update(membrane, spikes, drive, beta, cfg)
         if smooth_spikes:
             spikes = neuron.smoothed_spike(membrane, cfg)
         else:
-            spikes = (membrane >= cfg.threshold).astype(np.float64)
+            spikes = fire(membrane, cfg)
         counts += spikes
         rec_spk.append(spikes)
         if record:
             rec_inputs.append(frames[t])
             rec_pre.append(z)
-            rec_norm.append(normalized)
             rec_mem.append(membrane)
 
     if mode == "train":
@@ -241,8 +262,10 @@ def layer_forward(
         spikes=rec_spk,
         inputs=rec_inputs,
         pre_norm=rec_pre,
-        normalized=rec_norm,
         membranes=rec_mem,
+        gamma=layer.gamma,
+        shift=layer.shift,
+        eps=layer.eps,
     )
 
 
@@ -251,15 +274,21 @@ def layer_forward(
 # passes. Blocking changes no result: every element sees the same ops.
 BLOCK_ELEMENTS = 1 << 15
 
+# Label scoring rolls out whole overlays in chunks of at most about this
+# many rows x n_out (at least one overlay per chunk), so its buffers do not
+# grow with the class count.
+CHUNK_ELEMENTS = 1 << 18
+
 
 class EvalRollout:
     """One layer's eval-mode state for a timestep-major rollout, kept in place.
 
-    Preallocated (rows, n_out) buffers hold the drive, membrane, spikes,
-    scratch, recurrent drive and spike counts of the current timestep only;
-    nothing is recorded. Every step applies the ufuncs of
+    Preallocated buffers of up to `rows` rows hold the drive, membrane,
+    spikes, recurrent drive and spike counts of the current timestep only,
+    plus one row block of scratch; nothing is recorded. `reset` starts a new
+    rollout on the same buffers. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (normalization, then recurrent
-    drive, then `neuron.advance_membrane`, then the threshold), so
+    drive, then `neuron.advance_membrane`, then `neuron.fire`), so
     membranes, spikes and counts equal the reference's bit for bit.
     """
 
@@ -268,14 +297,29 @@ class EvalRollout:
         self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
         self.std = np.sqrt(layer.running_var + layer.eps)  # (T, n_out)
         shape = (rows, layer.n_out)
-        self.drive = np.empty(shape)
-        self.membrane = np.zeros(shape)
-        self.spikes = np.zeros(shape)
-        self.scratch = np.empty(shape)
-        self.counts = np.zeros(shape)
-        self.recurrent_drive = None if layer.recurrent is None else np.empty(shape)
-        block = max(1, BLOCK_ELEMENTS // layer.n_out)
-        self.blocks = [slice(lo, lo + block) for lo in range(0, rows, block)]
+        self._drive = np.empty(shape)
+        self._membrane = np.empty(shape)
+        self._spikes = np.empty(shape)
+        self._counts = np.empty(shape)
+        self._recurrent_drive = None if layer.recurrent is None else np.empty(shape)
+        self.block = max(1, BLOCK_ELEMENTS // layer.n_out)
+        self.scratch = np.empty((min(rows, self.block), layer.n_out))
+        self.reset(rows)
+
+    def reset(self, rows: int) -> None:
+        """Start a new rollout from rest over the buffers' first `rows` rows."""
+        self.drive = self._drive[:rows]
+        self.membrane = self._membrane[:rows]
+        self.spikes = self._spikes[:rows]
+        self.counts = self._counts[:rows]
+        self.recurrent_drive = (
+            None if self._recurrent_drive is None else self._recurrent_drive[:rows]
+        )
+        for buf in (self.membrane, self.spikes, self.counts):
+            buf.fill(0.0)
+        self.blocks = [
+            slice(lo, min(lo + self.block, rows)) for lo in range(0, rows, self.block)
+        ]
 
     def product(self, x: np.ndarray, t: int, out: Optional[np.ndarray] = None):
         """z = x W^T, checked finite; written to `out` when given."""
@@ -296,10 +340,11 @@ class EvalRollout:
         mean, std = layer.running_mean[t], self.std[t]
         gamma, shift = layer.gamma[t], layer.shift[t]
         for rows in self.blocks:
-            drive, u, s, tmp, counts = (
+            drive, u, s, counts = (
                 self.drive[rows], self.membrane[rows], self.spikes[rows],
-                self.scratch[rows], self.counts[rows],
+                self.counts[rows],
             )
+            tmp = self.scratch[: rows.stop - rows.start]
             np.subtract(z[rows], mean, out=drive)
             np.divide(drive, std, out=drive)
             np.multiply(gamma, drive, out=drive)
@@ -307,7 +352,7 @@ class EvalRollout:
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
             advance_membrane(u, s, drive, self.beta, cfg, out=u, scratch=tmp)
-            np.greater_equal(u, cfg.threshold, out=s)
+            fire(u, cfg, out=s)
             np.add(counts, s, out=counts)
         return self.spikes
 

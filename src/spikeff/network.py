@@ -11,9 +11,16 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .dataio import SampleBatch, embed_label
+from .dataio import SampleBatch, embed_label, time_frames
 from .errors import ShapeError
-from .layer import EvalRollout, SpikingLayer, goodness, init_layer, layer_forward
+from .layer import (
+    CHUNK_ELEMENTS,
+    EvalRollout,
+    SpikingLayer,
+    goodness,
+    init_layer,
+    layer_forward,
+)
 from .neuron import NeuronConfig
 from .numerics import RngStream
 
@@ -104,39 +111,44 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
 def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     """Total goodness per candidate class: (B, class_count).
 
-    All class_count overlays of the batch are scored inside one batched
-    eval-mode rollout of c*B rows; eval normalization uses running
-    statistics only, so this equals the goodness sums of one `forward_eval`
-    per overlay bit for bit. The rollout is timestep-major and in place: at
-    each t every layer advances one step on the previous layer's spikes,
-    and only one step of state per layer is live.
+    The class_count overlays of the batch are scored in eval-mode rollouts
+    over chunks of whole overlays, at most about `CHUNK_ELEMENTS` rows x
+    n_out each, that reuse one set of buffers. Eval normalization uses
+    running statistics only, so this equals the goodness sums of one
+    `forward_eval` per overlay bit for bit. Each rollout is timestep-major
+    and in place: at each t every layer advances one step on the previous
+    layer's spikes, and only one step of state per layer is live.
     """
-    c = net.class_count
-    variants = [
-        embed_label(batch, np.full(batch.size, y, dtype=np.int64), c)
-        for y in range(c)
-    ]
-    stacked = np.vstack([v.inputs for v in variants])
-    frames = SampleBatch(
-        stacked,
-        np.tile(batch.labels, c),
-        batch.input_dim,
-        batch.timesteps,
-    ).frames(net.timesteps)
-    _count_eval_rows(net, frames)
-    rollouts = [EvalRollout(layer, stacked.shape[0]) for layer in net.layers]
-    # Static data repeats one frame object T times: one layer-0 product.
-    shared = all(f is frames[0] for f in frames)
-    z_shared = rollouts[0].product(frames[0], 0) if shared else None
-    for t in range(net.timesteps):
-        x = frames[t]
-        for k, roll in enumerate(rollouts):
-            if k == 0 and shared:
-                z = z_shared
-            else:
-                z = roll.product(x, t, out=roll.drive)
-            x = roll.step(t, z)
-    total = np.zeros(stacked.shape[0])
-    for roll in rollouts:
-        total += goodness(roll)
-    return total.reshape(c, batch.size).T
+    c, b = net.class_count, batch.size
+    widest = max(layer.n_out for layer in net.layers)
+    per_chunk = min(c, max(1, CHUNK_ELEMENTS // max(1, b * widest)))
+    rollouts = [EvalRollout(layer, per_chunk * b) for layer in net.layers]
+    inputs = np.empty((per_chunk * b, batch.inputs.shape[1]))
+    total = np.zeros(c * b)
+    for first in range(0, c, per_chunk):
+        labels = range(first, min(first + per_chunk, c))
+        rows = slice(first * b, (first + len(labels)) * b)
+        chunk = inputs[: rows.stop - rows.start]
+        np.concatenate(
+            [embed_label(batch, np.full(b, y, dtype=np.int64), c).inputs
+             for y in labels],
+            out=chunk,
+        )
+        frames = time_frames(chunk, batch.input_dim, batch.timesteps, net.timesteps)
+        _count_eval_rows(net, frames)
+        for roll in rollouts:
+            roll.reset(chunk.shape[0])
+        # Static data repeats one frame object T times: one layer-0 product.
+        shared = all(f is frames[0] for f in frames)
+        z_shared = rollouts[0].product(frames[0], 0) if shared else None
+        for t in range(net.timesteps):
+            x = frames[t]
+            for k, roll in enumerate(rollouts):
+                if k == 0 and shared:
+                    z = z_shared
+                else:
+                    z = roll.product(x, t, out=roll.drive)
+                x = roll.step(t, z)
+        for roll in rollouts:
+            total[rows] += goodness(roll)
+    return total.reshape(c, b).T

@@ -94,6 +94,17 @@ def membrane_update(membrane, spikes, drive, beta, config: NeuronConfig) -> np.n
     return advance_membrane(membrane, spikes, drive, beta, config)
 
 
+def fire(membrane, config: NeuronConfig, out=None) -> np.ndarray:
+    """Spikes as 0/1 floats where the membrane reaches the threshold.
+
+    The threshold is inclusive. `out`, when given, is a float array the
+    spikes are written into; otherwise a new one is returned.
+    """
+    if out is None:
+        out = np.empty_like(membrane)
+    return np.greater_equal(membrane, config.threshold, out=out)
+
+
 def surrogate_grad(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:
     """Pseudo-derivative of the spike function, centred at the threshold.
 

@@ -159,6 +159,53 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     return lr
 
 
+def train_step(
+    net: FFNetwork,
+    batch: SampleBatch,
+    config: TrainConfig,
+    neg_rng: RngStream,
+    *,
+    epoch: int = 0,
+    batch_index: int = 0,
+):
+    """One mini-batch: hard negatives, both train passes, layer-local updates.
+
+    Returns per-layer arrays of the mean loss and of the summed positive and
+    negative goodness. The passes' traces live only in this call, so they
+    are freed before the next batch's scoring allocates its buffers.
+    Raises a NumericError naming the layer and batch if a loss diverges.
+    """
+    n_layers = len(net.layers)
+    losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
+    positive = make_positive(batch, net.class_count)
+    neg_labels = sample_hard_labels(net, batch, neg_rng)
+    negative = embed_label(batch, neg_labels, net.class_count)
+    pos_traces = forward_train(net, positive.frames(net.timesteps))
+    neg_traces = forward_train(net, negative.frames(net.timesteps))
+
+    for k, layer in enumerate(net.layers):
+        g_pos = goodness(pos_traces[k])
+        g_neg = goodness(neg_traces[k])
+        loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
+        if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
+            raise NumericError(
+                f"training diverged: layer {k} mean loss {loss} "
+                f"at epoch {epoch}, batch {batch_index}"
+            )
+        grads_pos = layer_backward(layer, pos_traces[k], d_pos)
+        grads_neg = layer_backward(layer, neg_traces[k], d_neg)
+        for name, tensor in layer.trainable_tensors().items():
+            grad = grads_pos[name] + grads_neg[name]
+            layer.set_tensor(
+                name,
+                adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
+            )
+        losses[k] = loss
+        gpos[k] = g_pos.sum()
+        gneg[k] = g_neg.sum()
+    return losses, gpos, gneg
+
+
 def train_epoch(
     net: FFNetwork,
     dataset: Dataset,
@@ -168,7 +215,7 @@ def train_epoch(
     epoch: int = 0,
     eval_dataset: Optional[Dataset] = None,
 ) -> EpochMetrics:
-    """One pass over the shuffled dataset with layer-local updates.
+    """One pass over the shuffled dataset, one `train_step` per batch.
 
     `rng` must be the stream devoted to this training run; shuffling and
     negative-label draws consume from substreams so runs replay exactly.
@@ -189,32 +236,12 @@ def train_epoch(
     ):
         if batch.size < 2:
             continue  # batch variance needs >= 2 rows
-        positive = make_positive(batch, net.class_count)
-        neg_labels = sample_hard_labels(net, batch, neg_rng)
-        negative = embed_label(batch, neg_labels, net.class_count)
-        pos_traces = forward_train(net, positive.frames(net.timesteps))
-        neg_traces = forward_train(net, negative.frames(net.timesteps))
-
-        for k, layer in enumerate(net.layers):
-            g_pos = goodness(pos_traces[k])
-            g_neg = goodness(neg_traces[k])
-            loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
-            if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
-                raise NumericError(
-                    f"training diverged: layer {k} mean loss {loss} "
-                    f"at epoch {epoch}, batch {batch_index}"
-                )
-            grads_pos = layer_backward(layer, pos_traces[k], d_pos)
-            grads_neg = layer_backward(layer, neg_traces[k], d_neg)
-            for name, tensor in layer.trainable_tensors().items():
-                grad = grads_pos[name] + grads_neg[name]
-                layer.set_tensor(
-                    name,
-                    adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
-                )
-            loss_sums[k] += loss * batch.size
-            gpos_sums[k] += g_pos.sum()
-            gneg_sums[k] += g_neg.sum()
+        losses, gpos, gneg = train_step(
+            net, batch, config, neg_rng, epoch=epoch, batch_index=batch_index
+        )
+        loss_sums += losses * batch.size
+        gpos_sums += gpos
+        gneg_sums += gneg
         sample_total += batch.size
 
     denom = max(sample_total, 1)

@@ -1,10 +1,11 @@
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from spikeff import dataio
+from spikeff import checkpoint, dataio
 from spikeff.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from spikeff.errors import CheckpointVersionError, FormatError, TruncatedFileError
 from spikeff.network import build_network
@@ -61,6 +62,19 @@ class TestRoundTrip:
         original = score_labels(net, batch)
         reloaded = score_labels(loaded, batch)
         assert original.scores.tobytes() == reloaded.scores.tobytes()
+
+
+def save_edited_header(path, edit):
+    """Save a trained 6-5 net (T=4) with its JSON header changed by edit."""
+    net, _ = trained_net()
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
+                     + blob[12 + length :])
 
 
 class TestFormatGuards:
@@ -121,18 +135,84 @@ class TestFormatGuards:
     ], ids=["no layers", "no tensors", "no batches_tracked", "bad threshold",
             "unknown neuron key", "negative dimension", "meta not an object"])
     def test_header_with_wrong_structure(self, tmp_path, edit):
-        net, _ = trained_net()
         path = tmp_path / "net.sffc"
-        save_checkpoint(path, net)
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + length])
-        edit(header)
-        text = json.dumps(header).encode()
-        path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
-                         + blob[12 + length :])
+        save_edited_header(path, edit)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(timesteps=2),
+        lambda h: h.update(input_dim=h["input_dim"] + 1),
+        lambda h: h["layers"][0].update(n_in=h["layers"][0]["n_in"] - 1),
+        lambda h: h["layers"][0].update(n_out=7),
+        lambda h: h["layers"][1].update(n_in=7),
+        lambda h: h["layers"][1].update(n_out=4),
+    ], ids=["timesteps", "input_dim", "layer0 n_in", "layer0 n_out",
+            "layer1 n_in", "layer1 n_out"])
+    def test_header_dimension_disagreeing_with_tensors(self, tmp_path, edit):
+        path = tmp_path / "net.sffc"
+        save_edited_header(path, edit)
+        with pytest.raises(FormatError, match="shape|n_in"):
             load_checkpoint(path)
 
     def test_magic_constant(self):
         assert MAGIC == b"SFFC"
+
+
+class FailingWriter:
+    """A file whose write fails, as on a full disk, after `writes_ok` writes."""
+
+    def __init__(self, f, writes_ok):
+        self.f, self.writes_ok = f, writes_ok
+
+    def write(self, data):
+        if self.writes_ok == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes_ok -= 1
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writes_ok", [0, 3, 5])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                  writes_ok):
+        net, _ = trained_net()
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net, meta={"epoch": 1})
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            checkpoint, "open",
+            lambda *args: FailingWriter(open(*args), writes_ok), raising=False,
+        )
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, net, meta={"epoch": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.sffc"]
+
+    def test_failed_tensor_conversion_keeps_the_previous_file(self, tmp_path,
+                                                              monkeypatch):
+        net, _ = trained_net()
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net)
+        before = path.read_bytes()
+        # the header and layer 0 are written before this tensor fails
+        monkeypatch.setattr(net.layers[1], "shift",
+                            np.full(net.layers[1].shift.shape, "x", dtype=object))
+        with pytest.raises(ValueError):
+            save_checkpoint(path, net)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.sffc"]
+
+    def test_save_replaces_the_file(self, tmp_path):
+        net, _ = trained_net()
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net, meta={"epoch": 1})
+        save_checkpoint(path, net, meta={"epoch": 2})
+        assert load_checkpoint(path)[1] == {"epoch": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["net.sffc"]

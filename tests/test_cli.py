@@ -333,6 +333,24 @@ class TestCommands:
         assert default == predict("--seed", str(config.seed))
         assert default != predict("--seed", "0")
 
+    def test_eval_defaults_to_the_training_dataset(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, dataset="synthetic:temporal", timesteps=10,
+                             seed=4)
+        assert run_train(config) == 0
+        checkpoint = str(Path(config.out_dir) / "checkpoint.sffc")
+        capsys.readouterr()
+
+        def accuracy(*flags):
+            assert cli.main(["eval", checkpoint, *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        default = accuracy()
+        assert default["dataset"] == "synthetic:temporal"
+        assert default == accuracy("--dataset", "synthetic:temporal", "--seed", "4")
+        # a flag still names another dataset: the blobs are 12 channels wide
+        assert cli.main(["eval", checkpoint, "--dataset", "synthetic:blobs"]) == 2
+        assert "ShapeError" in capsys.readouterr().err
+
     def test_inspect_command(self, tmp_path, capsys):
         config = self.run_tiny(tmp_path)
         code = cli.main(["inspect", str(Path(config.out_dir) / "checkpoint.sffc")])
