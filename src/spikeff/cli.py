@@ -2,8 +2,9 @@
 
 Config files are flat `key = value` text (see README for the full key list);
 command-line flags override file values, which override preset values.
-Every training run directory ends up with a config echo, a metrics CSV, a
-summary JSON and a checkpoint — or a single machine-readable error record.
+A successful training run leaves a config echo, a metrics CSV, a summary
+JSON and a checkpoint in its directory; a failed one leaves a single
+machine-readable error record and deletes whatever it had written itself.
 """
 
 import argparse
@@ -362,30 +363,39 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         "summary": out / "summary.json",
         "checkpoint": out / "checkpoint.sffc",
     }
+    written: List[Path] = []  # the artifacts this run has begun to write
+
+    def writing(name: str) -> Path:
+        written.append(artifacts[name])
+        return artifacts[name]
+
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").unlink(missing_ok=True)  # a previous run's failure
         validate_config(config)
         train_ds, test_ds = load_datasets(config, root)
         _check_dataset_matches(config, train_ds)
         net = build_from_config(config, train_ds)
-        artifacts["config"].write_text(serialize_config(config))
+        writing("config").write_text(serialize_config(config))
 
         train_cfg = train_config(config)
         started = time.perf_counter()
-        with open(artifacts["metrics"], "w") as csv:
+        with open(writing("metrics"), "w") as csv:
             csv.write(trainer.metrics_csv_header(len(net.layers)) + "\n")
+
+            def write_row(metrics: trainer.EpochMetrics) -> None:
+                csv.write(trainer.metrics_csv_row(metrics) + "\n")
+                csv.flush()  # a killed run keeps every finished epoch's row
+
             history = trainer.train(
-                net,
-                train_ds,
-                train_cfg,
-                eval_dataset=test_ds,
-                on_epoch=lambda m: csv.write(trainer.metrics_csv_row(m) + "\n"),
+                net, train_ds, train_cfg, eval_dataset=test_ds, on_epoch=write_row
             )
         total_seconds = time.perf_counter() - started
         save_checkpoint(
             artifacts["checkpoint"], net,
             meta={"dataset": config.dataset, "seed": config.seed},
         )
+        written.append(artifacts["checkpoint"])  # atomic: only once it is saved
         test_accs = [m.test_accuracy for m in history if m.test_accuracy is not None]
         summary = {
             "config": dataclasses.asdict(config),
@@ -401,12 +411,11 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
             "total_seconds": total_seconds,
             "epoch_seconds": [m.seconds for m in history],
         }
-        artifacts["summary"].write_text(json.dumps(summary, indent=2) + "\n")
+        writing("summary").write_text(json.dumps(summary, indent=2) + "\n")
         return 0
     except Exception as exc:  # single error record, never a partial silent state
-        for path in artifacts.values():
-            if path.exists():
-                path.unlink()
+        for path in written:  # a previous run's artifacts are not this run's
+            path.unlink(missing_ok=True)
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             record["violations"] = exc.violations

@@ -16,7 +16,7 @@ import pickle
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class SampleBatch:
     def size(self) -> int:
         return self.inputs.shape[0]
 
-    def frames(self, run_timesteps: int) -> List[np.ndarray]:
+    def frames(self, run_timesteps: int) -> Sequence[np.ndarray]:
         return time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
 
 
@@ -108,18 +108,19 @@ class LabeledVariant:
     input_dim: int
     timesteps: int = 1
 
-    def frames(self, run_timesteps: int) -> List[np.ndarray]:
+    def frames(self, run_timesteps: int) -> Sequence[np.ndarray]:
         return time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
 
 
 def time_frames(
     inputs: np.ndarray, input_dim: int, timesteps: int, run_timesteps: int
-) -> List[np.ndarray]:
-    """Per-timestep (B, input_dim) views of a batch.
+) -> Sequence[np.ndarray]:
+    """Per-timestep (B, input_dim) frames of a batch, without copying.
 
     Static rows (timesteps == 1) are presented as a constant input current:
-    the same matrix at every one of the run's timesteps. Temporal rows must
-    match the run length exactly.
+    the same matrix object at every one of the run's timesteps. Temporal
+    rows must match the run length exactly; they are returned as one
+    (T, B, input_dim) view whose entry t is the rows' t-th column block.
     """
     if timesteps == 1:
         return [inputs] * run_timesteps
@@ -128,7 +129,7 @@ def time_frames(
             f"temporal data has {timesteps} timesteps but the run wants "
             f"{run_timesteps}"
         )
-    return [inputs[:, t * input_dim : (t + 1) * input_dim] for t in range(timesteps)]
+    return inputs.reshape(inputs.shape[0], timesteps, input_dim).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ gradient, and `layer_backward` therefore returns no input gradient.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,21 +108,88 @@ def init_layer(
     return layer
 
 
-def _normalize(z, mu, var, eps, gamma, shift) -> np.ndarray:
-    """One timestep's normalized drive, gamma * (z - mu) / sqrt(var + eps) + shift."""
-    xhat = (z - mu) / np.sqrt(var + eps)
-    return gamma * xhat + shift
+def norm_affine(mu, var, eps, gamma, shift):
+    """Batch normalization as one affine map of the product z.
+
+    gamma * (z - mu) / sqrt(var + eps) + shift == z * scale + offset, with
+    the returned (scale, offset). Every normalized drive, train or eval, is
+    computed as `z * scale + offset` from these, so equal inputs give equal
+    bits wherever it is computed.
+    """
+    scale = gamma / np.sqrt(var + eps)
+    return scale, shift - mu * scale
+
+
+def _row_order(x: np.ndarray):
+    """The axis order in which a stacked (T, B, k) array's rows lie in
+    memory: (0, 1, 2) for timestep-major, (1, 0, 2) for sample-major (the
+    per-timestep column blocks of temporal rows), or None."""
+    for order in ((0, 1, 2), (1, 0, 2)):
+        if x.transpose(order).flags.c_contiguous:
+            return order
+    return None
+
+
+def _rows(x: np.ndarray, order) -> np.ndarray:
+    """The (T*B, k) view of a stacked array, its rows in memory `order`."""
+    return x.transpose(order).reshape(-1, x.shape[2])
+
+
+def _stacked_product(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """All T products x[t] @ W^T of a stacked (T, B, n_in) input in one GEMM.
+
+    The result is a (T, B, n_out) array whose rows lie in memory in the
+    input's order, so `_rows` views both with the same row order.
+    """
+    t_steps, batch, _ = x.shape
+    order = _row_order(x)
+    shape = (t_steps, batch, weights.shape[0])
+    z = np.empty(tuple(shape[a] for a in order)).transpose(order)
+    np.matmul(_rows(x, order), weights.T, out=_rows(z, order))
+    return z
+
+
+def _check_finite(z: np.ndarray) -> None:
+    """Raise naming the first timestep of a (T, B, n) product that is not finite."""
+    finite = np.isfinite(z).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite drive at timestep {int(np.argmin(finite))}")
+
+
+def _batch_stats(z: np.ndarray):
+    """Per-timestep batch mean and biased variance of a (T, B, n) product.
+
+    The steps of `np.mean`/`np.var` over the batch axis (sum and divide;
+    centre, square, sum and divide), with one (B, n) buffer in place of
+    `np.var`'s (T, B, n) temporary.
+    """
+    t_steps, batch, n = z.shape
+    mu = np.divide(np.sum(z, axis=1), batch)
+    var = np.empty_like(mu)
+    centered = np.empty((batch, n))
+    for t in range(t_steps):
+        np.subtract(z[t], mu[t], out=centered)
+        np.multiply(centered, centered, out=centered)
+        np.sum(centered, axis=0, out=var[t])
+    return mu, np.divide(var, batch, out=var)
 
 
 @dataclass
 class LayerForwardTrace:
     """Everything one forward pass recorded.
 
-    Per-timestep lists are None when the pass ran with record=False (counts
-    are always kept). `mu`/`var` are the statistics actually used: batch
-    statistics in train mode, running statistics in eval mode. `gamma` and
-    `shift` are the arrays the pass normalized with; training replaces
-    those tensors rather than mutating them, so they keep the pass's values.
+    `spikes`, `membranes`, `pre_norm` (z = X W^T) and `inputs` are stacked
+    (T, B, n) arrays; entry t is timestep t's (B, n) view. `spikes` is
+    always kept (it is the next layer's input); the others are None when
+    the pass ran with record=False. For a static input (one frame object
+    repeated T times, `shared`), `inputs` and `pre_norm` are read-only
+    broadcasts of the one frame and its one product. `mu`/`var` are the
+    statistics actually used: batch statistics in train mode, running
+    statistics in eval mode. `gamma` and `shift` are the arrays the pass
+    normalized with; training replaces those tensors rather than mutating
+    them, so they keep the pass's values. `layer_backward` writes its
+    normalization gradient into the rows of a stacked (not shared)
+    `pre_norm` and then drops it, so such a trace is backpropagated once.
     """
 
     mode: str
@@ -131,32 +198,32 @@ class LayerForwardTrace:
     counts: np.ndarray  # (B, n_out)
     mu: np.ndarray  # (T, n_out)
     var: np.ndarray  # (T, n_out)
-    spikes: List[np.ndarray]  # per-t (B, n_out); always kept (next layer's input)
-    inputs: Optional[List[np.ndarray]] = None  # per-t (B, n_in)
-    pre_norm: Optional[List[np.ndarray]] = None  # z = X W^T
-    membranes: Optional[List[np.ndarray]] = None
+    spikes: np.ndarray  # (T, B, n_out)
+    inputs: Optional[np.ndarray] = None  # (T, B, n_in)
+    pre_norm: Optional[np.ndarray] = None  # (T, B, n_out), z = X W^T
+    membranes: Optional[np.ndarray] = None  # (T, B, n_out)
     gamma: Optional[np.ndarray] = None  # (T, n_out)
     shift: Optional[np.ndarray] = None  # (T, n_out)
     eps: float = 0.0
+    shared: bool = False
 
     @property
     def recorded(self) -> bool:
         return self.membranes is not None
 
     @property
-    def normalized(self) -> Optional[List[np.ndarray]]:
-        """Per-t gamma*xhat + shift, recomputed from the recorded products.
+    def normalized(self) -> Optional[np.ndarray]:
+        """(T, B, n) drives z * scale + offset, recomputed from the products.
 
-        Not stored: it is derived with the pass's own ufuncs in their
-        order, so it equals the normalized drive the pass used bit for bit.
+        Not stored: it is derived with `norm_affine` and the pass's ufuncs
+        in their order, so it equals the normalized drive the pass used bit
+        for bit.
         """
         if self.pre_norm is None:
             return None
-        return [
-            _normalize(z, self.mu[t], self.var[t], self.eps,
-                       self.gamma[t], self.shift[t])
-            for t, z in enumerate(self.pre_norm)
-        ]
+        scale, offset = norm_affine(self.mu, self.var, self.eps, self.gamma, self.shift)
+        out = np.multiply(self.pre_norm, scale[:, None, :])
+        return np.add(out, offset[:, None, :], out=out)
 
 
 def layer_forward(
@@ -170,9 +237,16 @@ def layer_forward(
     """Run the layer over T timesteps.
 
     For each t: drive = frames[t] @ W^T, normalized per timestep (batch
-    statistics in train mode, running statistics in eval mode), scaled and
-    shifted, optionally augmented with recurrent drive from the previous
-    spikes, then one LIF step. Spike counts accumulate across timesteps.
+    statistics in train mode, running statistics in eval mode) as
+    `z * scale + offset` (`norm_affine`), optionally augmented with
+    recurrent drive from the previous spikes, then one LIF step. Spike
+    counts accumulate across timesteps.
+
+    `frames` is either one (B, n_in) frame object repeated T times (a
+    static input: one product serves every timestep) or T frames that
+    stack into a (T, B, n_in) array, such as a previous layer's `spikes`;
+    their T products are then one GEMM. Spikes and recorded membranes are
+    written into stacked (T, B, n_out) arrays.
 
     smooth_spikes replaces the hard threshold with its smooth primitive;
     this exists for gradient verification and is never used in training.
@@ -194,78 +268,70 @@ def layer_forward(
     if mode == "train" and batch < 2:
         raise UsageError("train mode needs a batch of at least 2 (batch variance)")
 
-    cfg = layer.neuron
-    beta = neuron.effective_decay(layer.decay_raw, cfg)
-    membrane = np.zeros((batch, layer.n_out))
-    spikes = np.zeros((batch, layer.n_out))
-    counts = np.zeros((batch, layer.n_out))
-    mu_used = np.empty((t_steps, layer.n_out))
-    var_used = np.empty((t_steps, layer.n_out))
-    rec_inputs: Optional[list] = [] if record else None
-    rec_pre: Optional[list] = [] if record else None
-    rec_mem: Optional[list] = [] if record else None
-    rec_spk: list = []
-
-    # Static data repeats one frame object T times; its product and batch
-    # statistics are identical every step, so compute them once.
+    n = layer.n_out
     shared = all(f is frames[0] for f in frames)
-    z_shared = mu_shared = var_shared = None
-
-    for t in range(t_steps):
-        if shared and z_shared is not None:
-            z = z_shared
-        else:
-            z = frames[t] @ layer.weights.T
-            if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite drive at timestep {t}")
-            if shared:
-                z_shared = z
-        if mode == "train":
-            if shared and mu_shared is not None:
-                mu, var = mu_shared, var_shared
-            else:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                if shared:
-                    mu_shared, var_shared = mu, var
-            layer.running_mean[t] += layer.momentum * (mu - layer.running_mean[t])
-            layer.running_var[t] += layer.momentum * (var - layer.running_var[t])
-        else:
-            mu = layer.running_mean[t]
-            var = layer.running_var[t]
-        mu_used[t] = mu
-        var_used[t] = var
-        drive = _normalize(z, mu, var, layer.eps, layer.gamma[t], layer.shift[t])
-        if layer.recurrent is not None:
-            drive = drive + spikes @ layer.recurrent
-        membrane = neuron.membrane_update(membrane, spikes, drive, beta, cfg)
-        if smooth_spikes:
-            spikes = neuron.smoothed_spike(membrane, cfg)
-        else:
-            spikes = fire(membrane, cfg)
-        counts += spikes
-        rec_spk.append(spikes)
-        if record:
-            rec_inputs.append(frames[t])
-            rec_pre.append(z)
-            rec_mem.append(membrane)
+    if shared:
+        x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
+        z = np.broadcast_to(frames[0] @ layer.weights.T, (t_steps, batch, n))
+    else:
+        x = np.asarray(frames, dtype=np.float64)
+        if _row_order(x) is None:
+            x = np.ascontiguousarray(x)
+        z = _stacked_product(x, layer.weights)
+    distinct = z[:1] if shared else z  # the products that can differ
+    _check_finite(distinct)
 
     if mode == "train":
+        mu, var = _batch_stats(distinct)
+        if shared:
+            mu, var = np.repeat(mu, t_steps, axis=0), np.repeat(var, t_steps, axis=0)
+        layer.running_mean += layer.momentum * (mu - layer.running_mean)
+        layer.running_var += layer.momentum * (var - layer.running_var)
         layer.batches_tracked += 1
+    else:
+        mu, var = layer.running_mean.copy(), layer.running_var.copy()
+    scale, offset = norm_affine(mu, var, layer.eps, layer.gamma, layer.shift)
+
+    cfg = layer.neuron
+    beta = neuron.effective_decay(layer.decay_raw, cfg)
+    spikes = np.empty((t_steps, batch, n))
+    membranes = np.empty((t_steps, batch, n)) if record else None
+    counts = np.zeros((batch, n))
+    drive = np.empty((batch, n))
+    scratch = np.empty((batch, n))
+    u = np.zeros((batch, n))  # at rest; stepped in place when not recorded
+    s = np.zeros((batch, n))
+    for t in range(t_steps):
+        np.multiply(z[t], scale[t], out=drive)
+        np.add(drive, offset[t], out=drive)
+        if layer.recurrent is not None:
+            drive += s @ layer.recurrent
+        u = neuron.membrane_update(
+            u, s, drive, beta, cfg, out=membranes[t] if record else u,
+            scratch=scratch,
+        )
+        s = spikes[t]
+        if smooth_spikes:
+            s[...] = neuron.smoothed_spike(u, cfg)
+        else:
+            fire(u, cfg, out=s)
+        counts += s
+
     return LayerForwardTrace(
         mode=mode,
         smoothed=smooth_spikes,
         batch_size=batch,
         counts=counts,
-        mu=mu_used,
-        var=var_used,
-        spikes=rec_spk,
-        inputs=rec_inputs,
-        pre_norm=rec_pre,
-        membranes=rec_mem,
+        mu=mu,
+        var=var,
+        spikes=spikes,
+        inputs=x if record else None,
+        pre_norm=z if record else None,
+        membranes=membranes,
         gamma=layer.gamma,
         shift=layer.shift,
         eps=layer.eps,
+        shared=shared,
     )
 
 
@@ -287,15 +353,18 @@ class EvalRollout:
     spikes, recurrent drive and spike counts of the current timestep only,
     plus one row block of scratch; nothing is recorded. `reset` starts a new
     rollout on the same buffers. Every step applies the ufuncs of
-    `layer_forward(mode="eval")` in its order (normalization, then recurrent
-    drive, then `neuron.advance_membrane`, then `neuron.fire`), so
+    `layer_forward(mode="eval")` in its order (`z * scale + offset` from
+    `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
+    then `neuron.fire`), so
     membranes, spikes and counts equal the reference's bit for bit.
     """
 
     def __init__(self, layer: SpikingLayer, rows: int):
         self.layer = layer
         self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
-        self.std = np.sqrt(layer.running_var + layer.eps)  # (T, n_out)
+        self.scale, self.offset = norm_affine(  # (T, n_out) each
+            layer.running_mean, layer.running_var, layer.eps, layer.gamma, layer.shift
+        )
         shape = (rows, layer.n_out)
         self._drive = np.empty(shape)
         self._membrane = np.empty(shape)
@@ -337,18 +406,15 @@ class EvalRollout:
         layer, cfg = self.layer, self.layer.neuron
         if self.recurrent_drive is not None:  # from the previous spikes
             np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive)
-        mean, std = layer.running_mean[t], self.std[t]
-        gamma, shift = layer.gamma[t], layer.shift[t]
+        scale, offset = self.scale[t], self.offset[t]
         for rows in self.blocks:
             drive, u, s, counts = (
                 self.drive[rows], self.membrane[rows], self.spikes[rows],
                 self.counts[rows],
             )
             tmp = self.scratch[: rows.stop - rows.start]
-            np.subtract(z[rows], mean, out=drive)
-            np.divide(drive, std, out=drive)
-            np.multiply(gamma, drive, out=drive)
-            np.add(drive, shift, out=drive)
+            np.multiply(z[rows], scale, out=drive)
+            np.add(drive, offset, out=drive)
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
             advance_membrane(u, s, drive, self.beta, cfg, out=u, scratch=tmp)
@@ -373,11 +439,26 @@ def layer_backward(
     linear map. The reset term is treated as a constant (detached); in
     zero-reset mode the multiplicative carry beta*(1-S) keeps its membrane
     path and detaches only the spike factor.
+
+    The normalization backward uses the reduced form (biased batch
+    variance, xhat = (z - mu) * inv_std, du = dL/dU[t]):
+
+        d_gamma[t] = sum_b du * xhat,   d_shift[t] = sum_b du
+        dz = gamma[t] * inv_std * (du - d_shift[t] / B - xhat * d_gamma[t] / B)
+
+    and the weight gradient is one GEMM, sum_t dz_t^T X_t. For a static
+    input (`trace.shared`) every X_t is the same frame, so it is
+    (sum_t dz_t)^T X with the sum kept in one (B, n) array. For a stacked
+    input, dz_t is written over the consumed rows of `trace.pre_norm[t]`
+    and the GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in); the trace's
+    `pre_norm` is then set to None.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
     if not trace.recorded:
         raise UsageError("layer_backward needs a trace recorded with record=True")
+    if trace.pre_norm is None:
+        raise UsageError("layer_backward already consumed this trace's products")
     batch, n = trace.counts.shape
     t_steps = layer.timesteps
     dgoodness = np.asarray(dgoodness, dtype=np.float64)
@@ -391,23 +472,28 @@ def layer_backward(
     zero_reset = cfg.reset_mode == "zero"
 
     d_counts = (2.0 / n) * trace.counts * dgoodness[:, None]
-    d_weights = np.zeros_like(layer.weights)
-    d_gamma = np.zeros_like(layer.gamma)
-    d_shift = np.zeros_like(layer.shift)
+    d_gamma = np.empty_like(layer.gamma)
+    d_shift = np.empty_like(layer.shift)
     d_beta = np.zeros(n) if layer.decay_raw is not None else None
     d_rec = np.zeros_like(layer.recurrent) if layer.recurrent is not None else None
+    inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
+    dz_scale = layer.gamma * inv_std
+    if trace.shared:
+        dz_sum = np.zeros((batch, n))
+        work = np.empty((batch, n))
 
     du_next = None  # dL/dU[t+1]
     for t in reversed(range(t_steps)):
-        membrane = trace.membranes[t]
-        spikes = trace.spikes[t]
-        d_spike = d_counts.copy()
-        if layer.recurrent is not None and du_next is not None:
-            d_spike += du_next @ layer.recurrent.T
-        du = d_spike * neuron.surrogate_grad(membrane, cfg)
+        du = neuron.surrogate_grad(trace.membranes[t], cfg)
+        if d_rec is not None and du_next is not None:
+            d_spike = du_next @ layer.recurrent.T
+            d_spike += d_counts
+            du *= d_spike
+        else:
+            du *= d_counts
         if du_next is not None:
-            carry = beta * (1.0 - spikes) if zero_reset else beta
-            du = du + du_next * carry
+            carry = beta * (1.0 - trace.spikes[t]) if zero_reset else beta
+            du += du_next * carry
         if t > 0:
             prev_mem = trace.membranes[t - 1]
             prev_spk = trace.spikes[t - 1]
@@ -416,20 +502,26 @@ def layer_backward(
                 d_beta += (du * path).sum(axis=0)
             if d_rec is not None:
                 d_rec += prev_spk.T @ du
-        # normalization backward (biased batch variance)
-        inv_std = 1.0 / np.sqrt(trace.var[t] + layer.eps)
-        xhat = (trace.pre_norm[t] - trace.mu[t]) * inv_std
-        d_gamma[t] = (du * xhat).sum(axis=0)
+        # normalization backward: xhat, then dz over it in place
+        dz = work if trace.shared else trace.pre_norm[t]
+        np.subtract(trace.pre_norm[t], trace.mu[t], out=dz)
+        np.multiply(dz, inv_std[t], out=dz)
+        d_gamma[t] = (du * dz).sum(axis=0)
         d_shift[t] = du.sum(axis=0)
-        d_xhat = du * layer.gamma[t]
-        dz = (inv_std / batch) * (
-            batch * d_xhat
-            - d_xhat.sum(axis=0)
-            - xhat * (d_xhat * xhat).sum(axis=0)
-        )
-        d_weights += dz.T @ trace.inputs[t]
+        np.multiply(dz, d_gamma[t] / batch, out=dz)
+        np.subtract(du, dz, out=dz)
+        np.subtract(dz, d_shift[t] / batch, out=dz)
+        np.multiply(dz, dz_scale[t], out=dz)
+        if trace.shared:
+            dz_sum += dz
         du_next = du
 
+    if trace.shared:
+        d_weights = dz_sum.T @ trace.inputs[0]
+    else:
+        order = _row_order(trace.inputs)
+        d_weights = _rows(trace.pre_norm, order).T @ _rows(trace.inputs, order)
+        trace.pre_norm = None
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
     if d_beta is not None:
         sig = neuron.sigmoid(layer.decay_raw)

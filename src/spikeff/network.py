@@ -70,7 +70,8 @@ def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
     """Train-mode pass through every layer; returns one trace per layer.
 
     Layer k+1 consumes layer k's spike train produced by the pre-update
-    weights of the same pass (one forward, then local updates).
+    weights of the same pass (one forward, then local updates): the trace's
+    stacked (T, B, n) `spikes` array is its frames as it is.
     """
     traces = []
     x = frames

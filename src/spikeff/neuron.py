@@ -84,14 +84,17 @@ def advance_membrane(
     return np.subtract(out, np.multiply(config.threshold, spikes, out=scratch), out=out)
 
 
-def membrane_update(membrane, spikes, drive, beta, config: NeuronConfig) -> np.ndarray:
-    """Next membrane as a new array; the reset is driven by the prior spikes.
+def membrane_update(
+    membrane, spikes, drive, beta, config: NeuronConfig, out=None, scratch=None
+) -> np.ndarray:
+    """Next membrane, written to `out` (a new array when None); the reset is
+    driven by the prior spikes.
 
     `layer_forward`'s entry to `advance_membrane`, looked up on this module
     so that profilers can wrap it; the in-place scoring step calls the
     kernel directly.
     """
-    return advance_membrane(membrane, spikes, drive, beta, config)
+    return advance_membrane(membrane, spikes, drive, beta, config, out, scratch)
 
 
 def fire(membrane, config: NeuronConfig, out=None) -> np.ndarray:
@@ -109,11 +112,15 @@ def surrogate_grad(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:
     """Pseudo-derivative of the spike function, centred at the threshold.
 
     (1/pi) / (1 + (pi * slope/2 * (U - thr))^2): maximal (1/pi) at threshold,
-    even in (U - thr), strictly positive everywhere.
+    even in (U - thr), strictly positive everywhere. One new array holds
+    every intermediate.
     """
     k = math.pi * config.surrogate_slope / 2.0
-    shifted = membrane - config.threshold
-    return (1.0 / math.pi) / (1.0 + np.square(k * shifted))
+    out = np.subtract(membrane, config.threshold, out=np.empty(np.shape(membrane)))
+    np.multiply(k, out, out=out)
+    np.square(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0 / math.pi, out, out=out)
 
 
 def smoothed_spike(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:

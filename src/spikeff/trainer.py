@@ -171,8 +171,9 @@ def train_step(
     """One mini-batch: hard negatives, both train passes, layer-local updates.
 
     Returns per-layer arrays of the mean loss and of the summed positive and
-    negative goodness. The passes' traces live only in this call, so they
-    are freed before the next batch's scoring allocates its buffers.
+    negative goodness. The passes' traces live only in this call: each
+    layer's are dropped once its gradients are taken, and all are freed
+    before the next batch's scoring allocates its buffers.
     Raises a NumericError naming the layer and batch if a loss diverges.
     """
     n_layers = len(net.layers)
@@ -194,6 +195,7 @@ def train_step(
             )
         grads_pos = layer_backward(layer, pos_traces[k], d_pos)
         grads_neg = layer_backward(layer, neg_traces[k], d_neg)
+        pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
         for name, tensor in layer.trainable_tensors().items():
             grad = grads_pos[name] + grads_neg[name]
             layer.set_tensor(

@@ -15,7 +15,7 @@ from spikeff.cli import (
     serialize_config,
     validate_config,
 )
-from spikeff.errors import ConfigError
+from spikeff.errors import ConfigError, NumericError
 
 
 def tiny_config(tmp_path, **overrides):
@@ -189,6 +189,53 @@ class TestRunTrain:
         assert any("epochs" in v for v in record["violations"])
         assert any("batch_size" in v for v in record["violations"])
         assert list(out.iterdir()) == [out / "error.json"]
+
+    def test_early_failure_keeps_previous_artifacts(self, tmp_path):
+        config = tiny_config(tmp_path)
+        assert run_train(config) == 0
+        out = Path(config.out_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"config.txt", "metrics.csv", "summary.json",
+                               "checkpoint.sffc"}
+        assert run_train(tiny_config(tmp_path, epochs=-1)) == 1
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) == set(before) | {"error.json"}
+        for name, data in before.items():
+            assert after[name] == data, name
+
+    def test_failure_deletes_what_the_run_wrote(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("training diverged")
+
+        monkeypatch.setattr(cli.trainer, "train", diverge)
+        config = tiny_config(tmp_path)
+        assert run_train(config) == 1
+        out = Path(config.out_dir)
+        assert list(out.iterdir()) == [out / "error.json"]
+
+    def test_success_removes_a_stale_error_record(self, tmp_path):
+        assert run_train(tiny_config(tmp_path, epochs=-1)) == 1
+        out = tmp_path / "run"
+        assert (out / "error.json").exists()
+        assert run_train(tiny_config(tmp_path)) == 0
+        assert not (out / "error.json").exists()
+        assert (out / "summary.json").exists()
+
+    def test_metrics_row_on_disk_after_each_epoch(self, tmp_path, monkeypatch):
+        real_train = cli.trainer.train
+        config = tiny_config(tmp_path, epochs=3)
+        metrics = Path(config.out_dir) / "metrics.csv"
+        lines_on_disk = []
+
+        def train(*args, on_epoch, **kwargs):
+            def spy(m):
+                on_epoch(m)
+                lines_on_disk.append(len(metrics.read_text().splitlines()))
+            return real_train(*args, on_epoch=spy, **kwargs)
+
+        monkeypatch.setattr(cli.trainer, "train", train)
+        assert run_train(config) == 0
+        assert lines_on_disk == [2, 3, 4]  # header plus one row per epoch
 
     def test_missing_data_files_error_record(self, tmp_path):
         config = tiny_config(tmp_path, dataset="mnist")

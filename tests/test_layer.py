@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikeff import dataio
 from spikeff.errors import ShapeError, UsageError
 from spikeff.layer import (
     LayerForwardTrace,
@@ -10,7 +11,14 @@ from spikeff.layer import (
     layer_forward,
     parameter_counts,
 )
-from spikeff.neuron import NeuronConfig, raw_decay_for, sigmoid, surrogate_grad
+from spikeff.network import build_network, forward_train
+from spikeff.neuron import (
+    NeuronConfig,
+    effective_decay,
+    raw_decay_for,
+    sigmoid,
+    surrogate_grad,
+)
 from spikeff.numerics import RngStream
 
 from oracles import scalar_layer_forward
@@ -250,6 +258,122 @@ class TestBackward:
         trace = layer_forward(layer, [RngStream(9).normal((4, 3))] * 3, "train")
         with pytest.raises(ShapeError):
             layer_backward(layer, trace, np.zeros(5))
+
+
+def per_timestep_backward(layer, trace, frames, pre_norm, dgoodness):
+    """The per-timestep form of `layer_backward`: the full batch-norm
+    backward and one weight-gradient GEMM per timestep, summed."""
+    batch, n = trace.counts.shape
+    cfg = layer.neuron
+    beta = effective_decay(layer.decay_raw, cfg)
+    zero_reset = cfg.reset_mode == "zero"
+    d_counts = (2.0 / n) * trace.counts * dgoodness[:, None]
+    d_weights = np.zeros_like(layer.weights)
+    d_gamma = np.zeros_like(layer.gamma)
+    d_shift = np.zeros_like(layer.shift)
+    d_beta = np.zeros(n)
+    d_rec = np.zeros((n, n))
+    du_next = None
+    for t in reversed(range(layer.timesteps)):
+        d_spike = d_counts.copy()
+        if layer.recurrent is not None and du_next is not None:
+            d_spike += du_next @ layer.recurrent.T
+        du = d_spike * surrogate_grad(trace.membranes[t], cfg)
+        if du_next is not None:
+            carry = beta * (1.0 - trace.spikes[t]) if zero_reset else beta
+            du = du + du_next * carry
+        if t > 0:
+            prev_mem, prev_spk = trace.membranes[t - 1], trace.spikes[t - 1]
+            path = prev_mem * (1.0 - prev_spk) if zero_reset else prev_mem
+            d_beta += (du * path).sum(axis=0)
+            d_rec += prev_spk.T @ du
+        inv_std = 1.0 / np.sqrt(trace.var[t] + layer.eps)
+        xhat = (pre_norm[t] - trace.mu[t]) * inv_std
+        d_gamma[t] = (du * xhat).sum(axis=0)
+        d_shift[t] = du.sum(axis=0)
+        d_xhat = du * layer.gamma[t]
+        dz = (inv_std / batch) * (
+            batch * d_xhat
+            - d_xhat.sum(axis=0)
+            - xhat * (d_xhat * xhat).sum(axis=0)
+        )
+        d_weights += dz.T @ frames[t]
+        du_next = du
+    grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
+    if layer.decay_raw is not None:
+        sig = sigmoid(layer.decay_raw)
+        grads["decay_raw"] = d_beta * sig * (1.0 - sig)
+    if layer.recurrent is not None:
+        grads["recurrent"] = d_rec
+    return grads
+
+
+def input_frames(kind, batch, n_in, t_steps, rng):
+    """T input frames: one shared object, distinct arrays, or the per-timestep
+    column blocks of temporal rows."""
+    if kind == "shared":
+        return [rng.normal((batch, n_in))] * t_steps
+    if kind == "stacked":
+        return [rng.normal((batch, n_in)) for _ in range(t_steps)]
+    rows = rng.normal((batch, t_steps * n_in))
+    return dataio.time_frames(rows, n_in, t_steps, t_steps)
+
+
+class TestBackwardForm:
+    @pytest.mark.parametrize("kind", ["shared", "stacked", "temporal"])
+    @pytest.mark.parametrize("recurrent", [False, True])
+    @pytest.mark.parametrize("learnable", [False, True])
+    @pytest.mark.parametrize("reset_mode", ["subtract", "zero"])
+    def test_matches_per_timestep_formula(self, reset_mode, learnable,
+                                          recurrent, kind):
+        layer = make_layer(n_in=7, n_out=5, timesteps=4, seed=11, decay=0.85,
+                           threshold=0.7, reset_mode=reset_mode,
+                           decay_learnable=learnable, recurrent=recurrent)
+        rng = RngStream(12)
+        frames = input_frames(kind, 9, 7, 4, rng)
+        trace = layer_forward(layer, frames, "train")
+        assert trace.counts.max() > 0
+        dgoodness = rng.normal(9)
+        expected = per_timestep_backward(
+            layer, trace, [np.array(f) for f in frames], np.array(trace.pre_norm),
+            dgoodness,
+        )
+        grads = layer_backward(layer, trace, dgoodness)
+        assert grads.keys() == expected.keys()
+        for name, want in expected.items():
+            scale = np.abs(want).max()
+            assert scale > 0, name
+            assert np.abs(grads[name] - want).max() <= 1e-10 * scale, name
+
+    def test_stacked_trace_is_backpropagated_once(self):
+        layer = make_layer(seed=13)
+        trace = layer_forward(layer, input_frames("stacked", 6, 3, 3, RngStream(1)),
+                              "train")
+        layer_backward(layer, trace, np.ones(6))
+        assert trace.pre_norm is None and trace.normalized is None
+        with pytest.raises(UsageError, match="consumed"):
+            layer_backward(layer, trace, np.ones(6))
+
+
+class TestTraceLayout:
+    @pytest.mark.parametrize("temporal", [False, True])
+    def test_spikes_are_one_stacked_array_fed_to_the_next_layer(self, temporal):
+        t_steps, batch = 4, 6
+        net = build_network([5, 3], 8, 2, t_steps, NeuronConfig(threshold=0.5),
+                            RngStream(3))
+        rows = RngStream(4).uniform((batch, 8 * (t_steps if temporal else 1)))
+        frames = dataio.time_frames(rows, 8, t_steps if temporal else 1, t_steps)
+        traces = forward_train(net, frames)
+        for trace, layer in zip(traces, net.layers):
+            for stacked in (trace.spikes, trace.membranes, trace.pre_norm):
+                assert isinstance(stacked, np.ndarray)
+                assert stacked.shape == (t_steps, batch, layer.n_out)
+            assert trace.spikes.flags.c_contiguous
+            assert trace.membranes.flags.c_contiguous
+        assert traces[1].inputs is traces[0].spikes
+        assert traces[0].shared is not temporal and not traces[1].shared
+        # layer 0 reads the batch rows in place, whatever their layout
+        assert np.shares_memory(traces[0].inputs, rows)
 
 
 class TestInit:
