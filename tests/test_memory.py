@@ -54,6 +54,34 @@ def test_step_traces_freed_before_the_next_scoring(monkeypatch):
     assert live_at_scoring == [0, 0, 0, 0]
 
 
+def test_layer_traces_freed_before_its_adam_update(monkeypatch):
+    ds = dataio.make_blob_dataset(32, seed=0)
+    net = build_network([8, 6], ds.input_dim, ds.class_count, 4,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    refs = []  # weak references to the step's traces, pass by pass
+    live_at_adam = {}  # layer -> its traces still alive at its first update
+    real_forward, real_adam = trainer.forward_train, trainer.adam_update
+
+    def recording_forward(net, frames):
+        traces = real_forward(net, frames)
+        refs.append([weakref.ref(trace) for trace in traces])
+        return traces
+
+    def checking_adam(param, grad, state, name):
+        k = int(name[len("layer")])
+        live_at_adam.setdefault(
+            k, sum(pass_refs[k]() is not None for pass_refs in refs))
+        return real_adam(param, grad, state, name)
+
+    monkeypatch.setattr(trainer, "forward_train", recording_forward)
+    monkeypatch.setattr(trainer, "adam_update", checking_adam)
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
+    train_step(net, batch, TrainConfig(epochs=1, batch_size=32), RngStream(2))
+
+    assert len(refs) == 2
+    assert live_at_adam == {0: 0, 1: 0}
+
+
 def test_scoring_peak_below_the_unchunked_buffers():
     c, b, widths, t_steps = 10, 128, (1024, 256), 3
     ds = dataio.make_blob_dataset(b, input_dim=16, class_count=c, seed=0)
