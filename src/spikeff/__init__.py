@@ -9,14 +9,12 @@ one with the highest total goodness.
 
 from .dataio import (
     Dataset,
-    LabeledVariant,
     SampleBatch,
     embed_label,
     iter_batches,
     load_binned_events,
     load_idx,
     make_blob_dataset,
-    make_positive,
     make_temporal_dataset,
     scale_to_unit,
     write_binned_events,

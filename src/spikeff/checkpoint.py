@@ -15,6 +15,7 @@ checkpoint is written to a temporary file in the same directory and then
 renamed over the target, so a failed write leaves any previous file whole.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -54,18 +55,11 @@ def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
     layer_meta = []
     for i, layer in enumerate(net.layers):
         tensors.extend(_layer_tensors(i, layer))
-        cfg = layer.neuron
         layer_meta.append(
             {
                 "n_in": layer.n_in,
                 "n_out": layer.n_out,
-                "neuron": {
-                    "threshold": cfg.threshold,
-                    "decay": cfg.decay,
-                    "decay_learnable": cfg.decay_learnable,
-                    "reset_mode": cfg.reset_mode,
-                    "surrogate_slope": cfg.surrogate_slope,
-                },
+                "neuron": dataclasses.asdict(layer.neuron),
                 "recurrent": layer.recurrent is not None,
                 "batches_tracked": layer.batches_tracked,
                 "momentum": layer.momentum,

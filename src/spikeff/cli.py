@@ -210,7 +210,6 @@ def train_config(config: ExperimentConfig) -> trainer.TrainConfig:
         lr_factors=config.lr_factors,
         loss_sharpness=config.loss_sharpness,
         seed=config.seed,
-        dataset=config.dataset,
         eval_every=config.eval_every,
     )
 

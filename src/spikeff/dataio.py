@@ -12,6 +12,7 @@ taken over the whole sample's bins.
 """
 
 import gzip
+import math
 import pickle
 import struct
 import warnings
@@ -64,14 +65,14 @@ class Dataset:
                 f"timesteps*input_dim = {self.timesteps * self.input_dim}"
             )
         if not self.temporal and self.timesteps != 1:
-            raise ValueError("static datasets must have timesteps == 1")
+            raise ShapeError("static datasets must have timesteps == 1")
         if self.input_dim < self.class_count:
-            raise ValueError(
+            raise ShapeError(
                 f"input_dim {self.input_dim} < class_count {self.class_count}; "
                 "label embedding needs class_count leading channels"
             )
         if n and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ValueError(
+            raise DataConsistencyError(
                 f"labels must lie in [0, {self.class_count}), got range "
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
@@ -98,29 +99,17 @@ class SampleBatch:
         return time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
 
 
-@dataclass
-class LabeledVariant:
-    """A batch with labels overlaid on its first class_count channels."""
-
-    inputs: np.ndarray
-    overlay_labels: np.ndarray
-    polarity: str  # "positive" | "negative" | "mixed"
-    input_dim: int
-    timesteps: int = 1
-
-    def frames(self, run_timesteps: int) -> Sequence[np.ndarray]:
-        return time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
-
-
 def time_frames(
     inputs: np.ndarray, input_dim: int, timesteps: int, run_timesteps: int
 ) -> Sequence[np.ndarray]:
-    """Per-timestep (B, input_dim) frames of a batch, without copying.
+    """Per-timestep (B, input_dim) frames of a batch.
 
-    Static rows (timesteps == 1) are presented as a constant input current:
-    the same matrix object at every one of the run's timesteps. Temporal
-    rows must match the run length exactly; they are returned as one
-    (T, B, input_dim) view whose entry t is the rows' t-th column block.
+    Static rows (timesteps == 1) are presented as a constant input current,
+    without a copy: the same matrix object at every one of the run's
+    timesteps. Temporal rows must match the run length exactly; they are
+    returned as one C-contiguous timestep-major (T, B, input_dim) copy
+    whose entry t is the rows' t-th column block, the layout of every
+    stacked array in a layer's trace.
     """
     if timesteps == 1:
         return [inputs] * run_timesteps
@@ -129,7 +118,9 @@ def time_frames(
             f"temporal data has {timesteps} timesteps but the run wants "
             f"{run_timesteps}"
         )
-    return inputs.reshape(inputs.shape[0], timesteps, input_dim).transpose(1, 0, 2)
+    return np.ascontiguousarray(
+        inputs.reshape(inputs.shape[0], timesteps, input_dim).transpose(1, 0, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +128,14 @@ def time_frames(
 # ---------------------------------------------------------------------------
 
 
-def embed_label(
-    batch: SampleBatch, overlay_labels, class_count: int
-) -> LabeledVariant:
-    """Overlay the given labels onto a batch.
+def embed_label(batch: SampleBatch, overlay_labels, class_count: int) -> SampleBatch:
+    """Overlay the given labels onto a batch; returns a new batch whose
+    `labels` are the overlay labels.
 
     Per row: m = max over the ORIGINAL row (all timesteps); the first
     class_count channels of every timestep are zeroed and channel
     overlay_labels[b] is set to m; all other channels are copied unchanged.
+    The positive variant is `embed_label(batch, batch.labels, c)`.
     """
     overlay = np.ascontiguousarray(overlay_labels, dtype=np.int64)
     if overlay.shape != (batch.size,):
@@ -162,23 +153,10 @@ def embed_label(
     framed = batch.inputs.reshape(b, batch.timesteps, batch.input_dim).copy()
     framed[:, :, :class_count] = 0.0
     framed[np.arange(b), :, overlay] = m[:, None]
-
-    matches = overlay == batch.labels
-    if matches.all():
-        polarity = "positive"
-    elif not matches.any():
-        polarity = "negative"
-    else:
-        polarity = "mixed"
     width = batch.timesteps * batch.input_dim
-    return LabeledVariant(
-        framed.reshape(b, width), overlay, polarity, batch.input_dim, batch.timesteps
+    return SampleBatch(
+        framed.reshape(b, width), overlay, batch.input_dim, batch.timesteps
     )
-
-
-def make_positive(batch: SampleBatch, class_count: int) -> LabeledVariant:
-    """Overlay each sample's true label; polarity is positive by construction."""
-    return embed_label(batch, batch.labels.copy(), class_count)
 
 
 def scale_to_unit(dataset: Dataset) -> Dataset:
@@ -460,8 +438,71 @@ def make_temporal_dataset(
 # ---------------------------------------------------------------------------
 
 
+class _Stand:
+    """numpy.dtype or ndarray while a batch is unpickled: keeps the call's
+    arguments and the state, so numpy never receives unchecked pickle state."""
+
+    def __init__(self, *args):
+        self.args, self.state = args, None
+
+    def __setstate__(self, state):
+        self.state = state
+
+
+def _array(raw, dtype: _Stand, shape, order="C") -> np.ndarray:
+    """The checked array of `shape` whose bytes are `raw`: a plain numeric
+    dtype (`dtype(code, ...)` with state `(version, byte order, ...)`) and a
+    byte count that fills the shape."""
+    code, byteorder = (
+        v.decode("ascii") if isinstance(v, bytes) else v
+        for v in (dtype.args[0], dtype.state[1])
+    )
+    dtype, shape = np.dtype(byteorder + code), tuple(int(n) for n in shape)
+    if (dtype.kind not in "biuf" or not isinstance(raw, (bytes, bytearray))
+            or min(shape, default=0) < 0
+            or len(raw) != math.prod(shape) * dtype.itemsize
+            or order not in ("C", "F")):
+        raise ValueError(f"payload is not a plain numeric {shape} {dtype} array")
+    return np.frombuffer(raw, dtype).reshape(shape, order=order)
+
+
+def _unpickled(value):
+    """A batch entry, a stand-in ndarray made into its checked array."""
+    if isinstance(value, _Stand):
+        _version, shape, dtype, fortran, raw = value.state
+        return _array(raw, dtype, shape, "F" if fortran else "C")
+    return value
+
+
+# The only globals a CIFAR-10 batch may name: numpy's array, dtype and scalar
+# reconstruction (protocols 2-4, as shipped) and its protocol-5 buffer form,
+# each mapped to a stand-in. Old files name numpy.core, numpy 2 numpy._core.
+_ARRAY_GLOBALS = {("numpy", "ndarray"): _Stand, ("numpy", "dtype"): _Stand}
+for _core in ("numpy.core", "numpy._core"):
+    _ARRAY_GLOBALS.update({
+        (f"{_core}.multiarray", "_reconstruct"): lambda *args: _Stand(),
+        (f"{_core}.multiarray", "scalar"): lambda dt, raw: _array(raw, dt, ())[()],
+        (f"{_core}.numeric", "_frombuffer"): _array,
+    })
+
+
+class _ArrayUnpickler(pickle.Unpickler):
+    """Unpickles plain data and numeric numpy arrays; refuses every other
+    global, so a crafted file cannot name a callable to run."""
+
+    def find_class(self, module, name):
+        try:
+            return _ARRAY_GLOBALS[(module, name)]
+        except KeyError:
+            raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
+
+
 def load_cifar10(directory, split: str = "train") -> Dataset:
-    """Load CIFAR-10 from a cifar-10-batches-py directory, flattened, /255."""
+    """Load CIFAR-10 from a cifar-10-batches-py directory, flattened, /255.
+
+    Batches are unpickled with only numpy's array globals allowed; a file
+    that is not a CIFAR-10 batch raises FormatError.
+    """
     from pathlib import Path
 
     directory = Path(directory)
@@ -474,7 +515,17 @@ def load_cifar10(directory, split: str = "train") -> Dataset:
         if not path.exists():
             raise FileNotFoundError(f"missing CIFAR-10 batch file: {path}")
         with open(path, "rb") as f:
-            batch = pickle.load(f, encoding="bytes")
-        chunks.append(np.asarray(batch[b"data"], dtype=np.float64) / 255.0)
-        labels.append(np.asarray(batch[b"labels"], dtype=np.int64))
+            try:
+                batch = _ArrayUnpickler(f, encoding="bytes").load()
+                data = np.asarray(_unpickled(batch[b"data"]), dtype=np.float64)
+                label = np.asarray(_unpickled(batch[b"labels"]), dtype=np.int64)
+            except Exception as exc:  # malformed pickles raise almost any type
+                raise FormatError(f"{path}: not a CIFAR-10 batch ({exc!r})") from exc
+        if data.ndim != 2 or data.shape[1] != 3072 or label.shape != data.shape[:1]:
+            raise FormatError(
+                f"{path}: data has shape {data.shape} and labels {label.shape}, "
+                "expected (n, 3072) and (n,)"
+            )
+        chunks.append(data / 255.0)
+        labels.append(label)
     return Dataset(np.vstack(chunks), np.concatenate(labels), 10, 3072)

@@ -120,35 +120,6 @@ def norm_affine(mu, var, eps, gamma, shift):
     return scale, shift - mu * scale
 
 
-def _row_order(x: np.ndarray):
-    """The axis order in which a stacked (T, B, k) array's rows lie in
-    memory: (0, 1, 2) for timestep-major, (1, 0, 2) for sample-major (the
-    per-timestep column blocks of temporal rows), or None."""
-    for order in ((0, 1, 2), (1, 0, 2)):
-        if x.transpose(order).flags.c_contiguous:
-            return order
-    return None
-
-
-def _rows(x: np.ndarray, order) -> np.ndarray:
-    """The (T*B, k) view of a stacked array, its rows in memory `order`."""
-    return x.transpose(order).reshape(-1, x.shape[2])
-
-
-def _stacked_product(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """All T products x[t] @ W^T of a stacked (T, B, n_in) input in one GEMM.
-
-    The result is a (T, B, n_out) array whose rows lie in memory in the
-    input's order, so `_rows` views both with the same row order.
-    """
-    t_steps, batch, _ = x.shape
-    order = _row_order(x)
-    shape = (t_steps, batch, weights.shape[0])
-    z = np.empty(tuple(shape[a] for a in order)).transpose(order)
-    np.matmul(_rows(x, order), weights.T, out=_rows(z, order))
-    return z
-
-
 def _check_finite(z: np.ndarray) -> None:
     """Raise naming the first timestep of a (T, B, n) product that is not finite."""
     finite = np.isfinite(z).all(axis=(1, 2))
@@ -178,23 +149,20 @@ def _batch_stats(z: np.ndarray):
 class LayerForwardTrace:
     """Everything one forward pass recorded.
 
-    `spikes`, `membranes`, `pre_norm` (z = X W^T) and `inputs` are stacked
-    (T, B, n) arrays; entry t is timestep t's (B, n) view. `spikes` is
-    always kept (it is the next layer's input); the others are None when
-    the pass ran with record=False. For a static input (one frame object
-    repeated T times, `shared`), `inputs` and `pre_norm` are read-only
-    broadcasts of the one frame and its one product. `mu`/`var` are the
-    statistics actually used: batch statistics in train mode, running
-    statistics in eval mode. `gamma` and `shift` are the arrays the pass
-    normalized with; training replaces those tensors rather than mutating
-    them, so they keep the pass's values. `layer_backward` writes its
-    normalization gradient into the rows of a stacked (not shared)
-    `pre_norm` and then drops it, so such a trace is backpropagated once.
+    `spikes`, `membranes`, `pre_norm` (z = X W^T) and `inputs` are
+    C-contiguous timestep-major (T, B, n) arrays; entry t is timestep t's
+    (B, n) view. For a static input (one frame object repeated T times,
+    `shared`), `inputs` and `pre_norm` are instead read-only broadcasts of
+    the one frame and its one product. `mu`/`var` are the statistics
+    actually used: batch statistics in train mode, running statistics in
+    eval mode. `gamma` and `shift` are the arrays the pass normalized with;
+    training replaces those tensors rather than mutating them, so they keep
+    the pass's values. `layer_backward` writes its normalization gradient
+    into the rows of a stacked (not shared) `pre_norm` and then sets it to
+    None, so such a trace is backpropagated once.
     """
 
     mode: str
-    smoothed: bool
-    batch_size: int
     counts: np.ndarray  # (B, n_out)
     mu: np.ndarray  # (T, n_out)
     var: np.ndarray  # (T, n_out)
@@ -206,10 +174,6 @@ class LayerForwardTrace:
     shift: Optional[np.ndarray] = None  # (T, n_out)
     eps: float = 0.0
     shared: bool = False
-
-    @property
-    def recorded(self) -> bool:
-        return self.membranes is not None
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
@@ -232,7 +196,6 @@ def layer_forward(
     mode: str = "train",
     *,
     smooth_spikes: bool = False,
-    record: bool = True,
 ) -> LayerForwardTrace:
     """Run the layer over T timesteps.
 
@@ -243,10 +206,11 @@ def layer_forward(
     counts accumulate across timesteps.
 
     `frames` is either one (B, n_in) frame object repeated T times (a
-    static input: one product serves every timestep) or T frames that
-    stack into a (T, B, n_in) array, such as a previous layer's `spikes`;
-    their T products are then one GEMM. Spikes and recorded membranes are
-    written into stacked (T, B, n_out) arrays.
+    static input: one product serves every timestep) or T frames in one
+    C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
+    layer's `spikes` give them (a list of T arrays is stacked into one);
+    their T products are then one GEMM. Every pass records its spikes,
+    membranes and products.
 
     smooth_spikes replaces the hard threshold with its smooth primitive;
     this exists for gradient verification and is never used in training.
@@ -274,10 +238,8 @@ def layer_forward(
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
         z = np.broadcast_to(frames[0] @ layer.weights.T, (t_steps, batch, n))
     else:
-        x = np.asarray(frames, dtype=np.float64)
-        if _row_order(x) is None:
-            x = np.ascontiguousarray(x)
-        z = _stacked_product(x, layer.weights)
+        x = np.ascontiguousarray(frames, dtype=np.float64)
+        z = (x.reshape(-1, layer.n_in) @ layer.weights.T).reshape(t_steps, batch, n)
     distinct = z[:1] if shared else z  # the products that can differ
     _check_finite(distinct)
 
@@ -295,11 +257,11 @@ def layer_forward(
     cfg = layer.neuron
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     spikes = np.empty((t_steps, batch, n))
-    membranes = np.empty((t_steps, batch, n)) if record else None
+    membranes = np.empty((t_steps, batch, n))
     counts = np.zeros((batch, n))
     drive = np.empty((batch, n))
     scratch = np.empty((batch, n))
-    u = np.zeros((batch, n))  # at rest; stepped in place when not recorded
+    u = np.zeros((batch, n))  # at rest
     s = np.zeros((batch, n))
     for t in range(t_steps):
         np.multiply(z[t], scale[t], out=drive)
@@ -307,8 +269,7 @@ def layer_forward(
         if layer.recurrent is not None:
             drive += s @ layer.recurrent
         u = neuron.membrane_update(
-            u, s, drive, beta, cfg, out=membranes[t] if record else u,
-            scratch=scratch,
+            u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
         s = spikes[t]
         if smooth_spikes:
@@ -319,14 +280,12 @@ def layer_forward(
 
     return LayerForwardTrace(
         mode=mode,
-        smoothed=smooth_spikes,
-        batch_size=batch,
         counts=counts,
         mu=mu,
         var=var,
         spikes=spikes,
-        inputs=x if record else None,
-        pre_norm=z if record else None,
+        inputs=x,
+        pre_norm=z,
         membranes=membranes,
         gamma=layer.gamma,
         shift=layer.shift,
@@ -455,8 +414,6 @@ def layer_backward(
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
-    if not trace.recorded:
-        raise UsageError("layer_backward needs a trace recorded with record=True")
     if trace.pre_norm is None:
         raise UsageError("layer_backward already consumed this trace's products")
     batch, n = trace.counts.shape
@@ -519,8 +476,8 @@ def layer_backward(
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
     else:
-        order = _row_order(trace.inputs)
-        d_weights = _rows(trace.pre_norm, order).T @ _rows(trace.inputs, order)
+        dz = trace.pre_norm.reshape(-1, n)  # (T*B, n), timestep-major rows
+        d_weights = dz.T @ trace.inputs.reshape(-1, layer.n_in)
         trace.pre_norm = None
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
     if d_beta is not None:

@@ -82,7 +82,7 @@ def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def _count_eval_rows(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
+def _count_eval(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
     """Reject frames of the wrong width, then count the rows run in eval mode."""
     if frames[0].shape[1] != net.input_dim:
         raise ShapeError(
@@ -95,15 +95,15 @@ def _count_eval_rows(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
 def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     """Eval-mode pass (running statistics, no state mutation).
 
-    This layer-by-layer pass keeps each layer's spike trains and counts; it
-    is the reference that `label_goodness`'s in-place rollout reproduces bit
-    for bit.
+    This layer-by-layer pass returns each layer's full trace; it is the
+    reference that `label_goodness`'s in-place rollout reproduces bit for
+    bit.
     """
-    _count_eval_rows(net, frames)
+    _count_eval(net, frames)
     traces = []
     x = frames
     for layer in net.layers:
-        trace = layer_forward(layer, x, "eval", record=False)
+        trace = layer_forward(layer, x, "eval")
         traces.append(trace)
         x = trace.spikes
     return traces
@@ -136,7 +136,7 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
             out=chunk,
         )
         frames = time_frames(chunk, batch.input_dim, batch.timesteps, net.timesteps)
-        _count_eval_rows(net, frames)
+        _count_eval(net, frames)
         for roll in rollouts:
             roll.reset(chunk.shape[0])
         # Static data repeats one frame object T times: one layer-0 product.

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import predictor
-from .dataio import Dataset, SampleBatch, embed_label, iter_batches, make_positive
+from .dataio import Dataset, SampleBatch, embed_label, iter_batches
 from .errors import ConfigError, NumericError, UsageError
 from .layer import goodness, layer_backward
 from .network import FFNetwork, forward_train, label_goodness
@@ -37,7 +37,6 @@ class TrainConfig:
     lr_factors: Optional[List[float]] = None  # default: 0.3 at each milestone
     loss_sharpness: float = 0.6
     seed: int = 0
-    dataset: str = ""
     eval_every: int = 1  # 0 = only after the final epoch
 
     def __post_init__(self):
@@ -178,7 +177,7 @@ def train_step(
     """
     n_layers = len(net.layers)
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
-    positive = make_positive(batch, net.class_count)
+    positive = embed_label(batch, batch.labels, net.class_count)
     neg_labels = sample_hard_labels(net, batch, neg_rng)
     negative = embed_label(batch, neg_labels, net.class_count)
     pos_traces = forward_train(net, positive.frames(net.timesteps))

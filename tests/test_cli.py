@@ -351,6 +351,35 @@ class TestCommands:
         assert record["error"] == "ShapeError"
         assert "14 channels" in record["message"]
 
+    def write_mnist_with_label(self, root, label):
+        folder = root / "mnist"
+        folder.mkdir(parents=True)
+        images = np.zeros((3, 4, 4), dtype=np.uint8)
+        for stem in ("train", "t10k"):
+            dataio.write_idx_images(folder / f"{stem}-images-idx3-ubyte", images)
+            dataio.write_idx_labels(folder / f"{stem}-labels-idx1-ubyte",
+                                    np.array([0, label, 1]))
+
+    def test_label_out_of_range_is_data_consistency_error(self, tmp_path, capsys):
+        config = self.run_tiny(tmp_path)
+        root = tmp_path / "data"
+        self.write_mnist_with_label(root, 12)
+        code = cli.main([
+            "eval", str(Path(config.out_dir) / "checkpoint.sffc"),
+            "--dataset", "mnist", "--data-root", str(root),
+        ])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataConsistencyError"
+        assert "[0, 10)" in record["message"]
+
+        out = tmp_path / "bad-labels"
+        code = cli.main(["train", "--dataset", "mnist", "--data-root", str(root),
+                         "--out", str(out)])
+        assert code == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DataConsistencyError"
+
     def test_predict_command_csv(self, tmp_path):
         config = self.run_tiny(tmp_path)
         out_csv = tmp_path / "scores.csv"

@@ -9,6 +9,7 @@ from spikeff import cli, dataio
 from spikeff.errors import (
     DataConsistencyError,
     FormatError,
+    ShapeError,
     TruncatedFileError,
     UsageError,
 )
@@ -193,6 +194,21 @@ class TestBse:
             dataio.load_binned_events(path)
 
 
+class TestDatasetChecks:
+    def test_label_out_of_range_is_data_consistency_error(self):
+        for labels in ([0, 12], [-1, 0]):
+            with pytest.raises(DataConsistencyError, match=r"\[0, 10\)"):
+                dataio.Dataset(np.zeros((2, 16)), np.array(labels), 10, 16)
+
+    def test_input_dim_below_class_count_is_shape_error(self):
+        with pytest.raises(ShapeError, match="input_dim 4 < class_count 10"):
+            dataio.Dataset(np.zeros((2, 4)), np.array([0, 1]), 10, 4)
+
+    def test_static_set_with_timesteps_is_shape_error(self):
+        with pytest.raises(ShapeError, match="timesteps == 1"):
+            dataio.Dataset(np.zeros((2, 8)), np.array([0, 1]), 2, 4, timesteps=2)
+
+
 class TestEmbedding:
     def batch(self, rows, labels, timesteps=1):
         rows = np.asarray(rows, dtype=np.float64)
@@ -255,23 +271,21 @@ class TestEmbedding:
             dataio.embed_label(batch, [2], class_count=2)
 
     def test_make_positive_definition(self):
+        # the positive variant overlays each sample's own label
         batch = self.batch([[0.1, 0.2, 0.3, 0.4]] * 2, [3, 1])
-        out = dataio.make_positive(batch, class_count=4)
-        assert list(out.overlay_labels) == [3, 1]
-        assert out.polarity == "positive"
-
-    def test_polarity_classification(self):
-        batch = self.batch([[0.5, 0.25, 0.125]] * 2, [0, 1])
-        assert dataio.embed_label(batch, [0, 1], 3).polarity == "positive"
-        assert dataio.embed_label(batch, [1, 2], 3).polarity == "negative"
-        assert dataio.embed_label(batch, [0, 2], 3).polarity == "mixed"
+        out = dataio.embed_label(batch, batch.labels, class_count=4)
+        assert isinstance(out, dataio.SampleBatch)
+        assert list(out.labels) == [3, 1]
+        assert (out.input_dim, out.timesteps) == (4, 1)
+        np.testing.assert_array_equal(out.inputs, [[0.0, 0.0, 0.0, 0.4],
+                                                   [0.0, 0.4, 0.0, 0.0]])
 
     def test_argmax_recovers_true_labels(self):
         rng = RngStream(13)
         rows = rng.uniform((20, 16), 0.05, 1.0)
         labels = rng.integers(0, 4, 20)
         batch = self.batch(rows, labels)
-        out = dataio.make_positive(batch, class_count=4)
+        out = dataio.embed_label(batch, batch.labels, class_count=4)
         recovered = out.inputs[:, :4].argmax(axis=1)
         np.testing.assert_array_equal(recovered, labels)
 
@@ -280,7 +294,7 @@ class TestEmbedding:
         rows = rng.uniform((6, 10))
         labels = rng.integers(0, 3, 6)
         batch = self.batch(rows, labels)
-        via_positive = dataio.make_positive(batch, 3)
+        via_positive = dataio.embed_label(batch, batch.labels, 3)
         via_embed = dataio.embed_label(batch, labels, 3)
         np.testing.assert_array_equal(via_positive.inputs, via_embed.inputs)
 
@@ -409,4 +423,74 @@ class TestCifar:
 
     def test_missing_batch_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            dataio.load_cifar10(tmp_path, "test")
+
+    @pytest.mark.parametrize("protocol", [3, 4, 5])
+    def test_two_sample_batches_load(self, tmp_path, protocol):
+        data = (np.arange(2 * 3072) % 256).astype(np.uint8).reshape(2, 3072)
+        for name in [f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]:
+            (tmp_path / name).write_bytes(pickle.dumps(
+                {b"data": data, b"labels": [3, 7], b"batch_label": b"x"},
+                protocol=protocol,
+            ))
+        for split, n in (("train", 10), ("test", 2)):
+            ds = dataio.load_cifar10(tmp_path, split)
+            assert ds.num_samples == n
+            np.testing.assert_array_equal(ds.inputs[:2], data / 255.0)
+            np.testing.assert_array_equal(ds.labels[:2], [3, 7])
+
+    def test_python2_batch_as_shipped_loads(self, tmp_path):
+        # the released files: protocol 2, byte-string keys and pixel bytes,
+        # numpy.core globals
+        def short(b):
+            return b"U" + bytes([len(b)]) + b
+
+        data = (np.arange(2 * 3072) % 251).astype(np.uint8).reshape(2, 3072)
+        stream = (
+            b"\x80\x02}(" + short(b"data")
+            + b"cnumpy.core.multiarray\n_reconstruct\ncnumpy\nndarray\n"
+            + b"K\x00\x85" + short(b"b") + b"\x87R(K\x01K\x02M\x00\x0c\x86"
+            + b"cnumpy\ndtype\n" + short(b"u1") + b"K\x00K\x01\x87R(K\x03"
+            + short(b"|") + b"NNNJ\xff\xff\xff\xffJ\xff\xff\xff\xffK\x00tb"
+            + b"\x89T" + struct.pack("<I", data.nbytes) + data.tobytes() + b"tb"
+            + short(b"labels") + b"](K\x03K\x07eu."
+        )
+        (tmp_path / "test_batch").write_bytes(stream)
+        ds = dataio.load_cifar10(tmp_path, "test")
+        np.testing.assert_array_equal(ds.inputs, data / 255.0)
+        np.testing.assert_array_equal(ds.labels, [3, 7])
+
+    def test_foreign_global_refused_without_running(self, tmp_path):
+        marker = tmp_path / "ran"
+
+        class Exploit:
+            def __reduce__(self):
+                import os
+                return (os.system, (f"touch {marker}",))
+
+        (tmp_path / "test_batch").write_bytes(pickle.dumps(
+            {b"data": Exploit(), b"labels": [0]}, protocol=4
+        ))
+        with pytest.raises(FormatError, match="not allowed"):
+            dataio.load_cifar10(tmp_path, "test")
+        assert not marker.exists()
+
+    def test_truncated_batch_is_typed(self, tmp_path):
+        whole = pickle.dumps({b"data": np.zeros((2, 3072), np.uint8),
+                              b"labels": [0, 1]}, protocol=4)
+        for cut in (0, 1, 20, len(whole) // 2, len(whole) - 1):
+            (tmp_path / "test_batch").write_bytes(whole[:cut])
+            with pytest.raises(FormatError):
+                dataio.load_cifar10(tmp_path, "test")
+
+    @pytest.mark.parametrize("payload", [
+        {b"labels": [0, 1]},
+        {b"data": np.zeros((2, 3072), np.uint8)},
+        {b"data": np.zeros((2, 3071), np.uint8), b"labels": [0, 1]},
+        {b"data": np.zeros((2, 3072), np.uint8), b"labels": [0]},
+        [1, 2, 3],
+    ], ids=["no-data", "no-labels", "width", "label-count", "not-a-dict"])
+    def test_malformed_batch_is_format_error(self, tmp_path, payload):
+        (tmp_path / "test_batch").write_bytes(pickle.dumps(payload, protocol=4))
+        with pytest.raises(FormatError):
             dataio.load_cifar10(tmp_path, "test")

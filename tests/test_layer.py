@@ -36,8 +36,7 @@ def make_layer(n_in=3, n_out=4, timesteps=3, seed=0, **cfg_kwargs):
 def trace_with_counts(counts, timesteps):
     counts = np.asarray(counts, dtype=np.float64)
     return LayerForwardTrace(
-        mode="eval", smoothed=False, batch_size=counts.shape[0],
-        counts=counts, mu=np.zeros((timesteps, counts.shape[1])),
+        mode="eval", counts=counts, mu=np.zeros((timesteps, counts.shape[1])),
         var=np.ones((timesteps, counts.shape[1])), spikes=[],
     )
 
@@ -246,13 +245,6 @@ class TestBackward:
         with pytest.raises(UsageError, match="train-mode"):
             layer_backward(layer, eval_trace, np.zeros(4))
 
-    def test_requires_recorded_trace(self):
-        layer = make_layer(seed=6)
-        trace = layer_forward(layer, [RngStream(8).normal((4, 3))] * 3, "train",
-                              record=False)
-        with pytest.raises(UsageError, match="record"):
-            layer_backward(layer, trace, np.zeros(4))
-
     def test_seed_shape_checked(self):
         layer = make_layer(seed=6)
         trace = layer_forward(layer, [RngStream(9).normal((4, 3))] * 3, "train")
@@ -365,15 +357,40 @@ class TestTraceLayout:
         frames = dataio.time_frames(rows, 8, t_steps if temporal else 1, t_steps)
         traces = forward_train(net, frames)
         for trace, layer in zip(traces, net.layers):
-            for stacked in (trace.spikes, trace.membranes, trace.pre_norm):
-                assert isinstance(stacked, np.ndarray)
-                assert stacked.shape == (t_steps, batch, layer.n_out)
-            assert trace.spikes.flags.c_contiguous
-            assert trace.membranes.flags.c_contiguous
+            for name in ("spikes", "membranes", "pre_norm", "inputs"):
+                array = getattr(trace, name)
+                n = layer.n_in if name == "inputs" else layer.n_out
+                assert isinstance(array, np.ndarray), name
+                assert array.shape == (t_steps, batch, n), name
+                # only static layer-0 inputs and products are broadcasts
+                broadcast = trace.shared and name in ("pre_norm", "inputs")
+                assert array.flags.c_contiguous is not broadcast, name
         assert traces[1].inputs is traces[0].spikes
         assert traces[0].shared is not temporal and not traces[1].shared
-        # layer 0 reads the batch rows in place, whatever their layout
-        assert np.shares_memory(traces[0].inputs, rows)
+
+    @pytest.mark.parametrize("recurrent", [False, True])
+    def test_temporal_rows_and_frame_list_give_identical_traces(self, recurrent):
+        t_steps, batch, n_in = 4, 6, 5
+        rows = RngStream(7).uniform((batch, t_steps * n_in))
+        stacked = dataio.time_frames(rows, n_in, t_steps, t_steps)
+        listed = [rows[:, t * n_in:(t + 1) * n_in].copy() for t in range(t_steps)]
+        runs = []
+        for frames in (stacked, listed):
+            layer = make_layer(n_in=n_in, n_out=4, timesteps=t_steps, seed=21,
+                               threshold=0.6, recurrent=recurrent)
+            trace = layer_forward(layer, frames, "train")
+            arrays = {name: getattr(trace, name).copy() for name in
+                      ("inputs", "pre_norm", "membranes", "spikes", "counts",
+                       "mu", "var")}
+            grads = layer_backward(layer, trace, np.linspace(-1.0, 1.0, batch))
+            runs.append((arrays, grads))
+        (arrays_a, grads_a), (arrays_b, grads_b) = runs
+        for name in arrays_a:
+            assert arrays_a[name].tobytes() == arrays_b[name].tobytes(), name
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+        assert np.abs(grads_a["weights"]).max() > 0
 
 
 class TestInit:

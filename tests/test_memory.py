@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spikeff import dataio, layer as layer_module, network, trainer
-from spikeff.layer import EvalRollout, LayerForwardTrace, goodness, layer_forward
+from spikeff.layer import EvalRollout, goodness
 from spikeff.network import build_network, forward_train, label_goodness
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -109,7 +109,7 @@ def test_normalized_is_derived_and_matches_the_first_membrane():
     net = build_network([7, 5], ds.input_dim, ds.class_count, 4,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
-    frames = dataio.make_positive(batch, ds.class_count).frames(4)
+    frames = dataio.embed_label(batch, batch.labels, ds.class_count).frames(4)
     traces = forward_train(net, frames)
     # Adam replaces gamma and shift; the traces keep the pass's arrays.
     train_step(net, batch, TrainConfig(epochs=1, batch_size=32), RngStream(4))
@@ -119,13 +119,6 @@ def test_normalized_is_derived_and_matches_the_first_membrane():
         # at t=0 the membrane starts from rest: it is exactly the drive
         assert np.array_equal(trace.normalized[0], trace.membranes[0])
         assert np.ptp(trace.membranes[0]) > 0
-
-
-def test_unrecorded_trace_has_no_normalized():
-    layer = build_network([4], 6, 2, 3, NeuronConfig(), RngStream(0)).layers[0]
-    frames = [RngStream(1).uniform((5, 6))] * 3
-    trace = layer_forward(layer, frames, "eval", record=False)
-    assert isinstance(trace, LayerForwardTrace) and trace.normalized is None
 
 
 CHUNK_GRID = list(itertools.product(("subtract", "zero"), (False, True),

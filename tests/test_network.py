@@ -123,7 +123,7 @@ def test_rollout_steps_match_layer_forward_bit_for_bit(
     net, _ = trained_network(reset_mode, learnable, recurrent, temporal, 2)
     layer = net.layers[0]
     frames = held_out_batch(dataset(temporal, 2, n=64, seed=5), 64).frames(TIMESTEPS)
-    trace = layer_forward(layer, frames, "eval", record=True)
+    trace = layer_forward(layer, frames, "eval")
     roll = EvalRollout(layer, 64)
     for t in range(TIMESTEPS):
         spikes = roll.step(t, roll.product(frames[t], t))

@@ -46,7 +46,7 @@ def lif_layer(cfg, n, timesteps, decay_raw=None, recurrent=None):
 def run_lif(layer, drives):
     """Eval-mode rollout over per-timestep (B, n) drives."""
     frames = [np.asarray(d, float) for d in drives]
-    return layer_forward(layer, frames, "eval", record=True)
+    return layer_forward(layer, frames, "eval")
 
 
 class TestConfig:
