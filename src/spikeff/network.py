@@ -121,24 +121,25 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     layer's spikes, and only one step of state per layer is live.
     """
     c, b = net.class_count, batch.size
+    d, t_in = batch.input_dim, batch.timesteps
+    time_frames(batch.inputs[:0], d, t_in, net.timesteps)  # checks the run length
     widest = max(layer.n_out for layer in net.layers)
     per_chunk = min(c, max(1, CHUNK_ELEMENTS // max(1, b * widest)))
     rollouts = [EvalRollout(layer, per_chunk * b) for layer in net.layers]
-    inputs = np.empty((per_chunk * b, batch.inputs.shape[1]))
+    frame_rows = np.empty((t_in, per_chunk * b, d))  # reused, as time_frames lays out
     total = np.zeros(c * b)
     for first in range(0, c, per_chunk):
         labels = range(first, min(first + per_chunk, c))
         rows = slice(first * b, (first + len(labels)) * b)
-        chunk = inputs[: rows.stop - rows.start]
-        np.concatenate(
-            [embed_label(batch, np.full(b, y, dtype=np.int64), c).inputs
-             for y in labels],
-            out=chunk,
-        )
-        frames = time_frames(chunk, batch.input_dim, batch.timesteps, net.timesteps)
+        chunk = frame_rows[:, : rows.stop - rows.start]
+        for j, y in enumerate(labels):  # one unbound overlay alive at a time
+            chunk[:, j * b : (j + 1) * b] = embed_label(
+                batch, np.full(b, y, dtype=np.int64), c
+            ).inputs.reshape(b, t_in, d).transpose(1, 0, 2)
+        frames = [chunk[0]] * net.timesteps if t_in == 1 else chunk
         _count_eval(net, frames)
         for roll in rollouts:
-            roll.reset(chunk.shape[0])
+            roll.reset(chunk.shape[1])
         # Static data repeats one frame object T times: one layer-0 product.
         shared = all(f is frames[0] for f in frames)
         z_shared = rollouts[0].product(frames[0], 0) if shared else None

@@ -177,11 +177,11 @@ def train_step(
     """
     n_layers = len(net.layers)
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
-    positive = embed_label(batch, batch.labels, net.class_count)
+    c, steps = net.class_count, net.timesteps
     neg_labels = sample_hard_labels(net, batch, neg_rng)
-    negative = embed_label(batch, neg_labels, net.class_count)
-    pos_traces = forward_train(net, positive.frames(net.timesteps))
-    neg_traces = forward_train(net, negative.frames(net.timesteps))
+    # Overlays stay unbound: a temporal variant's one copy is its frames.
+    pos_traces = forward_train(net, embed_label(batch, batch.labels, c).frames(steps))
+    neg_traces = forward_train(net, embed_label(batch, neg_labels, c).frames(steps))
 
     for k, layer in enumerate(net.layers):
         g_pos = goodness(pos_traces[k])

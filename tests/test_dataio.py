@@ -460,6 +460,27 @@ class TestCifar:
         np.testing.assert_array_equal(ds.inputs, data / 255.0)
         np.testing.assert_array_equal(ds.labels, [3, 7])
 
+    @pytest.mark.parametrize("protocol", [3, 4, 5])
+    def test_numpy_scalar_labels_load(self, tmp_path, protocol):
+        # `list(labels_array)` pickles each label as a numpy scalar
+        labels = [np.int64(3), np.uint8(7), np.int32(0)]
+        (tmp_path / "test_batch").write_bytes(pickle.dumps(
+            {b"data": np.zeros((3, 3072), np.uint8), b"labels": labels},
+            protocol=protocol,
+        ))
+        ds = dataio.load_cifar10(tmp_path, "test")
+        np.testing.assert_array_equal(ds.labels, [3, 7, 0])
+
+    def test_non_numeric_scalar_refused(self, tmp_path):
+        stream = pickle.dumps({b"data": np.zeros((1, 3072), np.uint8),
+                               b"labels": [np.int64(3)]}, protocol=4)
+        assert stream.count(b"\x8c\x02i8") == 1  # the label's dtype code
+        # timedelta64 has the same 8 bytes and would otherwise read as 3
+        (tmp_path / "test_batch").write_bytes(
+            stream.replace(b"\x8c\x02i8", b"\x8c\x02m8"))
+        with pytest.raises(FormatError, match="plain numeric"):
+            dataio.load_cifar10(tmp_path, "test")
+
     def test_foreign_global_refused_without_running(self, tmp_path):
         marker = tmp_path / "ran"
 

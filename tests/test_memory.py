@@ -82,6 +82,34 @@ def test_layer_traces_freed_before_its_adam_update(monkeypatch):
     assert live_at_adam == {0: 0, 1: 0}
 
 
+def test_temporal_overlays_freed_once_framed(monkeypatch):
+    """A temporal variant's frames are a timestep-major copy of its overlaid
+    rows; the step keeps the frames (in the layer-0 trace), not the rows."""
+    ds = dataset(True, 2, n=16)
+    net = build_network([8, 6], ds.input_dim, ds.class_count, TIMESTEPS,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    overlays = []  # weak references to the rows of each overlaid batch
+    live_at_forward = []
+    real_embed, real_forward = trainer.embed_label, trainer.forward_train
+
+    def recording_embed(batch, labels, class_count):
+        variant = real_embed(batch, labels, class_count)
+        overlays.append(weakref.ref(variant.inputs))
+        return variant
+
+    def checking_forward(net, frames):
+        live_at_forward.append(sum(ref() is not None for ref in overlays))
+        return real_forward(net, frames)
+
+    monkeypatch.setattr(trainer, "embed_label", recording_embed)
+    monkeypatch.setattr(trainer, "forward_train", checking_forward)
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim, ds.timesteps)
+    train_step(net, batch, TrainConfig(epochs=1, batch_size=16), RngStream(2))
+
+    assert len(overlays) == 2
+    assert live_at_forward == [0, 0]
+
+
 def test_scoring_peak_below_the_unchunked_buffers():
     c, b, widths, t_steps = 10, 128, (1024, 256), 3
     ds = dataio.make_blob_dataset(b, input_dim=16, class_count=c, seed=0)
@@ -102,6 +130,30 @@ def test_scoring_peak_below_the_unchunked_buffers():
 
     assert scores.shape == (b, c)
     assert peak < unchunked, (peak, unchunked)
+
+
+def test_temporal_scoring_holds_one_overlay_beside_its_frames(monkeypatch):
+    """Overlays are written into one reused timestep-major buffer, one at a
+    time: no sample-major chunk and no per-chunk frame copy."""
+    c, b, t_steps, d = 3, 64, 5, 400
+    ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
+                                      class_count=c, seed=0)
+    net = build_network([8, 6], d, c, t_steps,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, d, t_steps)
+    monkeypatch.setattr(network, "CHUNK_ELEMENTS", b * 8)  # one overlay a chunk
+    overlay_bytes = ds.inputs.nbytes
+
+    tracemalloc.start()
+    try:
+        scores = label_goodness(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert np.array_equal(scores, reference_scores(net, batch))
+    # the frame buffer and the overlay being written; a third copy fails
+    assert peak < 2.5 * overlay_bytes, (peak, overlay_bytes)
 
 
 def test_normalized_is_derived_and_matches_the_first_membrane():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spikeff import dataio
-from spikeff.errors import NumericError, ShapeError
+from spikeff.errors import NumericError, ShapeError, UsageError
 from spikeff.layer import EvalRollout, goodness, layer_forward
 from spikeff.network import build_network, forward_eval, label_goodness
 from spikeff.neuron import NeuronConfig
@@ -154,3 +154,13 @@ def test_wrong_input_width_is_shape_error():
         label_goodness(net, wide)
     assert net.eval_rows == rows_before
 
+
+
+@pytest.mark.parametrize("run_timesteps", [TIMESTEPS - 1, TIMESTEPS + 1])
+def test_temporal_run_length_mismatch_is_usage_error(run_timesteps):
+    ds = dataset(True, 2, n=4)
+    net = build_network([7, 5], ds.input_dim, 2, run_timesteps,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
+    with pytest.raises(UsageError, match="timesteps but the run wants"):
+        label_goodness(net, held_out_batch(ds))
+    assert net.eval_rows == 0
