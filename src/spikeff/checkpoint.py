@@ -26,35 +26,21 @@ import numpy as np
 
 from .dataio import read_exact
 from .errors import CheckpointVersionError, FormatError
-from .layer import SpikingLayer
+from .layer import TENSORS, SpikingLayer, tensor_shapes
 from .network import FFNetwork
 from .neuron import NeuronConfig
-from .numerics import AdamState
 
 MAGIC = b"SFFC"
 VERSION = 1
-
-
-def _layer_tensors(index: int, layer: SpikingLayer):
-    named = [
-        (f"layer{index}/weights", layer.weights),
-        (f"layer{index}/gamma", layer.gamma),
-        (f"layer{index}/shift", layer.shift),
-        (f"layer{index}/running_mean", layer.running_mean),
-        (f"layer{index}/running_var", layer.running_var),
-    ]
-    if layer.decay_raw is not None:
-        named.append((f"layer{index}/decay_raw", layer.decay_raw))
-    if layer.recurrent is not None:
-        named.append((f"layer{index}/recurrent", layer.recurrent))
-    return named
 
 
 def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
     tensors = []
     layer_meta = []
     for i, layer in enumerate(net.layers):
-        tensors.extend(_layer_tensors(i, layer))
+        tensors.extend(
+            (f"layer{i}/{name}", t) for name, t in layer.stored_tensors().items()
+        )
         layer_meta.append(
             {
                 "n_in": layer.n_in,
@@ -125,16 +111,7 @@ def _check_shapes(header: dict, arrays: dict) -> None:
         if int(lm["n_in"]) != n_in:
             raise ValueError(f"layer {i} n_in is {lm['n_in']}, expected {n_in}")
         n_out = int(lm["n_out"])
-        expected = {
-            "weights": (n_out, n_in),
-            "gamma": (t_steps, n_out),
-            "shift": (t_steps, n_out),
-            "running_mean": (t_steps, n_out),
-            "running_var": (t_steps, n_out),
-            "decay_raw": (n_out,),
-            "recurrent": (n_out, n_out),
-        }
-        for name, shape in expected.items():
+        for name, shape in tensor_shapes(n_in, n_out, t_steps).items():
             key = f"layer{i}/{name}"
             if key in arrays and arrays[key].shape != shape:
                 raise ValueError(
@@ -156,24 +133,20 @@ def _network(header: dict, f, path: str) -> FFNetwork:
     _check_shapes(header, arrays)
     layers = []
     for i, lm in enumerate(header["layers"]):
-        layer = SpikingLayer(
-            weights=arrays[f"layer{i}/weights"],
-            gamma=arrays[f"layer{i}/gamma"],
-            shift=arrays[f"layer{i}/shift"],
-            running_mean=arrays[f"layer{i}/running_mean"],
-            running_var=arrays[f"layer{i}/running_var"],
-            neuron=NeuronConfig(**lm["neuron"]),
-            decay_raw=arrays.get(f"layer{i}/decay_raw"),
-            recurrent=arrays.get(f"layer{i}/recurrent"),
-            batches_tracked=lm["batches_tracked"],
-            momentum=lm["momentum"],
-            eps=lm["eps"],
-        )
-        layer.adam = {
-            name: AdamState.for_param(tensor)
-            for name, tensor in layer.trainable_tensors().items()
+        stored = {  # a missing required tensor is a TypeError here
+            name: arrays[f"layer{i}/{name}"]
+            for name in TENSORS
+            if f"layer{i}/{name}" in arrays
         }
-        layers.append(layer)
+        layers.append(
+            SpikingLayer(
+                **stored,
+                neuron=NeuronConfig(**lm["neuron"]),
+                batches_tracked=lm["batches_tracked"],
+                momentum=lm["momentum"],
+                eps=lm["eps"],
+            )
+        )
     return FFNetwork(
         layers, header["class_count"], header["input_dim"], header["timesteps"]
     )

@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,32 +37,28 @@ from .numerics import RngStream
 DATA_ROOT_ENV = "SPIKEFF_DATA_ROOT"
 KEY_INIT = 100  # rng substream for weight init
 
+
+def _preset(dataset: str, **departures) -> dict:
+    """The mnist preset's published values with one dataset's departures."""
+    row = dict(dataset=dataset, input_dim=784, class_count=10, epochs=300,
+               lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
+               threshold=1.0, decay=0.99, hidden_sizes=[500, 500],
+               decay_learnable=True, recurrent=False)
+    row.update(departures)
+    return row
+
+
 # Shipped presets; every field can still be overridden by config file or flag.
 PRESETS = {
-    "mnist": dict(dataset="mnist", input_dim=784, class_count=10, epochs=300,
-                  lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                  threshold=1.0, decay=0.99, hidden_sizes=[500, 500],
-                  decay_learnable=True, recurrent=False),
-    "fmnist": dict(dataset="fmnist", input_dim=784, class_count=10, epochs=300,
-                   lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                   threshold=1.0, decay=0.99, hidden_sizes=[500, 500],
-                   decay_learnable=True, recurrent=False),
-    "kmnist": dict(dataset="kmnist", input_dim=784, class_count=10, epochs=300,
-                   lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                   threshold=1.2, decay=0.99, hidden_sizes=[500, 500],
-                   decay_learnable=True, recurrent=False),
-    "cifar10": dict(dataset="cifar10", input_dim=3072, class_count=10, epochs=300,
-                    lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                    threshold=1.2, decay=0.8, hidden_sizes=[2000, 2000],
-                    decay_learnable=True, recurrent=False),
-    "nmnist": dict(dataset="nmnist", input_dim=2312, class_count=10, epochs=300,
-                   lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                   threshold=1.0, decay=0.9, hidden_sizes=[500, 500],
-                   decay_learnable=True, recurrent=False),
-    "shd": dict(dataset="shd", input_dim=700, class_count=20, epochs=500,
-                lr=0.001, batch_size=4096, timesteps=10, loss_sharpness=0.6,
-                threshold=5.0, decay=0.9, hidden_sizes=[500, 500],
-                decay_learnable=False, recurrent=True),
+    "mnist": _preset("mnist"),
+    "fmnist": _preset("fmnist"),
+    "kmnist": _preset("kmnist", threshold=1.2),
+    "cifar10": _preset("cifar10", input_dim=3072, threshold=1.2, decay=0.8,
+                       hidden_sizes=[2000, 2000]),
+    "nmnist": _preset("nmnist", input_dim=2312, decay=0.9),
+    "shd": _preset("shd", input_dim=700, class_count=20, epochs=500,
+                   threshold=5.0, decay=0.9, decay_learnable=False,
+                   recurrent=True),
 }
 
 
@@ -90,78 +86,63 @@ class ExperimentConfig:
     out_dir: str = "runs/latest"
 
 
-# field name -> value kind, for the flat key=value config format
-_FIELD_KINDS = {
-    "dataset": "str",
-    "hidden_sizes": "int_list",
-    "input_dim": "opt_int",
-    "class_count": "opt_int",
-    "threshold": "float",
-    "decay": "float",
-    "decay_learnable": "bool",
-    "recurrent": "bool",
-    "reset_mode": "str",
-    "timesteps": "int",
-    "loss_sharpness": "float",
-    "surrogate_slope": "float",
-    "epochs": "int",
-    "batch_size": "int",
-    "lr": "float",
-    "lr_milestones": "opt_int_list",
-    "lr_factors": "opt_float_list",
-    "seed": "int",
-    "eval_every": "int",
-    "out_dir": "str",
-}
+def _kind(annotation) -> Tuple[bool, bool, type]:
+    """(optional, list, element type) of a config key from its annotation."""
+    args = get_args(annotation)
+    optional = type(None) in args
+    if optional:  # Optional[X] is Union[X, None]
+        annotation = args[0]
+    if get_origin(annotation) is list:
+        return optional, True, get_args(annotation)[0]
+    return optional, False, annotation
 
 
-def _format_value(kind: str, value) -> str:
+def _format_value(annotation, value) -> str:
     if value is None:
         return "none"
-    if kind == "bool":
+    _, is_list, kind = _kind(annotation)
+    if is_list:
+        return ",".join(repr(kind(v)) for v in value)
+    if kind is bool:
         return "true" if value else "false"
-    if kind in ("int_list", "opt_int_list"):
-        return ",".join(str(int(v)) for v in value)
-    if kind == "opt_float_list":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "float":
+    if kind is float:
         return repr(float(value))
     return str(value)
 
 
-def _parse_value(kind: str, text: str, key: str):
+def _parse_scalar(kind: type, text: str):
+    if kind is bool:
+        if text.lower() in ("true", "false"):
+            return text.lower() == "true"
+        raise ValueError(text)
+    return kind(text)
+
+
+def _parse_value(annotation, text: str, key: str):
     text = text.strip()
-    if kind.startswith("opt_") and text.lower() == "none":
+    optional, is_list, kind = _kind(annotation)
+    if optional and text.lower() == "none":
         return None
-    base = kind[4:] if kind.startswith("opt_") else kind
     try:
-        if base == "int":
-            return int(text)
-        if base == "float":
-            return float(text)
-        if base == "bool":
-            if text.lower() in ("true", "false"):
-                return text.lower() == "true"
-            raise ValueError(text)
-        if base == "int_list":
-            return [int(v) for v in text.split(",") if v.strip()]
-        if base == "float_list":
-            return [float(v) for v in text.split(",") if v.strip()]
-        return text
+        if is_list:
+            return [_parse_scalar(kind, v) for v in text.split(",") if v.strip()]
+        return _parse_scalar(kind, text)
     except ValueError as exc:
-        raise ConfigError([f"{key}: cannot parse {text!r} as {base}"]) from exc
+        name = kind.__name__ + ("_list" if is_list else "")
+        raise ConfigError([f"{key}: cannot parse {text!r} as {name}"]) from exc
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(ExperimentConfig):
-        kind = _FIELD_KINDS[f.name]
-        lines.append(f"{f.name} = {_format_value(kind, getattr(config, f.name))}")
-    return "\n".join(lines) + "\n"
+    hints = get_type_hints(ExperimentConfig)
+    return "".join(
+        f"{f.name} = {_format_value(hints[f.name], getattr(config, f.name))}\n"
+        for f in dataclasses.fields(ExperimentConfig)
+    )
 
 
 def parse_config_values(text: str) -> dict:
     """Parse a flat key=value config into just the keys it sets."""
+    hints = get_type_hints(ExperimentConfig)
     values = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -173,11 +154,11 @@ def parse_config_values(text: str) -> dict:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_KINDS:
+        if key not in hints:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            values[key] = _parse_value(_FIELD_KINDS[key], value, key)
+            values[key] = _parse_value(hints[key], value, key)
         except ConfigError as exc:
             problems.extend(f"line {lineno}: {v}" for v in exc.violations)
     if problems:
@@ -189,29 +170,12 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**parse_config_values(text))
 
 
-def neuron_config(config: ExperimentConfig) -> NeuronConfig:
-    """The LIF parameters of a config; raises ConfigError on a bad value."""
-    return NeuronConfig(
-        threshold=config.threshold,
-        decay=config.decay,
-        decay_learnable=config.decay_learnable,
-        reset_mode=config.reset_mode,
-        surrogate_slope=config.surrogate_slope,
-    )
+def _section(cls, config: ExperimentConfig):
+    """`cls` (NeuronConfig or TrainConfig) from the config's same-named fields.
 
-
-def train_config(config: ExperimentConfig) -> trainer.TrainConfig:
-    """The training schedule of a config; raises ConfigError on a bad value."""
-    return trainer.TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        lr_milestones=config.lr_milestones,
-        lr_factors=config.lr_factors,
-        loss_sharpness=config.loss_sharpness,
-        seed=config.seed,
-        eval_every=config.eval_every,
-    )
+    Raises ConfigError on a bad value.
+    """
+    return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -234,9 +198,9 @@ def validate_config(config: ExperimentConfig) -> None:
         and len(config.lr_milestones) != len(config.lr_factors)
     ):
         bad.append("lr_milestones/lr_factors: must be given together, same length")
-    for build in (neuron_config, train_config):
+    for cls in (NeuronConfig, trainer.TrainConfig):
         try:
-            build(config)
+            _section(cls, config)
         except ConfigError as exc:
             bad.extend(exc.violations)
     if bad:
@@ -292,6 +256,16 @@ def load_datasets(config: ExperimentConfig, root: Optional[str] = None):
             dataio.load_cifar10(folder, "train"),
             dataio.load_cifar10(folder, "test"),
         )
+    if name in ("nmnist", "shd"):
+        folder = base / name
+        for path in (folder / "train.bse", folder / "test.bse"):
+            if not path.exists():
+                raise FileNotFoundError(
+                    f"missing {name} file: {path}; place its BSE1 train.bse and "
+                    f"test.bse under {folder}/ or point {DATA_ROOT_ENV} at the "
+                    "directory that holds them"
+                )
+        name = f"bse:{folder}"  # read as any other BSE1 directory
     if name.startswith("bse:"):
         folder = Path(name[len("bse:"):])
         return (
@@ -314,7 +288,7 @@ def load_datasets(config: ExperimentConfig, root: Optional[str] = None):
     raise ConfigError(
         [
             f"dataset: unknown id {name!r}; expected mnist | fmnist | kmnist | "
-            "cifar10 | bse:<path> | synthetic:<generator>"
+            "cifar10 | nmnist | shd | bse:<path> | synthetic:<generator>"
         ]
     )
 
@@ -325,7 +299,7 @@ def build_from_config(config: ExperimentConfig, train_ds: dataio.Dataset):
         train_ds.input_dim,
         train_ds.class_count,
         config.timesteps,
-        neuron_config(config),
+        _section(NeuronConfig, config),
         RngStream(config.seed).substream(KEY_INIT),
         recurrent=config.recurrent,
         lr=config.lr,
@@ -377,7 +351,7 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         net = build_from_config(config, train_ds)
         writing("config").write_text(serialize_config(config))
 
-        train_cfg = train_config(config)
+        train_cfg = _section(trainer.TrainConfig, config)
         started = time.perf_counter()
         with open(writing("metrics"), "w") as csv:
             csv.write(trainer.metrics_csv_header(len(net.layers)) + "\n")
@@ -538,16 +512,10 @@ def _resolve_config(args) -> ExperimentConfig:
         )
     if getattr(args, "config", None):
         values.update(parse_config_values(Path(args.config).read_text()))
-    for flag, key in (
-        ("dataset", "dataset"),
-        ("seed", "seed"),
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-        ("out", "out_dir"),
-    ):
-        value = getattr(args, flag, None)
+    for f in dataclasses.fields(ExperimentConfig):  # flags named after keys
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[key] = value
+            values[f.name] = value
     return ExperimentConfig(**values)
 
 
@@ -571,7 +539,7 @@ def main(argv=None) -> int:
     _add_common_flags(p_train)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--out", help="run directory")
+    p_train.add_argument("--out", dest="out_dir", help="run directory")
 
     p_eval = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
     p_eval.add_argument("checkpoint")

@@ -143,9 +143,9 @@ def embed_label(batch: SampleBatch, overlay_labels, class_count: int) -> SampleB
             f"overlay labels shape {overlay.shape} != batch size ({batch.size},)"
         )
     if overlay.size and (overlay.min() < 0 or overlay.max() >= class_count):
-        raise ValueError(f"overlay labels must lie in [0, {class_count})")
+        raise DataConsistencyError(f"overlay labels must lie in [0, {class_count})")
     if batch.input_dim < class_count:
-        raise ValueError(
+        raise ShapeError(
             f"input_dim {batch.input_dim} < class_count {class_count}"
         )
     b = batch.size

@@ -11,7 +11,7 @@ gradient, and `layer_backward` therefore returns no input gradient.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,23 +20,56 @@ from .errors import NumericError, ShapeError, UsageError
 from .neuron import NeuronConfig, advance_membrane, fire
 from .numerics import AdamState, RngStream
 
-TRAINABLE = ("weights", "gamma", "shift", "decay_raw", "recurrent")
+# Every tensor a layer stores, in checkpoint order: its shape in the layer's
+# dimensions and whether Adam trains it. `decay_raw` (learnable decay) and
+# `recurrent` are stored only by the layers that have them.
+TENSORS = {
+    "weights": (("n_out", "n_in"), True),
+    "gamma": (("T", "n_out"), True),  # norm scale
+    "shift": (("T", "n_out"), True),  # norm shift
+    "running_mean": (("T", "n_out"), False),
+    "running_var": (("T", "n_out"), False),
+    "decay_raw": (("n_out",), True),
+    "recurrent": (("n_out", "n_out"), True),
+}
+TRAINABLE = tuple(name for name, (_, trained) in TENSORS.items() if trained)
+
+
+def tensor_shapes(n_in: int, n_out: int, timesteps: int) -> Dict[str, Tuple[int, ...]]:
+    """The shape of each tensor in `TENSORS` for a layer of these dimensions."""
+    dims = {"n_in": n_in, "n_out": n_out, "T": timesteps}
+    return {
+        name: tuple(dims[d] for d in shape) for name, (shape, _) in TENSORS.items()
+    }
 
 
 @dataclass
 class SpikingLayer:
-    weights: np.ndarray  # (n_out, n_in)
-    gamma: np.ndarray  # (T, n_out) norm scale
-    shift: np.ndarray  # (T, n_out) norm shift
-    running_mean: np.ndarray  # (T, n_out)
-    running_var: np.ndarray  # (T, n_out)
+    """A layer's tensors (shapes in `TENSORS`) and its normalization state.
+
+    A layer built without Adam states gets fresh ones (learning rate 1e-3)
+    for each trainable tensor it has.
+    """
+
+    weights: np.ndarray
+    gamma: np.ndarray
+    shift: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
     neuron: NeuronConfig
-    decay_raw: Optional[np.ndarray] = None  # (n_out,) when decay is learnable
-    recurrent: Optional[np.ndarray] = None  # (n_out, n_out)
+    decay_raw: Optional[np.ndarray] = None
+    recurrent: Optional[np.ndarray] = None
     batches_tracked: int = 0
     momentum: float = 0.1
     eps: float = 1e-5
     adam: Dict[str, AdamState] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.adam:
+            self.adam = {
+                name: AdamState.for_param(tensor)
+                for name, tensor in self.trainable_tensors().items()
+            }
 
     @property
     def n_out(self) -> int:
@@ -54,13 +87,12 @@ class SpikingLayer:
     def stats_populated(self) -> bool:
         return self.batches_tracked > 0
 
+    def stored_tensors(self) -> Dict[str, np.ndarray]:
+        """The tensors the layer has, by name, in `TENSORS` order."""
+        return {n: getattr(self, n) for n in TENSORS if getattr(self, n) is not None}
+
     def trainable_tensors(self) -> Dict[str, np.ndarray]:
-        out = {"weights": self.weights, "gamma": self.gamma, "shift": self.shift}
-        if self.decay_raw is not None:
-            out["decay_raw"] = self.decay_raw
-        if self.recurrent is not None:
-            out["recurrent"] = self.recurrent
-        return out
+        return {n: getattr(self, n) for n in TRAINABLE if getattr(self, n) is not None}
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
         if name not in TRAINABLE:
@@ -101,10 +133,7 @@ def init_layer(
         decay_raw=decay_raw,
         recurrent=rec,
     )
-    layer.adam = {
-        name: AdamState.for_param(tensor, lr)
-        for name, tensor in layer.trainable_tensors().items()
-    }
+    layer.set_lr(lr)
     return layer
 
 

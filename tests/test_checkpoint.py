@@ -53,6 +53,19 @@ class TestRoundTrip:
             else:
                 np.testing.assert_array_equal(a.recurrent, b.recurrent)
 
+    def test_header_lists_tensors_in_order(self, tmp_path):
+        net, _ = trained_net(recurrent=True, learnable=True)
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        names = ("weights", "gamma", "shift", "running_mean", "running_var",
+                 "decay_raw", "recurrent")
+        assert [t["name"] for t in header["tensors"]] == [
+            f"layer{i}/{name}" for i in range(2) for name in names
+        ]
+
     def test_predictions_identical_after_reload(self, tmp_path):
         net, ds = trained_net()
         path = tmp_path / "net.sffc"
@@ -132,8 +145,10 @@ class TestFormatGuards:
         lambda h: h["layers"][0]["neuron"].update(reset="zero"),
         lambda h: h["tensors"][0].update(shape=[-1, 12]),
         lambda h: h.update(meta=[1, 2]),
+        lambda h: h["tensors"].pop(0),
     ], ids=["no layers", "no tensors", "no batches_tracked", "bad threshold",
-            "unknown neuron key", "negative dimension", "meta not an object"])
+            "unknown neuron key", "negative dimension", "meta not an object",
+            "no layer0 weights"])
     def test_header_with_wrong_structure(self, tmp_path, edit):
         path = tmp_path / "net.sffc"
         save_edited_header(path, edit)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,22 +35,52 @@ def tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**values)
 
 
+def everything_set():
+    """A config that sets every key away from its default."""
+    return ExperimentConfig(
+        dataset="bse:/tmp/some/dir", hidden_sizes=[500, 500],
+        input_dim=784, class_count=10, threshold=1.2, decay=0.8,
+        decay_learnable=True, recurrent=True, reset_mode="zero",
+        timesteps=10, loss_sharpness=0.6, surrogate_slope=2.0,
+        epochs=300, batch_size=4096, lr=0.001,
+        lr_milestones=[150, 225], lr_factors=[0.3, 0.3],
+        seed=42, eval_every=5, out_dir="runs/x",
+    )
+
+
 class TestConfigFormat:
     def test_round_trip_default(self):
         config = ExperimentConfig()
         assert parse_config(serialize_config(config)) == config
 
     def test_round_trip_everything_set(self):
-        config = ExperimentConfig(
-            dataset="bse:/tmp/some/dir", hidden_sizes=[500, 500],
-            input_dim=784, class_count=10, threshold=1.2, decay=0.8,
-            decay_learnable=True, recurrent=True, reset_mode="zero",
-            timesteps=10, loss_sharpness=0.6, surrogate_slope=2.0,
-            epochs=300, batch_size=4096, lr=0.001,
-            lr_milestones=[150, 225], lr_factors=[0.3, 0.3],
-            seed=42, eval_every=5, out_dir="runs/x",
-        )
+        config = everything_set()
         assert parse_config(serialize_config(config)) == config
+
+    def test_file_bytes_pinned(self):
+        # a round trip alone accepts any format change that still round-trips
+        assert serialize_config(everything_set()) == (
+            "dataset = bse:/tmp/some/dir\n"
+            "hidden_sizes = 500,500\n"
+            "input_dim = 784\n"
+            "class_count = 10\n"
+            "threshold = 1.2\n"
+            "decay = 0.8\n"
+            "decay_learnable = true\n"
+            "recurrent = true\n"
+            "reset_mode = zero\n"
+            "timesteps = 10\n"
+            "loss_sharpness = 0.6\n"
+            "surrogate_slope = 2.0\n"
+            "epochs = 300\n"
+            "batch_size = 4096\n"
+            "lr = 0.001\n"
+            "lr_milestones = 150,225\n"
+            "lr_factors = 0.3,0.3\n"
+            "seed = 42\n"
+            "eval_every = 5\n"
+            "out_dir = runs/x\n"
+        )
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\nepochs = 7\nseed = 1\n"
@@ -280,8 +312,39 @@ class TestDatasets:
         assert train_ds.input_dim == 14
 
     def test_unknown_dataset_id(self):
-        with pytest.raises(ConfigError, match="unknown id"):
+        with pytest.raises(ConfigError, match="unknown id") as err:
             load_datasets(ExperimentConfig(dataset="imagenet"))
+        assert "| nmnist | shd |" in err.value.violations[0]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_dataset_id_resolves(self, tmp_path, preset):
+        # an empty data root: the id is known and its missing file is named
+        config = ExperimentConfig(dataset=PRESETS[preset]["dataset"])
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
+            load_datasets(config, root=str(tmp_path))
+
+    @pytest.mark.parametrize("preset,input_dim,class_count", [
+        ("shd", 700, 20), ("nmnist", 2312, 10),
+    ])
+    def test_spiking_preset_trains_one_epoch(self, tmp_path, preset, input_dim,
+                                              class_count):
+        root = tmp_path / "data"
+        (root / preset).mkdir(parents=True)
+        for split, n in (("train", 48), ("test", 16)):
+            ds = dataio.make_temporal_dataset(n, input_dim=input_dim, timesteps=10,
+                                              class_count=class_count, seed=n)
+            dataio.write_binned_events(root / preset / f"{split}.bse", ds)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--preset", preset, "--epochs", "1",
+                         "--batch-size", "32", "--data-root", str(root),
+                         "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["epochs_run"] == 1
+        assert summary["config"] == dict(
+            dataclasses.asdict(ExperimentConfig(**PRESETS[preset])),
+            epochs=1, batch_size=32, out_dir=str(out),
+        )
 
     def test_unknown_synthetic_generator(self):
         with pytest.raises(ConfigError, match="generator"):

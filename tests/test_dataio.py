@@ -267,8 +267,15 @@ class TestEmbedding:
 
     def test_out_of_range_overlay(self):
         batch = self.batch([[0.5, 0.5, 0.5]], [0])
-        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        with pytest.raises(DataConsistencyError, match=r"\[0, 2\)"):
             dataio.embed_label(batch, [2], class_count=2)
+        with pytest.raises(DataConsistencyError, match=r"\[0, 2\)"):
+            dataio.embed_label(batch, [-1], class_count=2)
+
+    def test_overlay_needs_class_count_channels(self):
+        batch = self.batch([[0.5, 0.5, 0.5]], [0])
+        with pytest.raises(ShapeError, match="input_dim 3 < class_count 4"):
+            dataio.embed_label(batch, [0], class_count=4)
 
     def test_make_positive_definition(self):
         # the positive variant overlays each sample's own label
