@@ -121,6 +121,15 @@ def _check_shapes(header: dict, arrays: dict) -> None:
         n_in = n_out
 
 
+def _has_tensor(name: str, layer_meta: dict, config: NeuronConfig) -> bool:
+    """Whether a layer with this header stores the tensor `name`."""
+    if name == "decay_raw":
+        return config.decay_learnable
+    if name == "recurrent":
+        return layer_meta["recurrent"] is True
+    return True
+
+
 def _network(header: dict, f, path: str) -> FFNetwork:
     """Read the manifest's tensors from f and assemble the network."""
     arrays = {}
@@ -131,17 +140,26 @@ def _network(header: dict, f, path: str) -> FFNetwork:
         raw = read_exact(f, 8 * math.prod(shape), path)
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     _check_shapes(header, arrays)
+    configs = [NeuronConfig(**lm["neuron"]) for lm in header["layers"]]
+    names = [  # per layer, the tensors its header says it stores
+        [name for name in TENSORS if _has_tensor(name, lm, cfg)]
+        for lm, cfg in zip(header["layers"], configs)
+    ]
+    expected = [f"layer{i}/{name}" for i, layer in enumerate(names) for name in layer]
+    missing = [key for key in expected if key not in arrays]
+    extra = [key for key in arrays if key not in expected]
+    if missing or extra:
+        raise FormatError(
+            f"{path}: tensors disagree with the layer headers "
+            f"(missing {missing}, not expected {extra})"
+        )
     layers = []
-    for i, lm in enumerate(header["layers"]):
-        stored = {  # a missing required tensor is a TypeError here
-            name: arrays[f"layer{i}/{name}"]
-            for name in TENSORS
-            if f"layer{i}/{name}" in arrays
-        }
+    for i, (lm, cfg) in enumerate(zip(header["layers"], configs)):
+        stored = {name: arrays[f"layer{i}/{name}"] for name in names[i]}
         layers.append(
             SpikingLayer(
                 **stored,
-                neuron=NeuronConfig(**lm["neuron"]),
+                neuron=cfg,
                 batches_tracked=lm["batches_tracked"],
                 momentum=lm["momentum"],
                 eps=lm["eps"],

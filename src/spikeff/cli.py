@@ -4,7 +4,8 @@ Config files are flat `key = value` text (see README for the full key list);
 command-line flags override file values, which override preset values.
 A successful training run leaves a config echo, a metrics CSV, a summary
 JSON and a checkpoint in its directory; a failed one leaves a single
-machine-readable error record and deletes whatever it had written itself.
+machine-readable error record, deletes whatever it had written itself and
+puts back the previous run's artifacts byte for byte.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -328,7 +329,14 @@ def _check_dataset_matches(config: ExperimentConfig, train_ds: dataio.Dataset):
 
 
 def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
-    """Train per config; writes artifacts into config.out_dir. Returns exit code."""
+    """Train per config; writes artifacts into config.out_dir. Returns exit code.
+
+    Each artifact a previous run left in the directory is moved aside (to a
+    hidden name beside it) just before this run writes its own, so
+    `metrics.csv` still gains a row per finished epoch in place. If the run
+    fails, what it wrote is deleted and the previous files are moved back
+    unchanged; if it succeeds, they are deleted.
+    """
     out = Path(config.out_dir)
     artifacts = {
         "config": out / "config.txt",
@@ -337,10 +345,17 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         "checkpoint": out / "checkpoint.sffc",
     }
     written: List[Path] = []  # the artifacts this run has begun to write
+    moved: Dict[Path, Path] = {}  # a previous run's artifact -> where it waits
 
     def writing(name: str) -> Path:
-        written.append(artifacts[name])
-        return artifacts[name]
+        """The artifact's path, with a previous run's file moved aside."""
+        path = artifacts[name]
+        if path.exists():
+            aside = path.with_name(f".{path.name}.{os.getpid()}.prev")
+            os.replace(path, aside)
+            moved[path] = aside
+        written.append(path)
+        return path
 
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -365,10 +380,9 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
             )
         total_seconds = time.perf_counter() - started
         save_checkpoint(
-            artifacts["checkpoint"], net,
+            writing("checkpoint"), net,
             meta={"dataset": config.dataset, "seed": config.seed},
         )
-        written.append(artifacts["checkpoint"])  # atomic: only once it is saved
         test_accs = [m.test_accuracy for m in history if m.test_accuracy is not None]
         summary = {
             "config": dataclasses.asdict(config),
@@ -385,10 +399,11 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
             "epoch_seconds": [m.seconds for m in history],
         }
         writing("summary").write_text(json.dumps(summary, indent=2) + "\n")
-        return 0
     except Exception as exc:  # single error record, never a partial silent state
-        for path in written:  # a previous run's artifacts are not this run's
+        for path in written:  # this run's own, partial or complete
             path.unlink(missing_ok=True)
+        for path, aside in moved.items():
+            os.replace(aside, path)
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             record["violations"] = exc.violations
@@ -399,6 +414,9 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         else:
             print(f"error: {record['message']}", file=sys.stderr)
         return 1
+    for aside in moved.values():
+        aside.unlink(missing_ok=True)
+    return 0
 
 
 def run_inspect(path: str) -> int:

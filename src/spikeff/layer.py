@@ -174,21 +174,37 @@ def _batch_stats(z: np.ndarray):
     return mu, np.divide(var, batch, out=var)
 
 
+def _stacked_product(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """z = X W^T of a stacked (T, B, n_in) input as one (T*B, n_in) GEMM.
+
+    Bool spikes are cast whole to float64 for the call (exactly: they are
+    0/1), so the product's bits are the same wherever it is computed.
+    """
+    t_steps, batch, n_in = x.shape
+    rows = x.reshape(-1, n_in).astype(np.float64, copy=False)
+    return (rows @ weights.T).reshape(t_steps, batch, -1)
+
+
 @dataclass
 class LayerForwardTrace:
     """Everything one forward pass recorded.
 
-    `spikes`, `membranes`, `pre_norm` (z = X W^T) and `inputs` are
-    C-contiguous timestep-major (T, B, n) arrays; entry t is timestep t's
-    (B, n) view. For a static input (one frame object repeated T times,
-    `shared`), `inputs` and `pre_norm` are instead read-only broadcasts of
-    the one frame and its one product. `mu`/`var` are the statistics
-    actually used: batch statistics in train mode, running statistics in
-    eval mode. `gamma` and `shift` are the arrays the pass normalized with;
-    training replaces those tensors rather than mutating them, so they keep
-    the pass's values. `layer_backward` writes its normalization gradient
-    into the rows of a stacked (not shared) `pre_norm` and then sets it to
-    None, so such a trace is backpropagated once.
+    `spikes`, `membranes` and `inputs` are C-contiguous timestep-major
+    (T, B, n) arrays; entry t is timestep t's (B, n) view. `spikes` are
+    bool (1 byte each; float64 only under `smooth_spikes`), and `inputs` is
+    the array the pass was given, so a layer fed another's spikes holds
+    them as bool too. For a static input (one frame object repeated T
+    times, `shared`), `inputs` is instead a read-only broadcast of the one
+    frame, and `shared_product` holds its one (B, n_out) product.
+    `mu`/`var` are the statistics actually used: batch statistics in train
+    mode, running statistics in eval mode. `weights`, `gamma` and `shift`
+    are the arrays the pass used; training replaces those tensors rather
+    than mutating them, so they keep the pass's values.
+
+    The products `pre_norm` and the drives `normalized` are derived, not
+    stored. `layer_backward` drops a stacked (not shared) trace's
+    `inputs`, after which both read None, so such a trace is
+    backpropagated once.
     """
 
     mode: str
@@ -197,25 +213,43 @@ class LayerForwardTrace:
     var: np.ndarray  # (T, n_out)
     spikes: np.ndarray  # (T, B, n_out)
     inputs: Optional[np.ndarray] = None  # (T, B, n_in)
-    pre_norm: Optional[np.ndarray] = None  # (T, B, n_out), z = X W^T
     membranes: Optional[np.ndarray] = None  # (T, B, n_out)
+    weights: Optional[np.ndarray] = None  # (n_out, n_in)
     gamma: Optional[np.ndarray] = None  # (T, n_out)
     shift: Optional[np.ndarray] = None  # (T, n_out)
     eps: float = 0.0
     shared: bool = False
+    shared_product: Optional[np.ndarray] = None  # (B, n_out), static input only
+
+    @property
+    def pre_norm(self) -> Optional[np.ndarray]:
+        """(T, B, n) products z = X W^T, as the pass computed them.
+
+        A static input's one stored product is broadcast over T. A stacked
+        input's products are recomputed with the pass's GEMM call, so they
+        equal the pass's bit for bit.
+        """
+        if self.inputs is None:
+            return None
+        if self.shared:
+            t_steps = self.mu.shape[0]
+            return np.broadcast_to(
+                self.shared_product, (t_steps,) + self.shared_product.shape
+            )
+        return _stacked_product(self.inputs, self.weights)
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
         """(T, B, n) drives z * scale + offset, recomputed from the products.
 
-        Not stored: it is derived with `norm_affine` and the pass's ufuncs
-        in their order, so it equals the normalized drive the pass used bit
-        for bit.
+        Derived with `norm_affine` and the pass's ufuncs in their order, so
+        it equals the normalized drive the pass used bit for bit.
         """
-        if self.pre_norm is None:
+        z = self.pre_norm
+        if z is None:
             return None
         scale, offset = norm_affine(self.mu, self.var, self.eps, self.gamma, self.shift)
-        out = np.multiply(self.pre_norm, scale[:, None, :])
+        out = np.multiply(z, scale[:, None, :])
         return np.add(out, offset[:, None, :], out=out)
 
 
@@ -238,11 +272,14 @@ def layer_forward(
     static input: one product serves every timestep) or T frames in one
     C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
     layer's `spikes` give them (a list of T arrays is stacked into one);
-    their T products are then one GEMM. Every pass records its spikes,
-    membranes and products.
+    their T products are then one GEMM. A stacked input keeps its dtype:
+    bool spikes are cast to float64 only for the GEMM. Every pass records
+    its spikes (bool) and membranes; the products are derived on demand
+    (`LayerForwardTrace.pre_norm`).
 
-    smooth_spikes replaces the hard threshold with its smooth primitive;
-    this exists for gradient verification and is never used in training.
+    smooth_spikes replaces the hard threshold with its smooth primitive,
+    recorded as float64 spikes; this exists for gradient verification and
+    is never used in training.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -265,10 +302,14 @@ def layer_forward(
     shared = all(f is frames[0] for f in frames)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
-        z = np.broadcast_to(frames[0] @ layer.weights.T, (t_steps, batch, n))
+        shared_product = frames[0] @ layer.weights.T
+        z = np.broadcast_to(shared_product, (t_steps, batch, n))
     else:
-        x = np.ascontiguousarray(frames, dtype=np.float64)
-        z = (x.reshape(-1, layer.n_in) @ layer.weights.T).reshape(t_steps, batch, n)
+        x = np.ascontiguousarray(frames)
+        if x.dtype != np.bool_:
+            x = x.astype(np.float64, copy=False)
+        shared_product = None
+        z = _stacked_product(x, layer.weights)
     distinct = z[:1] if shared else z  # the products that can differ
     _check_finite(distinct)
 
@@ -285,7 +326,7 @@ def layer_forward(
 
     cfg = layer.neuron
     beta = neuron.effective_decay(layer.decay_raw, cfg)
-    spikes = np.empty((t_steps, batch, n))
+    spikes = np.empty((t_steps, batch, n), np.float64 if smooth_spikes else bool)
     membranes = np.empty((t_steps, batch, n))
     counts = np.zeros((batch, n))
     drive = np.empty((batch, n))
@@ -296,7 +337,7 @@ def layer_forward(
         np.multiply(z[t], scale[t], out=drive)
         np.add(drive, offset[t], out=drive)
         if layer.recurrent is not None:
-            drive += s @ layer.recurrent
+            drive += s.astype(np.float64, copy=False) @ layer.recurrent
         u = neuron.membrane_update(
             u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
@@ -314,12 +355,13 @@ def layer_forward(
         var=var,
         spikes=spikes,
         inputs=x,
-        pre_norm=z,
         membranes=membranes,
+        weights=layer.weights,
         gamma=layer.gamma,
         shift=layer.shift,
         eps=layer.eps,
         shared=shared,
+        shared_product=shared_product,
     )
 
 
@@ -437,13 +479,16 @@ def layer_backward(
     and the weight gradient is one GEMM, sum_t dz_t^T X_t. For a static
     input (`trace.shared`) every X_t is the same frame, so it is
     (sum_t dz_t)^T X with the sum kept in one (B, n) array. For a stacked
-    input, dz_t is written over the consumed rows of `trace.pre_norm[t]`
-    and the GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in); the trace's
-    `pre_norm` is then set to None.
+    input, the products are recomputed once into one (T, B, n) buffer
+    (`trace.pre_norm`), dz_t is written over its consumed rows, and the
+    GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in), with bool spikes
+    in X cast to one float64 copy for the call. The trace's `inputs` are
+    then dropped. Bool spikes enter every other use (the zero-reset carry,
+    the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
-    if trace.pre_norm is None:
+    if trace.inputs is None:
         raise UsageError("layer_backward already consumed this trace's products")
     batch, n = trace.counts.shape
     t_steps = layer.timesteps
@@ -464,6 +509,7 @@ def layer_backward(
     d_rec = np.zeros_like(layer.recurrent) if layer.recurrent is not None else None
     inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
     dz_scale = layer.gamma * inv_std
+    z = trace.pre_norm  # a stacked input's: a fresh buffer, overwritten by dz
     if trace.shared:
         dz_sum = np.zeros((batch, n))
         work = np.empty((batch, n))
@@ -487,10 +533,10 @@ def layer_backward(
                 path = prev_mem * (1.0 - prev_spk) if zero_reset else prev_mem
                 d_beta += (du * path).sum(axis=0)
             if d_rec is not None:
-                d_rec += prev_spk.T @ du
+                d_rec += prev_spk.astype(np.float64, copy=False).T @ du
         # normalization backward: xhat, then dz over it in place
-        dz = work if trace.shared else trace.pre_norm[t]
-        np.subtract(trace.pre_norm[t], trace.mu[t], out=dz)
+        dz = work if trace.shared else z[t]
+        np.subtract(z[t], trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = (du * dz).sum(axis=0)
         d_shift[t] = du.sum(axis=0)
@@ -505,9 +551,9 @@ def layer_backward(
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
     else:
-        dz = trace.pre_norm.reshape(-1, n)  # (T*B, n), timestep-major rows
-        d_weights = dz.T @ trace.inputs.reshape(-1, layer.n_in)
-        trace.pre_norm = None
+        x = trace.inputs.reshape(-1, layer.n_in).astype(np.float64, copy=False)
+        trace.inputs = None
+        d_weights = z.reshape(-1, n).T @ x  # (T*B, n) dz, timestep-major rows
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
     if d_beta is not None:
         sig = neuron.sigmoid(layer.decay_raw)

@@ -71,7 +71,7 @@ def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
 
     Layer k+1 consumes layer k's spike train produced by the pre-update
     weights of the same pass (one forward, then local updates): the trace's
-    stacked (T, B, n) `spikes` array is its frames as it is.
+    stacked (T, B, n) bool `spikes` array is its frames as it is.
     """
     traces = []
     x = frames

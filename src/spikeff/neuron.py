@@ -72,9 +72,11 @@ def advance_membrane(
 ) -> np.ndarray:
     """The membrane recursion: one step from the prior membrane and spikes.
 
-    beta is `effective_decay`'s value. `out` may be `membrane` itself (an
-    in-place step); `scratch`, when given, holds the reset term. The ufuncs
-    and their order are fixed, so every caller gets the same bits.
+    beta is `effective_decay`'s value. `spikes` may be bool (as train traces
+    store them) or float: the reset term casts bool to exact 0.0/1.0, so both
+    give the same bits. `out` may be `membrane` itself (an in-place step);
+    `scratch`, when given, is a float buffer that holds the reset term. The
+    ufuncs and their order are fixed, so every caller gets the same bits.
     """
     out = np.multiply(beta, membrane, out=out)
     if config.reset_mode == "zero":
@@ -98,10 +100,11 @@ def membrane_update(
 
 
 def fire(membrane, config: NeuronConfig, out=None) -> np.ndarray:
-    """Spikes as 0/1 floats where the membrane reaches the threshold.
+    """Spikes where the membrane reaches the threshold.
 
-    The threshold is inclusive. `out`, when given, is a float array the
-    spikes are written into; otherwise a new one is returned.
+    The threshold is inclusive. `out`, when given, is the array the spikes
+    are written into: bool (train traces, 1 byte a spike) or float (0.0/1.0,
+    the eval rollout's buffers). Otherwise a new float array is returned.
     """
     if out is None:
         out = np.empty_like(membrane)

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import struct
 
 import numpy as np
@@ -90,6 +91,28 @@ def save_edited_header(path, edit):
                      + blob[12 + length :])
 
 
+def save_edited_tensors(path, net, edit):
+    """Save net, then rewrite the file with its tensors (a dict of manifest
+    name -> array, in file order) changed by edit; the layer headers stay."""
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    tensors, offset = {}, 12 + length
+    for entry in header["tensors"]:
+        count = math.prod(entry["shape"])
+        tensors[entry["name"]] = np.frombuffer(
+            blob, "<f8", count, offset).reshape(entry["shape"])
+        offset += 8 * count
+    edit(tensors)
+    header["tensors"] = [{"name": name, "shape": list(array.shape)}
+                         for name, array in tensors.items()]
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
+                     + b"".join(a.astype("<f8").tobytes()
+                                for a in tensors.values()))
+
+
 class TestFormatGuards:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "junk"
@@ -168,6 +191,28 @@ class TestFormatGuards:
         path = tmp_path / "net.sffc"
         save_edited_header(path, edit)
         with pytest.raises(FormatError, match="shape|n_in"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("recurrent,learnable,edit", [
+        (True, True, lambda t: t.pop("layer1/recurrent")),
+        (False, True, lambda t: t.pop("layer0/decay_raw")),
+        (False, True, lambda t: t.update({"layer0/recurrent": np.zeros((6, 6))})),
+        (True, False, lambda t: t.update({"layer1/decay_raw": np.zeros(5)})),
+        (False, True, lambda t: t.update({"layer0/bias": np.zeros(6)})),
+        (False, True, lambda t: t.update({"layer2/weights": np.zeros((4, 5))})),
+    ], ids=["recurrent header, no recurrent tensor",
+            "learnable header, no decay_raw tensor",
+            "recurrent tensor, non-recurrent header",
+            "decay_raw tensor, fixed-decay header",
+            "unknown tensor name", "tensor of a layer with no header"])
+    def test_tensors_disagreeing_with_layer_headers(self, tmp_path, recurrent,
+                                                    learnable, edit):
+        net, _ = trained_net(recurrent, learnable)
+        path = tmp_path / "net.sffc"
+        save_edited_tensors(path, net, lambda tensors: None)
+        assert load_checkpoint(path)[0].layers[1].n_out == 5  # unedited: loads
+        save_edited_tensors(path, net, edit)
+        with pytest.raises(FormatError, match="disagree with the layer headers"):
             load_checkpoint(path)
 
     def test_magic_constant(self):

@@ -245,6 +245,41 @@ class TestRunTrain:
         out = Path(config.out_dir)
         assert list(out.iterdir()) == [out / "error.json"]
 
+    def test_mid_run_failure_restores_the_previous_run(self, tmp_path,
+                                                       monkeypatch):
+        config = tiny_config(tmp_path, epochs=3)
+        assert run_train(config) == 0
+        out = Path(config.out_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_epoch = cli.trainer.train_epoch
+        rows_at_failure = []
+
+        def diverge_at_epoch_1(*args, epoch, **kwargs):
+            if epoch == 1:
+                rows_at_failure.append(
+                    (out / "metrics.csv").read_text().splitlines())
+                raise NumericError("training diverged")
+            return real_epoch(*args, epoch=epoch, **kwargs)
+
+        monkeypatch.setattr(cli.trainer, "train_epoch", diverge_at_epoch_1)
+        assert run_train(tiny_config(tmp_path, epochs=3, seed=4)) == 1
+        # the failing run had replaced metrics.csv with its own first row
+        (rows,) = rows_at_failure
+        assert len(rows) == 2 and "\n".join(rows) + "\n" != before["metrics.csv"]
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) == set(before) | {"error.json"}
+        for name, data in before.items():
+            assert after[name] == data, name
+        assert json.loads(after["error.json"])["error"] == "NumericError"
+
+    def test_rerun_replaces_the_previous_run(self, tmp_path):
+        assert run_train(tiny_config(tmp_path, epochs=1)) == 0
+        out = tmp_path / "run"
+        assert run_train(tiny_config(tmp_path, epochs=2)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.sffc", "config.txt", "metrics.csv", "summary.json"]
+        assert json.loads((out / "summary.json").read_text())["epochs_run"] == 2
+
     def test_success_removes_a_stale_error_record(self, tmp_path):
         assert run_train(tiny_config(tmp_path, epochs=-1)) == 1
         out = tmp_path / "run"

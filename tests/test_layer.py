@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeff import dataio
+from spikeff import dataio, trainer
 from spikeff.errors import ShapeError, UsageError
 from spikeff.layer import (
     LayerForwardTrace,
@@ -367,6 +367,42 @@ class TestTraceLayout:
                 assert array.flags.c_contiguous is not broadcast, name
         assert traces[1].inputs is traces[0].spikes
         assert traces[0].shared is not temporal and not traces[1].shared
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_spikes_are_bool_unless_smoothed(self, smooth):
+        layer = make_layer(n_in=5, n_out=4, timesteps=3, seed=5, threshold=0.6)
+        frames = input_frames("stacked", 6, 5, 3, RngStream(6))
+        trace = layer_forward(layer, frames, "train", smooth_spikes=smooth)
+        assert trace.spikes.dtype == (np.float64 if smooth else np.bool_)
+        assert trace.spikes.shape == (3, 6, 4)
+        np.testing.assert_array_equal(trace.counts, trace.spikes.sum(axis=0))
+        if not smooth:
+            assert 0 < trace.counts.sum() < trace.spikes.size
+
+    @pytest.mark.parametrize("recurrent", [False, True])
+    def test_derived_products_are_the_pass_gemm_before_and_after_adam(
+            self, recurrent):
+        t_steps, batch = 4, 16
+        ds = dataio.make_temporal_dataset(batch, input_dim=8, timesteps=t_steps,
+                                          class_count=2, seed=1)
+        net = build_network([6, 4], 8, 2, t_steps,
+                            NeuronConfig(threshold=0.5, decay=0.9),
+                            RngStream(2), recurrent=recurrent)
+        sample = dataio.SampleBatch(ds.inputs, ds.labels, 8, t_steps)
+        frames = dataio.embed_label(sample, sample.labels, 2).frames(t_steps)
+        traces = forward_train(net, frames)
+        expected = []
+        for trace, layer in zip(traces, net.layers):
+            rows = trace.inputs.reshape(-1, layer.n_in).astype(np.float64)
+            expected.append((rows @ layer.weights.T).tobytes())
+            assert trace.pre_norm.tobytes() == expected[-1]
+        trainer.train_step(net, sample, trainer.TrainConfig(epochs=1),
+                           RngStream(3))
+        for trace, layer, want in zip(traces, net.layers, expected):
+            assert trace.weights is not layer.weights  # Adam replaced them
+            assert trace.pre_norm.tobytes() == want
+            # at t=0 the membrane starts from rest: it is exactly the drive
+            assert np.array_equal(trace.normalized[0], trace.membranes[0])
 
     @pytest.mark.parametrize("recurrent", [False, True])
     def test_temporal_rows_and_frame_list_give_identical_traces(self, recurrent):

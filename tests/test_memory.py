@@ -1,6 +1,7 @@
 """What a training step keeps alive: step traces are released before the
 next batch's scoring, label scoring runs in overlay chunks on reused
-buffers, and a trace derives its normalized drive instead of storing it."""
+buffers, and a trace stores bool spikes and derives its products and
+normalized drive instead of storing them."""
 
 import dataclasses
 import itertools
@@ -108,6 +109,60 @@ def test_temporal_overlays_freed_once_framed(monkeypatch):
 
     assert len(overlays) == 2
     assert live_at_forward == [0, 0]
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+def test_train_traces_hold_no_float64_stack_but_membranes(temporal):
+    t_steps, batch, d = 4, 6, 8
+    net = build_network([5, 3], d, 2, t_steps, NeuronConfig(threshold=0.5),
+                        RngStream(3))
+    rows = RngStream(4).uniform((batch, d * (t_steps if temporal else 1)))
+    frames = dataio.time_frames(rows, d, t_steps if temporal else 1, t_steps)
+    traces = forward_train(net, frames)
+    for k, trace in enumerate(traces):
+        float_stacks = {
+            name for name, value in vars(trace).items()
+            if isinstance(value, np.ndarray) and value.ndim == 3
+            and value.dtype == np.float64
+        }
+        if k == 0:  # the caller's frames, held as given
+            assert np.shares_memory(trace.inputs, frames[0])
+            float_stacks.discard("inputs")
+        assert float_stacks == {"membranes"}, k
+        assert trace.spikes.dtype == np.bool_
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+def test_train_step_peak_within_the_compact_trace_bound(temporal):
+    t_steps, b, widths, d = 10, 64, (200, 200), 16
+    if temporal:
+        ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
+                                          class_count=2, seed=0)
+    else:
+        ds = dataio.make_blob_dataset(b, input_dim=d, class_count=2, seed=0)
+    net = build_network(list(widths), d, 2, t_steps,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, d, ds.timesteps)
+    config = TrainConfig(epochs=1, batch_size=b)
+    train_step(net, batch, config, RngStream(2))  # populates running stats
+    stack = t_steps * b  # rows of one (T, B, n) array
+    # Both passes' traces at 9 bytes per (T, B, n) element (a float64
+    # membrane and a bool spike), the float64 product and cast input of the
+    # GEMM being run, and 16 float64 (B, n) buffers (counts, per-timestep
+    # state, gradients).
+    bound = (2 * 9 * stack * sum(widths) + 8 * stack * sum(widths)
+             + 16 * 8 * b * max(widths))
+    # With float64 spikes and stored products, the traces alone exceed it.
+    assert 2 * 8 * stack * (2 * widths[0] + 3 * widths[1]) > bound
+
+    tracemalloc.start()
+    try:
+        train_step(net, batch, config, RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert peak < bound, (peak, bound)
 
 
 def test_scoring_peak_below_the_unchunked_buffers():
