@@ -328,6 +328,35 @@ def _check_dataset_matches(config: ExperimentConfig, train_ds: dataio.Dataset):
         raise ConfigError(bad)
 
 
+def _runs(pid: int) -> bool:
+    """Whether a process with this id runs (one we may not signal counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def _restore_killed_runs(paths) -> None:
+    """Move back the artifacts that killed runs left aside.
+
+    A run keeps a previous artifact at `.<name>.<pid>.prev` while it runs.
+    Where that pid no longer runs, the run was killed, and the file goes
+    back over whatever partial file the killed run left in its place.
+    Files of a running pid are left alone; so is everything where a pid
+    cannot be probed without a signal (not POSIX).
+    """
+    if os.name != "posix":
+        return
+    for path in paths:
+        for aside in sorted(path.parent.glob(f".{path.name}.*.prev")):
+            pid = aside.name[len(path.name) + 2 : -len(".prev")]
+            if pid.isdigit() and not _runs(int(pid)):
+                os.replace(aside, path)
+
+
 def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
     """Train per config; writes artifacts into config.out_dir. Returns exit code.
 
@@ -335,7 +364,8 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
     hidden name beside it) just before this run writes its own, so
     `metrics.csv` still gains a row per finished epoch in place. If the run
     fails, what it wrote is deleted and the previous files are moved back
-    unchanged; if it succeeds, they are deleted.
+    unchanged; if it succeeds, they are deleted. A killed run can do
+    neither, so every run first moves back what killed runs left aside.
     """
     out = Path(config.out_dir)
     artifacts = {
@@ -359,6 +389,7 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
 
     try:
         out.mkdir(parents=True, exist_ok=True)
+        _restore_killed_runs(artifacts.values())
         (out / "error.json").unlink(missing_ok=True)  # a previous run's failure
         validate_config(config)
         train_ds, test_ds = load_datasets(config, root)

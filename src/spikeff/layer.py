@@ -174,15 +174,22 @@ def _batch_stats(z: np.ndarray):
     return mu, np.divide(var, batch, out=var)
 
 
-def _stacked_product(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """z = X W^T of a stacked (T, B, n_in) input as one (T*B, n_in) GEMM.
+def _gemm_rows(x: np.ndarray) -> np.ndarray:
+    """A stacked (T, B, n_in) input as (T*B, n_in) float64 GEMM rows.
 
-    Bool spikes are cast whole to float64 for the call (exactly: they are
-    0/1), so the product's bits are the same wherever it is computed.
+    Bool spikes are cast whole, as one copy (exactly: they are 0/1); a
+    float64 input is reshaped as a view.
     """
-    t_steps, batch, n_in = x.shape
-    rows = x.reshape(-1, n_in).astype(np.float64, copy=False)
-    return (rows @ weights.T).reshape(t_steps, batch, -1)
+    return x.reshape(-1, x.shape[-1]).astype(np.float64, copy=False)
+
+
+def _stacked_product(rows: np.ndarray, weights: np.ndarray, t_steps: int):
+    """z = X W^T of a stacked input's `_gemm_rows` as one (T*B, n_in) GEMM.
+
+    Every stacked product is this one call, so its bits are the same
+    wherever it is computed. Returns the (T, B, n_out) products.
+    """
+    return (rows @ weights.T).reshape(t_steps, -1, weights.shape[0])
 
 
 @dataclass
@@ -236,7 +243,9 @@ class LayerForwardTrace:
             return np.broadcast_to(
                 self.shared_product, (t_steps,) + self.shared_product.shape
             )
-        return _stacked_product(self.inputs, self.weights)
+        return _stacked_product(
+            _gemm_rows(self.inputs), self.weights, len(self.inputs)
+        )
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
@@ -309,7 +318,7 @@ def layer_forward(
         if x.dtype != np.bool_:
             x = x.astype(np.float64, copy=False)
         shared_product = None
-        z = _stacked_product(x, layer.weights)
+        z = _stacked_product(_gemm_rows(x), layer.weights, t_steps)
     distinct = z[:1] if shared else z  # the products that can differ
     _check_finite(distinct)
 
@@ -370,6 +379,12 @@ def layer_forward(
 # passes. Blocking changes no result: every element sees the same ops.
 BLOCK_ELEMENTS = 1 << 15
 
+
+def block_rows(n_out: int) -> int:
+    """Rows in one `BLOCK_ELEMENTS` row block of an n_out-wide buffer."""
+    return max(1, BLOCK_ELEMENTS // n_out)
+
+
 # Label scoring rolls out whole overlays in chunks of at most about this
 # many rows x n_out (at least one overlay per chunk), so its buffers do not
 # grow with the class count.
@@ -381,8 +396,9 @@ class EvalRollout:
 
     Preallocated buffers of up to `rows` rows hold the drive, membrane,
     spikes, recurrent drive and spike counts of the current timestep only,
-    plus one row block of scratch; nothing is recorded. `reset` starts a new
-    rollout on the same buffers. Every step applies the ufuncs of
+    plus one row block of scratch and of finiteness flags; nothing is
+    recorded, and `product` and `step` allocate no buffer. `reset` starts a
+    new rollout on the same buffers. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (`z * scale + offset` from
     `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
     then `neuron.fire`), so
@@ -401,8 +417,9 @@ class EvalRollout:
         self._spikes = np.empty(shape)
         self._counts = np.empty(shape)
         self._recurrent_drive = None if layer.recurrent is None else np.empty(shape)
-        self.block = max(1, BLOCK_ELEMENTS // layer.n_out)
+        self.block = block_rows(layer.n_out)
         self.scratch = np.empty((min(rows, self.block), layer.n_out))
+        self.finite = np.empty(self.scratch.shape, bool)
         self.reset(rows)
 
     def reset(self, rows: int) -> None:
@@ -421,10 +438,15 @@ class EvalRollout:
         ]
 
     def product(self, x: np.ndarray, t: int, out: Optional[np.ndarray] = None):
-        """z = x W^T, checked finite; written to `out` when given."""
+        """z = x W^T, checked finite; written to `out` when given.
+
+        x has at most the buffers' rows; it is checked a row block at a time.
+        """
         z = np.matmul(x, self.layer.weights.T, out=out)
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite drive at timestep {t}")
+        for lo in range(0, len(z), self.block):
+            rows = z[lo : lo + self.block]
+            if not np.isfinite(rows, out=self.finite[: len(rows)]).all():
+                raise NumericError(f"non-finite drive at timestep {t}")
         return z
 
     def step(self, t: int, z: np.ndarray) -> np.ndarray:
@@ -480,11 +502,12 @@ def layer_backward(
     input (`trace.shared`) every X_t is the same frame, so it is
     (sum_t dz_t)^T X with the sum kept in one (B, n) array. For a stacked
     input, the products are recomputed once into one (T, B, n) buffer
-    (`trace.pre_norm`), dz_t is written over its consumed rows, and the
-    GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in), with bool spikes
-    in X cast to one float64 copy for the call. The trace's `inputs` are
-    then dropped. Bool spikes enter every other use (the zero-reset carry,
-    the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
+    (`trace.pre_norm`'s GEMM), dz_t is written over its consumed rows, and
+    the GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in). Bool spikes in
+    X are cast to one float64 copy, made before the loop, that feeds both
+    GEMMs. The trace's `inputs` are then dropped. Bool spikes enter every
+    other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
+    cast per timestep) as exact 0/1.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
@@ -509,10 +532,13 @@ def layer_backward(
     d_rec = np.zeros_like(layer.recurrent) if layer.recurrent is not None else None
     inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
     dz_scale = layer.gamma * inv_std
-    z = trace.pre_norm  # a stacked input's: a fresh buffer, overwritten by dz
     if trace.shared:
+        z = trace.pre_norm  # the one stored product, broadcast over T
         dz_sum = np.zeros((batch, n))
         work = np.empty((batch, n))
+    else:  # a fresh product buffer, overwritten by dz
+        x = _gemm_rows(trace.inputs)
+        z = _stacked_product(x, trace.weights, t_steps)
 
     du_next = None  # dL/dU[t+1]
     for t in reversed(range(t_steps)):
@@ -551,7 +577,6 @@ def layer_backward(
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
     else:
-        x = trace.inputs.reshape(-1, layer.n_in).astype(np.float64, copy=False)
         trace.inputs = None
         d_weights = z.reshape(-1, n).T @ x  # (T*B, n) dz, timestep-major rows
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}

@@ -1,10 +1,14 @@
-"""Dense float64 substrate: Adam updates and seeded RNG streams.
+"""Dense float64 substrate: Adam updates, seeded RNG streams and the BLAS
+thread count.
 
 All activations and parameters are plain 2-D numpy arrays in row-major,
 batch-major layout (batch index = row), so batch reductions are column-wise
 folds. `adam_update` rejects non-finite gradients.
 """
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,3 +93,60 @@ def adam_update(
     m_hat = state.first_moment / (1.0 - state.beta1**state.step)
     v_hat = state.second_moment / (1.0 - state.beta2**state.step)
     return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+# (get, set) symbol pairs of the thread count, in the order they are tried:
+# numpy's bundled scipy-openblas, a 64-bit-integer OpenBLAS, a plain one.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the process's mapped files; where there is
+    no /proc/self/maps, no OpenBLAS or no such symbol, there is no setter.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {ln.split()[-1] for ln in f if "openblas" in ln and "/" in ln}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Run the block with the loaded OpenBLAS on `count` threads.
+
+    The count is process-wide while the block runs, and the previous count
+    is restored on every exit, exceptions included. Yields the previous
+    count, or None where no setter is found; the block then runs with the
+    BLAS as it is.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    get, set_ = calls
+    previous = get()
+    set_(count)
+    try:
+        yield previous
+    finally:
+        set_(previous)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +274,33 @@ class TestRunTrain:
         for name, data in before.items():
             assert after[name] == data, name
         assert json.loads(after["error.json"])["error"] == "NumericError"
+
+    def test_a_killed_runs_leftovers_are_put_back_first(self, tmp_path):
+        assert run_train(tiny_config(tmp_path)) == 0
+        out = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        killed = subprocess.Popen([sys.executable, "-c", "pass"])
+        killed.wait()  # exited and reaped: its pid no longer runs
+        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            # the killed run had moved two files aside and begun its own
+            for name in ("config.txt", "metrics.csv"):
+                os.replace(out / name, out / f".{name}.{killed.pid}.prev")
+                (out / name).write_text("partial\n")
+            live_aside = f".summary.json.{live.pid}.prev"
+            (out / live_aside).write_text("a running run's\n")
+
+            # fails before it moves anything aside itself
+            assert run_train(tiny_config(tmp_path, epochs=-1)) == 1
+
+            after = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert set(after) == set(before) | {"error.json", live_aside}
+            for name, data in before.items():
+                assert after[name] == data, name
+            assert after[live_aside] == b"a running run's\n"
+        finally:
+            live.kill()
+            live.wait()
 
     def test_rerun_replaces_the_previous_run(self, tmp_path):
         assert run_train(tiny_config(tmp_path, epochs=1)) == 0
