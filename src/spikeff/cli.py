@@ -33,7 +33,7 @@ from .errors import (
 from .layer import parameter_counts
 from .network import build_network
 from .neuron import NeuronConfig
-from .numerics import RngStream
+from .numerics import RngStream, thread_setup
 
 DATA_ROOT_ENV = "SPIKEFF_DATA_ROOT"
 KEY_INIT = 100  # rng substream for weight init
@@ -428,6 +428,7 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
             "checkpoint": str(artifacts["checkpoint"]),
             "total_seconds": total_seconds,
             "epoch_seconds": [m.seconds for m in history],
+            "threads": thread_setup(),
         }
         writing("summary").write_text(json.dumps(summary, indent=2) + "\n")
     except Exception as exc:  # single error record, never a partial silent state

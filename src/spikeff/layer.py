@@ -2,11 +2,12 @@
 LIF stepping over T timesteps, spike counting, goodness, and exact
 reverse-mode gradients of the layer-local objective.
 
-Train-mode normalization uses mini-batch statistics (biased variance) and
-maintains running exponential averages; eval mode normalizes with the
-running statistics only, so results are batch-size independent. The layer
-boundary is gradient-isolated: spikes handed to the next layer carry no
-gradient, and `layer_backward` therefore returns no input gradient.
+Train-mode normalization uses mini-batch statistics (biased variance), which
+`fold_running_stats` folds into running exponential averages; eval mode
+normalizes with the running statistics only, so results are batch-size
+independent. The layer boundary is gradient-isolated: spikes handed to the
+next layer carry no gradient, and `layer_backward` therefore returns no
+input gradient.
 """
 
 import math
@@ -149,47 +150,59 @@ def norm_affine(mu, var, eps, gamma, shift):
     return scale, shift - mu * scale
 
 
-def _check_finite(z: np.ndarray) -> None:
-    """Raise naming the first timestep of a (T, B, n) product that is not finite."""
-    finite = np.isfinite(z).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericError(f"non-finite drive at timestep {int(np.argmin(finite))}")
+def _check_finite(z: np.ndarray, t: int) -> None:
+    """Raise naming timestep t if its (B, n) product is not finite."""
+    if not np.isfinite(z).all():
+        raise NumericError(f"non-finite drive at timestep {t}")
 
 
-def _batch_stats(z: np.ndarray):
-    """Per-timestep batch mean and biased variance of a (T, B, n) product.
+def _batch_stats(z: np.ndarray, centered: np.ndarray):
+    """Batch mean and biased variance of one timestep's (B, n) product.
 
     The steps of `np.mean`/`np.var` over the batch axis (sum and divide;
-    centre, square, sum and divide), with one (B, n) buffer in place of
-    `np.var`'s (T, B, n) temporary.
+    centre, square, sum and divide), with `centered`, a (B, n) scratch
+    buffer, in place of `np.var`'s temporary.
     """
-    t_steps, batch, n = z.shape
-    mu = np.divide(np.sum(z, axis=1), batch)
-    var = np.empty_like(mu)
-    centered = np.empty((batch, n))
-    for t in range(t_steps):
-        np.subtract(z[t], mu[t], out=centered)
-        np.multiply(centered, centered, out=centered)
-        np.sum(centered, axis=0, out=var[t])
-    return mu, np.divide(var, batch, out=var)
+    batch = len(z)
+    mu = np.divide(np.sum(z, axis=0), batch)
+    np.subtract(z, mu, out=centered)
+    np.multiply(centered, centered, out=centered)
+    return mu, np.divide(np.sum(centered, axis=0), batch)
 
 
-def _gemm_rows(x: np.ndarray) -> np.ndarray:
-    """A stacked (T, B, n_in) input as (T*B, n_in) float64 GEMM rows.
+def _product(x: np.ndarray, weights: np.ndarray, cast, out: np.ndarray):
+    """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
-    Bool spikes are cast whole, as one copy (exactly: they are 0/1); a
-    float64 input is reshaped as a view.
+    Bool spikes are first cast (exactly: they are 0/1) into `cast`, a
+    reused float64 (B, n_in) buffer. Returns the float64 rows the GEMM
+    read. Every product of a stacked input is this call, in the pass, in
+    `pre_norm` and in the backward's recompute, so all have the same bits.
     """
-    return x.reshape(-1, x.shape[-1]).astype(np.float64, copy=False)
+    if x.dtype != np.float64:
+        np.copyto(cast, x)
+        x = cast
+    np.matmul(x, weights.T, out=out)
+    return x
 
 
-def _stacked_product(rows: np.ndarray, weights: np.ndarray, t_steps: int):
-    """z = X W^T of a stacked input's `_gemm_rows` as one (T*B, n_in) GEMM.
+def _cast_buffer(x: np.ndarray):
+    """The (B, n_in) float64 buffer `_product` casts a stacked input's
+    timesteps into, or None for a float64 input (used as it is)."""
+    return None if x.dtype == np.float64 else np.empty(x.shape[1:])
 
-    Every stacked product is this one call, so its bits are the same
-    wherever it is computed. Returns the (T, B, n_out) products.
+
+def fold_running_stats(layer: SpikingLayer, trace: "LayerForwardTrace") -> None:
+    """Fold a train pass's batch statistics into the layer's running ones.
+
+    The momentum update does not commute, so a step folds its passes on
+    one thread in a fixed order: per layer, the positive pass, then the
+    negative one.
     """
-    return (rows @ weights.T).reshape(t_steps, -1, weights.shape[0])
+    if trace.mode != "train":
+        raise UsageError("only a train-mode trace has batch statistics to fold")
+    layer.running_mean += layer.momentum * (trace.mu - layer.running_mean)
+    layer.running_var += layer.momentum * (trace.var - layer.running_var)
+    layer.batches_tracked += 1
 
 
 @dataclass
@@ -204,7 +217,8 @@ class LayerForwardTrace:
     times, `shared`), `inputs` is instead a read-only broadcast of the one
     frame, and `shared_product` holds its one (B, n_out) product.
     `mu`/`var` are the statistics actually used: batch statistics in train
-    mode, running statistics in eval mode. `weights`, `gamma` and `shift`
+    mode (which `fold_running_stats` folds into the layer's running ones),
+    running statistics in eval mode. `weights`, `gamma` and `shift`
     are the arrays the pass used; training replaces those tensors rather
     than mutating them, so they keep the pass's values.
 
@@ -233,8 +247,8 @@ class LayerForwardTrace:
         """(T, B, n) products z = X W^T, as the pass computed them.
 
         A static input's one stored product is broadcast over T. A stacked
-        input's products are recomputed with the pass's GEMM call, so they
-        equal the pass's bit for bit.
+        input's products are recomputed with the pass's per-timestep GEMM
+        call (`_product`), so they equal the pass's bit for bit.
         """
         if self.inputs is None:
             return None
@@ -243,9 +257,11 @@ class LayerForwardTrace:
             return np.broadcast_to(
                 self.shared_product, (t_steps,) + self.shared_product.shape
             )
-        return _stacked_product(
-            _gemm_rows(self.inputs), self.weights, len(self.inputs)
-        )
+        z = np.empty(self.inputs.shape[:2] + (self.weights.shape[0],))
+        cast = _cast_buffer(self.inputs)
+        for t, x in enumerate(self.inputs):
+            _product(x, self.weights, cast, out=z[t])
+        return z
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
@@ -275,16 +291,18 @@ def layer_forward(
     statistics in train mode, running statistics in eval mode) as
     `z * scale + offset` (`norm_affine`), optionally augmented with
     recurrent drive from the previous spikes, then one LIF step. Spike
-    counts accumulate across timesteps.
+    counts accumulate across timesteps. The layer is not changed: a train
+    pass's batch statistics go into its trace, for `fold_running_stats`.
 
     `frames` is either one (B, n_in) frame object repeated T times (a
     static input: one product serves every timestep) or T frames in one
     C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
-    layer's `spikes` give them (a list of T arrays is stacked into one);
-    their T products are then one GEMM. A stacked input keeps its dtype:
-    bool spikes are cast to float64 only for the GEMM. Every pass records
-    its spikes (bool) and membranes; the products are derived on demand
-    (`LayerForwardTrace.pre_norm`).
+    layer's `spikes` give them (a list of T arrays is stacked into one).
+    A stacked input keeps its dtype, and its products are taken one
+    timestep at a time (`_product`) into one (B, n) buffer: bool spikes
+    are cast to float64 one timestep at a time, for the GEMM only. Every
+    pass records its spikes (bool) and membranes; the products are derived
+    on demand (`LayerForwardTrace.pre_norm`).
 
     smooth_spikes replaces the hard threshold with its smooth primitive,
     recorded as float64 spikes; this exists for gradient verification and
@@ -308,31 +326,6 @@ def layer_forward(
         raise UsageError("train mode needs a batch of at least 2 (batch variance)")
 
     n = layer.n_out
-    shared = all(f is frames[0] for f in frames)
-    if shared:
-        x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
-        shared_product = frames[0] @ layer.weights.T
-        z = np.broadcast_to(shared_product, (t_steps, batch, n))
-    else:
-        x = np.ascontiguousarray(frames)
-        if x.dtype != np.bool_:
-            x = x.astype(np.float64, copy=False)
-        shared_product = None
-        z = _stacked_product(_gemm_rows(x), layer.weights, t_steps)
-    distinct = z[:1] if shared else z  # the products that can differ
-    _check_finite(distinct)
-
-    if mode == "train":
-        mu, var = _batch_stats(distinct)
-        if shared:
-            mu, var = np.repeat(mu, t_steps, axis=0), np.repeat(var, t_steps, axis=0)
-        layer.running_mean += layer.momentum * (mu - layer.running_mean)
-        layer.running_var += layer.momentum * (var - layer.running_var)
-        layer.batches_tracked += 1
-    else:
-        mu, var = layer.running_mean.copy(), layer.running_var.copy()
-    scale, offset = norm_affine(mu, var, layer.eps, layer.gamma, layer.shift)
-
     cfg = layer.neuron
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     spikes = np.empty((t_steps, batch, n), np.float64 if smooth_spikes else bool)
@@ -342,9 +335,38 @@ def layer_forward(
     scratch = np.empty((batch, n))
     u = np.zeros((batch, n))  # at rest
     s = np.zeros((batch, n))
+    train = mode == "train"
+    if train:
+        mu, var = np.empty((t_steps, n)), np.empty((t_steps, n))
+    else:
+        mu, var = layer.running_mean.copy(), layer.running_var.copy()
+
+    shared = all(f is frames[0] for f in frames)
+    if shared:
+        x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
+        z = shared_product = frames[0] @ layer.weights.T
+        _check_finite(z, 0)
+        if train:
+            mu[:], var[:] = _batch_stats(z, drive)
+    else:
+        x = np.ascontiguousarray(frames)
+        if x.dtype != np.bool_:
+            x = x.astype(np.float64, copy=False)
+        shared_product = None
+        cast = _cast_buffer(x)
+        z = np.empty((batch, n))  # one timestep's product at a time
+
     for t in range(t_steps):
-        np.multiply(z[t], scale[t], out=drive)
-        np.add(drive, offset[t], out=drive)
+        if not shared:
+            _product(x[t], layer.weights, cast, out=z)
+            _check_finite(z, t)
+            if train:
+                mu[t], var[t] = _batch_stats(z, drive)
+        scale, offset = norm_affine(
+            mu[t], var[t], layer.eps, layer.gamma[t], layer.shift[t]
+        )
+        np.multiply(z, scale, out=drive)
+        np.add(drive, offset, out=drive)
         if layer.recurrent is not None:
             drive += s.astype(np.float64, copy=False) @ layer.recurrent
         u = neuron.membrane_update(
@@ -498,16 +520,18 @@ def layer_backward(
         d_gamma[t] = sum_b du * xhat,   d_shift[t] = sum_b du
         dz = gamma[t] * inv_std * (du - d_shift[t] / B - xhat * d_gamma[t] / B)
 
-    and the weight gradient is one GEMM, sum_t dz_t^T X_t. For a static
-    input (`trace.shared`) every X_t is the same frame, so it is
-    (sum_t dz_t)^T X with the sum kept in one (B, n) array. For a stacked
-    input, the products are recomputed once into one (T, B, n) buffer
-    (`trace.pre_norm`'s GEMM), dz_t is written over its consumed rows, and
-    the GEMM is dz.reshape(T*B, n)^T @ X.reshape(T*B, n_in). Bool spikes in
-    X are cast to one float64 copy, made before the loop, that feeds both
-    GEMMs. The trace's `inputs` are then dropped. Bool spikes enter every
-    other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
-    cast per timestep) as exact 0/1.
+    and the weight gradient is sum_t dz_t^T X_t. For a static input
+    (`trace.shared`) every X_t is the same frame, so it is one GEMM,
+    (sum_t dz_t)^T X, with the sum kept in one (B, n) array. For a stacked
+    input, each timestep's product is recomputed with the pass's call
+    (`_product`, bool spikes cast into one reused float64 (B, n_in)
+    buffer) into one (B, n) buffer, dz_t is written over it, and
+    dz_t^T X_t is added to the weight gradient. The trace's `inputs` are
+    then dropped. Bool spikes enter every other use (the zero-reset carry,
+    the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
+
+    It reads the layer and writes only the trace's `inputs`, so the two
+    passes' backward calls of a layer can run at once.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
@@ -532,13 +556,15 @@ def layer_backward(
     d_rec = np.zeros_like(layer.recurrent) if layer.recurrent is not None else None
     inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
     dz_scale = layer.gamma * inv_std
+    dz = np.empty((batch, n))  # z_t, then dz_t over it
     if trace.shared:
-        z = trace.pre_norm  # the one stored product, broadcast over T
+        z = trace.shared_product
         dz_sum = np.zeros((batch, n))
-        work = np.empty((batch, n))
-    else:  # a fresh product buffer, overwritten by dz
-        x = _gemm_rows(trace.inputs)
-        z = _stacked_product(x, trace.weights, t_steps)
+    else:
+        x = trace.inputs
+        cast = _cast_buffer(x)
+        d_weights = np.zeros_like(layer.weights)
+        term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
     du_next = None  # dL/dU[t+1]
     for t in reversed(range(t_steps)):
@@ -561,8 +587,11 @@ def layer_backward(
             if d_rec is not None:
                 d_rec += prev_spk.astype(np.float64, copy=False).T @ du
         # normalization backward: xhat, then dz over it in place
-        dz = work if trace.shared else z[t]
-        np.subtract(z[t], trace.mu[t], out=dz)
+        if trace.shared:
+            np.subtract(z, trace.mu[t], out=dz)
+        else:
+            rows = _product(x[t], trace.weights, cast, out=dz)
+            np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = (du * dz).sum(axis=0)
         d_shift[t] = du.sum(axis=0)
@@ -572,13 +601,15 @@ def layer_backward(
         np.multiply(dz, dz_scale[t], out=dz)
         if trace.shared:
             dz_sum += dz
+        else:
+            d_weights += np.matmul(dz.T, rows, out=term)
         du_next = du
 
+    del du, du_next, dz, d_counts  # freed before the weight gradient is made
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
     else:
         trace.inputs = None
-        d_weights = z.reshape(-1, n).T @ x  # (T*B, n) dz, timestep-major rows
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
     if d_beta is not None:
         sig = neuron.sigmoid(layer.decay_raw)

@@ -6,8 +6,7 @@ own local objective. Inference and hard-label sampling score a batch by
 summing per-layer goodness over all candidate label overlays.
 """
 
-import os
-from contextlib import nullcontext
+import functools
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -25,7 +24,7 @@ from .layer import (
     layer_forward,
 )
 from .neuron import NeuronConfig
-from .numerics import RngStream, blas_threads
+from .numerics import RngStream, run_all, worker_count
 
 
 @dataclass
@@ -72,6 +71,8 @@ def build_network(
 def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
     """Train-mode pass through every layer; returns one trace per layer.
 
+    The layers are not changed: each trace carries its batch statistics,
+    which the caller folds into the running ones (`fold_running_stats`).
     Layer k+1 consumes layer k's spike train produced by the pre-update
     weights of the same pass (one forward, then local updates): the trace's
     stacked (T, B, n) bool `spikes` array is its frames as it is.
@@ -110,41 +111,6 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
         traces.append(trace)
         x = trace.spikes
     return traces
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_pool = None  # the ThreadPoolExecutor of `_scoring_pool`
-
-
-def _scoring_pool():
-    """The threads that roll out every row range but the first, made once
-    per process."""
-    global _pool
-    if _pool is None:
-        # Imported on first use: inline scoring starts no thread, and the
-        # module adds about 0.7 MB to the resident size of a process.
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(
-            max(1, _usable_cores() - 1), thread_name_prefix="spikeff-scoring"
-        )
-    return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads: make its own."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_ranges(rows: int, step: int) -> List[slice]:
@@ -187,15 +153,25 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     layer's spikes, and only one step of state per layer is live.
 
     A chunk's rows are split into contiguous ranges of whole row blocks
-    (`layer.block_rows` of the widest layer), one per usable core, each
-    with its own rollouts: together they hold a chunk's rows. The calling
-    thread runs the first range and a thread pool the others, with the
-    loaded OpenBLAS on one thread for the call (`numerics.blas_threads`).
-    Only the products and steps run off the calling thread; overlays,
-    buffers and goodness are made on it. A row's products and ufuncs do
-    not depend on the other rows in its GEMM, so the split changes no bit.
-    One range (one core, one block in a chunk, or no BLAS thread setter)
-    runs inline, with no pool and no BLAS call.
+    (`layer.block_rows` of the widest layer), one per thread of
+    `numerics.worker_count`, each with its own rollouts: together they hold
+    a chunk's rows. `numerics.run_all` rolls the ranges out, the first on
+    the calling thread and the others on its pool, with OpenBLAS on one
+    thread. Only the products and steps run off the calling thread;
+    overlays, buffers and goodness are made on it. One range (one core, one
+    block in a chunk, or no BLAS thread setter) runs inline, with no pool
+    and no BLAS call.
+
+    A row's elementwise steps do not depend on the other rows of its range,
+    but its GEMM result can: OpenBLAS blocks a call by its row count, so a
+    row's product in a range's GEMM can differ in the last bits from the
+    same row's in a whole chunk's GEMM, even on one thread (36 of 2560 rows
+    of a 2560x500 @ 500x500 product split into 256-row calls, by at most
+    3e-16 of the largest product). A score is a sum of squared integer
+    spike counts, so such a difference moves it only where it moves a
+    membrane across the threshold. The tests require split scores to equal
+    the per-overlay `forward_eval` reference exactly; perfbench's gate
+    allows 1e-9.
     """
     c, b = net.class_count, batch.size
     d, t_in = batch.input_dim, batch.timesteps
@@ -205,48 +181,39 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     chunk_rows = per_chunk * b
     block = block_rows(widest)
     blocks = max(1, -(-chunk_rows // block))
-    workers = min(_usable_cores(), blocks)
-    with (blas_threads(1) if workers > 1 else nullcontext()) as previous_count:
-        if previous_count is None:  # no setter: threads would share BLAS cores
-            workers = 1
-        step = -(-blocks // workers) * block  # rows of one worker's range
-        rollouts = [
-            [EvalRollout(layer, r.stop - r.start) for layer in net.layers]
-            for r in _row_ranges(chunk_rows, step)
-        ]
-        # reused, laid out as time_frames does
-        frame_rows = np.empty((t_in, chunk_rows, d))
-        # Static data repeats one frame object T times: one layer-0 product.
-        z_shared = None if t_in > 1 else np.empty((chunk_rows, net.layers[0].n_out))
-        total = np.zeros(c * b)
-        for first in range(0, c, per_chunk):
-            labels = range(first, min(first + per_chunk, c))
-            rows = len(labels) * b
-            chunk = frame_rows[:, :rows]
-            for j, y in enumerate(labels):  # one unbound overlay alive at a time
-                chunk[:, j * b : (j + 1) * b] = embed_label(
-                    batch, np.full(b, y, dtype=np.int64), c
-                ).inputs.reshape(b, t_in, d).transpose(1, 0, 2)
-            frames = [chunk[0]] * net.timesteps if t_in == 1 else chunk
-            _count_eval(net, frames)
-            # a short last chunk fills fewer ranges, none past its buffers
-            live = list(zip(_row_ranges(rows, step), rollouts))
-            for r, rolls in live:
-                for roll in rolls:
-                    roll.reset(r.stop - r.start)
-            futures = [
-                _scoring_pool().submit(_roll_out, rolls, frames, r, z_shared)
-                for r, rolls in live[1:]
-            ]
-            try:
-                _roll_out(live[0][1], frames, live[0][0], z_shared)
-            finally:
-                for future in futures:
-                    future.exception()  # waits for the range, raising nothing
-            for future in futures:
-                future.result()  # a worker's error, raised here
-            offset = first * b
-            for r, rolls in live:
-                for roll in rolls:
-                    total[offset + r.start : offset + r.stop] += goodness(roll)
+    workers = worker_count(blocks)
+    step = -(-blocks // workers) * block  # rows of one worker's range
+    rollouts = [
+        [EvalRollout(layer, r.stop - r.start) for layer in net.layers]
+        for r in _row_ranges(chunk_rows, step)
+    ]
+    # reused, laid out as time_frames does
+    frame_rows = np.empty((t_in, chunk_rows, d))
+    # Static data repeats one frame object T times: one layer-0 product.
+    z_shared = None if t_in > 1 else np.empty((chunk_rows, net.layers[0].n_out))
+    total = np.zeros(c * b)
+    for first in range(0, c, per_chunk):
+        labels = range(first, min(first + per_chunk, c))
+        rows = len(labels) * b
+        chunk = frame_rows[:, :rows]
+        for j, y in enumerate(labels):  # one unbound overlay alive at a time
+            chunk[:, j * b : (j + 1) * b] = embed_label(
+                batch, np.full(b, y, dtype=np.int64), c
+            ).inputs.reshape(b, t_in, d).transpose(1, 0, 2)
+        frames = [chunk[0]] * net.timesteps if t_in == 1 else chunk
+        _count_eval(net, frames)
+        # a short last chunk fills fewer ranges, none past its buffers
+        live = list(zip(_row_ranges(rows, step), rollouts))
+        for r, rolls in live:
+            for roll in rolls:
+                roll.reset(r.stop - r.start)
+        run_all(
+            [functools.partial(_roll_out, rolls, frames, r, z_shared)
+             for r, rolls in live],
+            workers,
+        )
+        offset = first * b
+        for r, rolls in live:
+            for roll in rolls:
+                total[offset + r.start : offset + r.stop] += goodness(roll)
     return total.reshape(c, b).T

@@ -1,13 +1,14 @@
-"""Dense float64 substrate: Adam updates, seeded RNG streams and the BLAS
-thread count.
+"""Dense float64 substrate: Adam updates, seeded RNG streams, the BLAS
+thread count and the threads that independent calls run on.
 
-All activations and parameters are plain 2-D numpy arrays in row-major,
-batch-major layout (batch index = row), so batch reductions are column-wise
-folds. `adam_update` rejects non-finite gradients.
+Parameters are plain numpy arrays; `adam_update` rejects non-finite
+gradients. `run_all` runs independent calls on every usable core
+(`worker_count`), with the loaded OpenBLAS on one thread meanwhile.
 """
 
 import ctypes
 import functools
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -150,3 +151,84 @@ def blas_threads(count: int):
         yield previous
     finally:
         set_(previous)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(blocks: int) -> int:
+    """Threads to spread `blocks` row blocks of independent work over.
+
+    One per usable core, at most one per block; 1 where no OpenBLAS thread
+    setter is found, since threads would then share BLAS's own threads.
+    """
+    if _openblas_thread_calls() is None:
+        return 1
+    return max(1, min(_usable_cores(), blocks))
+
+
+def thread_setup() -> dict:
+    """The usable cores, and whether an OpenBLAS thread setter was found.
+
+    With a setter, training pins BLAS to one thread, so its bits are the
+    same on any host; without one they follow BLAS's own thread count.
+    """
+    return {
+        "usable_cores": _usable_cores(),
+        "blas_thread_setter": _openblas_thread_calls() is not None,
+    }
+
+
+_pool = None  # the ThreadPoolExecutor of `_worker_pool`
+
+
+def _worker_pool():
+    """The threads that run every call of a `run_all` but the first, made
+    once per process."""
+    global _pool
+    if _pool is None:
+        # Imported on first use: inline work starts no thread, and the
+        # module adds about 0.7 MB to the resident size of a process.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(
+            max(1, _usable_cores() - 1), thread_name_prefix="spikeff-worker"
+        )
+    return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: make its own."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_all(calls, workers: int):
+    """Run independent zero-argument calls; returns their results in order.
+
+    With one worker (`worker_count`) or one call they run inline, one after
+    another, with no pool and no BLAS call. Otherwise the calling thread
+    runs the first call and a thread pool the others, with the loaded
+    OpenBLAS on one thread meanwhile (`blas_threads`), so each core runs
+    one call's GEMMs and elementwise work. Every call has finished before
+    this returns or raises; the calling thread's error, else the first
+    failed call's, is raised here.
+    """
+    if workers == 1 or len(calls) == 1:
+        return [call() for call in calls]
+    with blas_threads(1):
+        futures = [_worker_pool().submit(call) for call in calls[1:]]
+        try:
+            first = calls[0]()
+        finally:
+            for future in futures:
+                future.exception()  # waits for the call, raising nothing
+    return [first] + [future.result() for future in futures]

@@ -8,6 +8,7 @@ first to last within the batch; each consumes the upstream spikes produced
 by pre-update weights (one forward, then local updates).
 """
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -17,9 +18,15 @@ import numpy as np
 from . import predictor
 from .dataio import Dataset, SampleBatch, embed_label, iter_batches
 from .errors import ConfigError, NumericError, UsageError
-from .layer import goodness, layer_backward
+from .layer import block_rows, fold_running_stats, goodness, layer_backward
 from .network import FFNetwork, forward_train, label_goodness
-from .numerics import RngStream, adam_update
+from .numerics import (
+    RngStream,
+    adam_update,
+    blas_threads,
+    run_all,
+    worker_count,
+)
 
 LOSS_DIVERGENCE_LIMIT = 1e6
 
@@ -169,6 +176,18 @@ def train_step(
 ):
     """One mini-batch: hard negatives, both train passes, layer-local updates.
 
+    The positive and negative passes are independent until the Adam
+    update, so the two forwards run at once, and then each layer's two
+    backward calls (`numerics.run_all`: the positive pass on the calling
+    thread, the negative one on the pool). They run in turn instead on one
+    usable core, without a BLAS thread setter, or where the batch is one
+    row block (`layer.block_rows`) of the widest layer. The whole step runs
+    with OpenBLAS on one thread, so every GEMM, and hence every bit of the
+    step, is the same on any host and at any BLAS thread count (where no
+    thread setter is found, BLAS runs as it is). After both forwards, each
+    layer folds the positive pass's batch statistics and then the negative
+    pass's into its running ones.
+
     Returns per-layer arrays of the mean loss and of the summed positive and
     negative goodness. The passes' traces live only in this call: each
     layer's are dropped once its gradients are taken, and all are freed
@@ -178,32 +197,48 @@ def train_step(
     n_layers = len(net.layers)
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
     c, steps = net.class_count, net.timesteps
-    neg_labels = sample_hard_labels(net, batch, neg_rng)
-    # Overlays stay unbound: a temporal variant's one copy is its frames.
-    pos_traces = forward_train(net, embed_label(batch, batch.labels, c).frames(steps))
-    neg_traces = forward_train(net, embed_label(batch, neg_labels, c).frames(steps))
+    # Passes of one row block each run in turn: at that size two threads
+    # would mostly wait on each other for the interpreter lock.
+    widest = max(layer.n_out for layer in net.layers)
+    workers = worker_count(-(-batch.size // block_rows(widest)))
+    with blas_threads(1):
+        neg_labels = sample_hard_labels(net, batch, neg_rng)
+        # Overlays are made here and stay unbound: a temporal variant's one
+        # copy is its frames, held by the layer-0 trace alone.
+        pos_traces, neg_traces = run_all(
+            [functools.partial(
+                forward_train, net, embed_label(batch, labels, c).frames(steps)
+            ) for labels in (batch.labels, neg_labels)],
+            workers,
+        )
+        for k, layer in enumerate(net.layers):  # binds no trace beyond its layer
+            fold_running_stats(layer, pos_traces[k])
+            fold_running_stats(layer, neg_traces[k])
 
-    for k, layer in enumerate(net.layers):
-        g_pos = goodness(pos_traces[k])
-        g_neg = goodness(neg_traces[k])
-        loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
-        if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
-            raise NumericError(
-                f"training diverged: layer {k} mean loss {loss} "
-                f"at epoch {epoch}, batch {batch_index}"
+        for k, layer in enumerate(net.layers):
+            g_pos = goodness(pos_traces[k])
+            g_neg = goodness(neg_traces[k])
+            loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
+            if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
+                raise NumericError(
+                    f"training diverged: layer {k} mean loss {loss} "
+                    f"at epoch {epoch}, batch {batch_index}"
+                )
+            grads_pos, grads_neg = run_all(
+                [functools.partial(layer_backward, layer, pos_traces[k], d_pos),
+                 functools.partial(layer_backward, layer, neg_traces[k], d_neg)],
+                workers,
             )
-        grads_pos = layer_backward(layer, pos_traces[k], d_pos)
-        grads_neg = layer_backward(layer, neg_traces[k], d_neg)
-        pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
-        for name, tensor in layer.trainable_tensors().items():
-            grad = grads_pos[name] + grads_neg[name]
-            layer.set_tensor(
-                name,
-                adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
-            )
-        losses[k] = loss
-        gpos[k] = g_pos.sum()
-        gneg[k] = g_neg.sum()
+            pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
+            for name, tensor in layer.trainable_tensors().items():
+                grad = grads_pos[name] + grads_neg[name]
+                layer.set_tensor(
+                    name,
+                    adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
+                )
+            losses[k] = loss
+            gpos[k] = g_pos.sum()
+            gneg[k] = g_neg.sum()
     return losses, gpos, gneg
 
 

@@ -22,7 +22,13 @@ import pytest
 
 import spikeff.trainer as trainer_mod
 from spikeff import cli, dataio
-from spikeff.layer import goodness, init_layer, layer_backward, layer_forward
+from spikeff.layer import (
+    fold_running_stats,
+    goodness,
+    init_layer,
+    layer_backward,
+    layer_forward,
+)
 from spikeff.network import build_network
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -327,7 +333,8 @@ def test_criterion_06_normalization_invariants():
 
     # eval-mode batch-size independence after populating running statistics
     for _ in range(4):
-        layer_forward(layer, [rng.normal((32, 12)) for _ in range(5)], "train")
+        fold_running_stats(layer, layer_forward(
+            layer, [rng.normal((32, 12)) for _ in range(5)], "train"))
     batch = rng.normal((16, 12))
     full = layer_forward(layer, [batch] * 5, "eval")
     worst_gap = 0.0

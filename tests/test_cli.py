@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikeff import cli, dataio
+from spikeff import cli, dataio, numerics
 from spikeff.checkpoint import load_checkpoint, save_checkpoint
 from spikeff.cli import (
     ExperimentConfig,
@@ -189,6 +189,11 @@ class TestRunTrain:
         assert summary["config"]["dataset"] == "synthetic:blobs"
         assert summary["epochs_run"] == 2
         assert 0.0 <= summary["final_test_accuracy"] <= 1.0
+        # whether this host's training bits are host-independent
+        assert summary["threads"] == {
+            "usable_cores": numerics._usable_cores(),
+            "blas_thread_setter": numerics._openblas_thread_calls() is not None,
+        }
         rows = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 epochs
         echoed = parse_config((out / "config.txt").read_text())

@@ -5,6 +5,7 @@ from spikeff import dataio, trainer
 from spikeff.errors import ShapeError, UsageError
 from spikeff.layer import (
     LayerForwardTrace,
+    fold_running_stats,
     goodness,
     init_layer,
     layer_backward,
@@ -129,7 +130,8 @@ class TestForward:
         rng = RngStream(10)
         # populate running stats
         for _ in range(5):
-            layer_forward(layer, [rng.normal((16, 5))] * 3, "train")
+            fold_running_stats(
+                layer, layer_forward(layer, [rng.normal((16, 5))] * 3, "train"))
         batch = rng.normal((8, 5))
         full = layer_forward(layer, [batch] * 3, "eval")
         for i in range(8):
@@ -149,9 +151,21 @@ class TestForward:
 
     def test_train_updates_running_stats(self):
         layer = make_layer()
-        layer_forward(layer, [RngStream(2).normal((8, 3))] * 3, "train")
+        trace = layer_forward(layer, [RngStream(2).normal((8, 3))] * 3, "train")
+        # the pass leaves the layer as it was; the fold takes its statistics
+        assert layer.batches_tracked == 0
+        assert np.array_equal(layer.running_mean, np.zeros((3, 4)))
+        fold_running_stats(layer, trace)
         assert layer.batches_tracked == 1
         assert not np.allclose(layer.running_mean, 0.0)
+        np.testing.assert_array_equal(layer.running_mean, 0.1 * trace.mu)
+        np.testing.assert_array_equal(layer.running_var,
+                                      1.0 + 0.1 * (trace.var - 1.0))
+        eval_trace = layer_forward(layer, [RngStream(2).normal((8, 3))] * 3,
+                                   "eval")
+        with pytest.raises(UsageError, match="train-mode"):
+            fold_running_stats(layer, eval_trace)
+        assert layer.batches_tracked == 1
 
     def test_same_seed_identical_traces(self):
         def run():
@@ -172,8 +186,8 @@ class TestForward:
         plain_trace = layer_forward(layer_plain, [base.copy() for _ in range(3)],
                                     "train")
         assert shared_trace.counts.tobytes() == plain_trace.counts.tobytes()
-        np.testing.assert_array_equal(layer_shared.running_mean,
-                                      layer_plain.running_mean)
+        assert shared_trace.mu.tobytes() == plain_trace.mu.tobytes()
+        assert shared_trace.var.tobytes() == plain_trace.var.tobytes()
 
     def test_errors(self):
         layer = make_layer(timesteps=2)
@@ -240,7 +254,8 @@ class TestBackward:
     def test_requires_train_mode_trace(self):
         layer = make_layer(seed=6)
         for _ in range(2):
-            layer_forward(layer, [RngStream(6).normal((4, 3))] * 3, "train")
+            fold_running_stats(
+                layer, layer_forward(layer, [RngStream(6).normal((4, 3))] * 3, "train"))
         eval_trace = layer_forward(layer, [RngStream(7).normal((4, 3))] * 3, "eval")
         with pytest.raises(UsageError, match="train-mode"):
             layer_backward(layer, eval_trace, np.zeros(4))
@@ -393,8 +408,9 @@ class TestTraceLayout:
         traces = forward_train(net, frames)
         expected = []
         for trace, layer in zip(traces, net.layers):
-            rows = trace.inputs.reshape(-1, layer.n_in).astype(np.float64)
-            expected.append((rows @ layer.weights.T).tobytes())
+            expected.append(np.stack([  # one GEMM a timestep, as the pass
+                x.astype(np.float64) @ layer.weights.T for x in trace.inputs
+            ]).tobytes())
             assert trace.pre_norm.tobytes() == expected[-1]
         trainer.train_step(net, sample, trainer.TrainConfig(epochs=1),
                            RngStream(3))

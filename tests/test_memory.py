@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spikeff import dataio, layer as layer_module, network, trainer
+from spikeff import dataio, layer as layer_module, network, numerics, trainer
 from spikeff.layer import EvalRollout, goodness
 from spikeff.network import build_network, forward_train, label_goodness
 from spikeff.neuron import NeuronConfig
@@ -133,7 +133,7 @@ def test_train_traces_hold_no_float64_stack_but_membranes(temporal):
 
 
 @pytest.mark.parametrize("temporal", [False, True])
-def test_train_step_peak_within_the_compact_trace_bound(temporal):
+def test_train_step_peak_within_the_compact_trace_bound(monkeypatch, temporal):
     t_steps, b, widths, d = 10, 64, (200, 200), 16
     if temporal:
         ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
@@ -147,22 +147,29 @@ def test_train_step_peak_within_the_compact_trace_bound(temporal):
     train_step(net, batch, config, RngStream(2))  # populates running stats
     stack = t_steps * b  # rows of one (T, B, n) array
     # Both passes' traces at 9 bytes per (T, B, n) element (a float64
-    # membrane and a bool spike), the float64 product and cast input of the
-    # GEMM being run, and 16 float64 (B, n) buffers (counts, per-timestep
-    # state, gradients).
+    # membrane and a bool spike), one float64 (T, B, n) array more (a
+    # stacked product, which per-timestep products no longer make), and 16
+    # float64 (B, n) buffers (counts, per-timestep state, gradients).
     bound = (2 * 9 * stack * sum(widths) + 8 * stack * sum(widths)
              + 16 * 8 * b * max(widths))
     # With float64 spikes and stored products, the traces alone exceed it.
     assert 2 * 8 * stack * (2 * widths[0] + 3 * widths[1]) > bound
 
-    tracemalloc.start()
-    try:
-        train_step(net, batch, config, RngStream(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # Run in turn, then (where BLAS threads can be pinned) at once: row
+    # blocks of 16 rows make each pass four blocks.
+    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 16 * max(widths))
+    split = numerics._openblas_thread_calls() is not None
+    for cores in (1, 2) if split else (1,):
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: cores)
+        assert numerics.worker_count(b // 16) == cores
+        tracemalloc.start()
+        try:
+            train_step(net, batch, config, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
-    assert peak < bound, (peak, bound)
+        assert peak < bound, (cores, peak, bound)
 
 
 def test_scoring_peak_below_the_unchunked_buffers():

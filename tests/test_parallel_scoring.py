@@ -60,8 +60,8 @@ def split(monkeypatch):
     if numerics._openblas_thread_calls() is None:
         pytest.skip("no OpenBLAS thread-count setter: scoring runs inline")
     pool = RecordingPool()
-    monkeypatch.setattr(network, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(network, "_scoring_pool", lambda: pool)
+    monkeypatch.setattr(numerics, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(numerics, "_worker_pool", lambda: pool)
     monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
     yield pool
     pool.pool.shutdown()
@@ -205,8 +205,8 @@ def test_a_single_block_chunk_runs_inline(monkeypatch):
             return 2
         return fn
 
-    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(network, "_scoring_pool", no_pool)
+    monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(numerics, "_worker_pool", no_pool)
     monkeypatch.setattr(numerics, "_openblas_thread_calls",
                         lambda: (spy("get"), spy("set")))
     ds = dataset(True, 2, n=128)
@@ -243,12 +243,12 @@ def test_a_forked_child_scores_on_its_own_pool(monkeypatch):
     must not wait on them."""
     if numerics._openblas_thread_calls() is None:
         pytest.skip("no OpenBLAS thread-count setter: scoring runs inline")
-    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
     monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
     net, ds = trained_network("subtract", False, False, False, 2)
     batch = held_out_batch(ds, 24)
     scores = label_goodness(net, batch)  # the parent's pool now runs
-    assert network._pool is not None
+    assert numerics._pool is not None
 
     pid = os.fork()
     if pid == 0:  # the child: exit status 0 only for equal scores
