@@ -284,9 +284,12 @@ def train_epoch(
     train_acc = test_acc = None
     is_last = epoch == config.epochs - 1
     if is_last or (config.eval_every > 0 and epoch % config.eval_every == 0):
-        train_acc = predictor.evaluate(net, dataset)
-        if eval_dataset is not None:
-            test_acc = predictor.evaluate(net, eval_dataset)
+        # on one BLAS thread, as training: the metrics row's accuracies
+        # then have the same bits at any thread count, inline scoring too
+        with blas_threads(1):
+            train_acc = predictor.evaluate(net, dataset)
+            if eval_dataset is not None:
+                test_acc = predictor.evaluate(net, eval_dataset)
 
     return EpochMetrics(
         epoch=epoch,
