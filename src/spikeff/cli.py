@@ -192,13 +192,6 @@ def validate_config(config: ExperimentConfig) -> None:
         bad.append(f"hidden_sizes: need nonempty sizes >= 1, got {config.hidden_sizes}")
     if config.timesteps < 1:
         bad.append(f"timesteps: must be >= 1, got {config.timesteps}")
-    if not config.lr > 0:
-        bad.append(f"lr: must be > 0, got {config.lr}")
-    if (config.lr_milestones is None) != (config.lr_factors is None) or (
-        config.lr_milestones is not None
-        and len(config.lr_milestones) != len(config.lr_factors)
-    ):
-        bad.append("lr_milestones/lr_factors: must be given together, same length")
     for cls in (NeuronConfig, trainer.TrainConfig):
         try:
             _section(cls, config)

@@ -19,7 +19,7 @@ import numpy as np
 from . import neuron
 from .errors import NumericError, ShapeError, UsageError
 from .neuron import NeuronConfig, advance_membrane, fire
-from .numerics import AdamState, RngStream
+from .numerics import AdamState, RngStream, row_blocks
 
 # Every tensor a layer stores, in checkpoint order: its shape in the layer's
 # dimensions and whether Adam trains it. `decay_raw` (learnable decay) and
@@ -150,12 +150,6 @@ def norm_affine(mu, var, eps, gamma, shift):
     return scale, shift - mu * scale
 
 
-def _check_finite(z: np.ndarray, t: int) -> None:
-    """Raise naming timestep t if its (B, n) product is not finite."""
-    if not np.isfinite(z).all():
-        raise NumericError(f"non-finite drive at timestep {t}")
-
-
 def _batch_stats(z: np.ndarray, centered: np.ndarray):
     """Batch mean and biased variance of one timestep's (B, n) product.
 
@@ -170,23 +164,28 @@ def _batch_stats(z: np.ndarray, centered: np.ndarray):
     return mu, np.divide(np.sum(centered, axis=0), batch)
 
 
-def _product(x: np.ndarray, weights: np.ndarray, cast, out: np.ndarray):
+def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
+            cast: Optional[np.ndarray] = None) -> np.ndarray:
     """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
     Bool spikes are first cast (exactly: they are 0/1) into `cast`, a
-    reused float64 (B, n_in) buffer. Returns the float64 rows the GEMM
-    read. Every product of a stacked input is this call, in the pass, in
-    `pre_norm` and in the backward's recompute, so all have the same bits.
+    reused float64 (B, n_in) buffer, when given. Raises a NumericError
+    naming timestep t unless the product is finite. Returns the rows the
+    GEMM read. Every product of a layer input is this call: the train
+    pass's, `pre_norm`'s, the backward's recompute and the eval rollout's,
+    so all have the same bits.
     """
-    if x.dtype != np.float64:
+    if cast is not None:
         np.copyto(cast, x)
         x = cast
     np.matmul(x, weights.T, out=out)
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite drive at timestep {t}")
     return x
 
 
 def _cast_buffer(x: np.ndarray):
-    """The (B, n_in) float64 buffer `_product` casts a stacked input's
+    """The (B, n_in) float64 buffer `product` casts a stacked input's
     timesteps into, or None for a float64 input (used as it is)."""
     return None if x.dtype == np.float64 else np.empty(x.shape[1:])
 
@@ -248,7 +247,7 @@ class LayerForwardTrace:
 
         A static input's one stored product is broadcast over T. A stacked
         input's products are recomputed with the pass's per-timestep GEMM
-        call (`_product`), so they equal the pass's bit for bit.
+        call (`product`), so they equal the pass's bit for bit.
         """
         if self.inputs is None:
             return None
@@ -260,7 +259,7 @@ class LayerForwardTrace:
         z = np.empty(self.inputs.shape[:2] + (self.weights.shape[0],))
         cast = _cast_buffer(self.inputs)
         for t, x in enumerate(self.inputs):
-            _product(x, self.weights, cast, out=z[t])
+            product(x, self.weights, t, z[t], cast)
         return z
 
     @property
@@ -299,7 +298,7 @@ def layer_forward(
     C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
     layer's `spikes` give them (a list of T arrays is stacked into one).
     A stacked input keeps its dtype, and its products are taken one
-    timestep at a time (`_product`) into one (B, n) buffer: bool spikes
+    timestep at a time (`product`) into one (B, n) buffer: bool spikes
     are cast to float64 one timestep at a time, for the GEMM only. Every
     pass records its spikes (bool) and membranes; the products are derived
     on demand (`LayerForwardTrace.pre_norm`).
@@ -344,8 +343,8 @@ def layer_forward(
     shared = all(f is frames[0] for f in frames)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
-        z = shared_product = frames[0] @ layer.weights.T
-        _check_finite(z, 0)
+        z = shared_product = np.empty((batch, n))
+        product(frames[0], layer.weights, 0, z)
         if train:
             mu[:], var[:] = _batch_stats(z, drive)
     else:
@@ -358,8 +357,7 @@ def layer_forward(
 
     for t in range(t_steps):
         if not shared:
-            _product(x[t], layer.weights, cast, out=z)
-            _check_finite(z, t)
+            product(x[t], layer.weights, t, z, cast)
             if train:
                 mu[t], var[t] = _batch_stats(z, drive)
         scale, offset = norm_affine(
@@ -396,17 +394,6 @@ def layer_forward(
     )
 
 
-# A step runs its elementwise passes over row blocks of about this many
-# elements, so that a block's buffers stay in the per-core cache between
-# passes. Blocking changes no result: every element sees the same ops.
-BLOCK_ELEMENTS = 1 << 15
-
-
-def block_rows(n_out: int) -> int:
-    """Rows in one `BLOCK_ELEMENTS` row block of an n_out-wide buffer."""
-    return max(1, BLOCK_ELEMENTS // n_out)
-
-
 # Label scoring rolls out whole overlays in chunks of at most about this
 # many rows x n_out (at least one overlay per chunk), so its buffers do not
 # grow with the class count.
@@ -418,9 +405,10 @@ class EvalRollout:
 
     Preallocated buffers of up to `rows` rows hold the drive, membrane,
     spikes, recurrent drive and spike counts of the current timestep only,
-    plus one row block of scratch and of finiteness flags; nothing is
-    recorded, and `product` and `step` allocate no buffer. `reset` starts a
-    new rollout on the same buffers. Every step applies the ufuncs of
+    plus one row block (`numerics.row_blocks`) of scratch; nothing is
+    recorded. A timestep's product (`product`) is written into `drive`,
+    and `step` allocates no buffer. `reset` starts a new rollout on the
+    same buffers. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (`z * scale + offset` from
     `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
     then `neuron.fire`), so
@@ -439,9 +427,9 @@ class EvalRollout:
         self._spikes = np.empty(shape)
         self._counts = np.empty(shape)
         self._recurrent_drive = None if layer.recurrent is None else np.empty(shape)
-        self.block = block_rows(layer.n_out)
-        self.scratch = np.empty((min(rows, self.block), layer.n_out))
-        self.finite = np.empty(self.scratch.shape, bool)
+        # the first block is the largest of any rollout of up to `rows` rows
+        block = row_blocks(rows, layer.n_out)[0]
+        self.scratch = np.empty((block.stop, layer.n_out))
         self.reset(rows)
 
     def reset(self, rows: int) -> None:
@@ -455,21 +443,7 @@ class EvalRollout:
         )
         for buf in (self.membrane, self.spikes, self.counts):
             buf.fill(0.0)
-        self.blocks = [
-            slice(lo, min(lo + self.block, rows)) for lo in range(0, rows, self.block)
-        ]
-
-    def product(self, x: np.ndarray, t: int, out: Optional[np.ndarray] = None):
-        """z = x W^T, checked finite; written to `out` when given.
-
-        x has at most the buffers' rows; it is checked a row block at a time.
-        """
-        z = np.matmul(x, self.layer.weights.T, out=out)
-        for lo in range(0, len(z), self.block):
-            rows = z[lo : lo + self.block]
-            if not np.isfinite(rows, out=self.finite[: len(rows)]).all():
-                raise NumericError(f"non-finite drive at timestep {t}")
-        return z
+        self.blocks = row_blocks(rows, self.layer.n_out)
 
     def step(self, t: int, z: np.ndarray) -> np.ndarray:
         """Advance one timestep from the product z; returns the spike buffer.
@@ -524,7 +498,7 @@ def layer_backward(
     (`trace.shared`) every X_t is the same frame, so it is one GEMM,
     (sum_t dz_t)^T X, with the sum kept in one (B, n) array. For a stacked
     input, each timestep's product is recomputed with the pass's call
-    (`_product`, bool spikes cast into one reused float64 (B, n_in)
+    (`product`, bool spikes cast into one reused float64 (B, n_in)
     buffer) into one (B, n) buffer, dz_t is written over it, and
     dz_t^T X_t is added to the weight gradient. The trace's `inputs` are
     then dropped. Bool spikes enter every other use (the zero-reset carry,
@@ -590,7 +564,7 @@ def layer_backward(
         if trace.shared:
             np.subtract(z, trace.mu[t], out=dz)
         else:
-            rows = _product(x[t], trace.weights, cast, out=dz)
+            rows = product(x[t], trace.weights, t, dz, cast)
             np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = (du * dz).sum(axis=0)

@@ -13,18 +13,18 @@ from typing import List, Sequence
 import numpy as np
 
 from .dataio import SampleBatch, embed_label, time_frames
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .layer import (
     CHUNK_ELEMENTS,
     EvalRollout,
     SpikingLayer,
-    block_rows,
     goodness,
     init_layer,
     layer_forward,
+    product,
 )
 from .neuron import NeuronConfig
-from .numerics import RngStream, run_all, worker_count
+from .numerics import RngStream, run_all, worker_ranges
 
 
 @dataclass
@@ -55,7 +55,9 @@ def build_network(
     lr: float = 1e-3,
 ) -> FFNetwork:
     if not hidden_sizes or any(h < 1 for h in hidden_sizes):
-        raise ValueError(f"hidden sizes must be nonempty and >= 1: {hidden_sizes}")
+        raise ConfigError(
+            [f"hidden_sizes: need nonempty sizes >= 1, got {hidden_sizes}"]
+        )
     layers = []
     n_in = input_dim
     for i, n_out in enumerate(hidden_sizes):
@@ -113,15 +115,6 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def _row_ranges(rows: int, step: int) -> List[slice]:
-    """Rows split into contiguous ranges of `step` rows, the last maybe short.
-
-    No rows make one empty range.
-    """
-    ranges = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    return ranges or [slice(0, 0)]
-
-
 def _roll_out(rollouts, frames, rows: slice, z_shared) -> None:
     """Advance one row range's rollouts over every timestep.
 
@@ -130,14 +123,15 @@ def _roll_out(rollouts, frames, rows: slice, z_shared) -> None:
     given, receives the range's one layer-0 product of a static input.
     """
     if z_shared is not None:
-        rollouts[0].product(frames[0][rows], 0, out=z_shared[rows])
+        product(frames[0][rows], rollouts[0].layer.weights, 0, z_shared[rows])
     for t, frame in enumerate(frames):
         x = frame[rows]
         for k, roll in enumerate(rollouts):
             if k == 0 and z_shared is not None:
                 z = z_shared[rows]
             else:
-                z = roll.product(x, t, out=roll.drive)
+                z = roll.drive
+                product(x, roll.layer.weights, t, z)
             x = roll.step(t, z)
 
 
@@ -152,15 +146,14 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     and in place: at each t every layer advances one step on the previous
     layer's spikes, and only one step of state per layer is live.
 
-    A chunk's rows are split into contiguous ranges of whole row blocks
-    (`layer.block_rows` of the widest layer), one per thread of
-    `numerics.worker_count`, each with its own rollouts: together they hold
-    a chunk's rows. `numerics.run_all` rolls the ranges out, the first on
-    the calling thread and the others on its pool, with OpenBLAS on one
-    thread. Only the products and steps run off the calling thread;
-    overlays, buffers and goodness are made on it. One range (one core, one
-    block in a chunk, or no BLAS thread setter) runs inline, with no pool
-    and no BLAS call.
+    A chunk's rows are split into `numerics.worker_ranges` of the widest
+    layer, each with its own rollouts: together they hold a chunk's rows.
+    `numerics.run_all` rolls the ranges out with OpenBLAS on one thread,
+    the first on the calling thread and the others on its pool. Only the
+    products and steps run off the calling thread; overlays, buffers and
+    goodness are made on it. One range (one core, one block in a chunk, or
+    no BLAS thread setter) runs inline, with no pool, but still pinned, so
+    scores do not depend on the BLAS thread count.
 
     A row's elementwise steps do not depend on the other rows of its range,
     but its GEMM result can: OpenBLAS blocks a call by its row count, so a
@@ -179,13 +172,10 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     widest = max(layer.n_out for layer in net.layers)
     per_chunk = min(c, max(1, CHUNK_ELEMENTS // max(1, b * widest)))
     chunk_rows = per_chunk * b
-    block = block_rows(widest)
-    blocks = max(1, -(-chunk_rows // block))
-    workers = worker_count(blocks)
-    step = -(-blocks // workers) * block  # rows of one worker's range
+    ranges = worker_ranges(chunk_rows, widest)
     rollouts = [
         [EvalRollout(layer, r.stop - r.start) for layer in net.layers]
-        for r in _row_ranges(chunk_rows, step)
+        for r in ranges
     ]
     # reused, laid out as time_frames does
     frame_rows = np.empty((t_in, chunk_rows, d))
@@ -202,15 +192,16 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
             ).inputs.reshape(b, t_in, d).transpose(1, 0, 2)
         frames = [chunk[0]] * net.timesteps if t_in == 1 else chunk
         _count_eval(net, frames)
-        # a short last chunk fills fewer ranges, none past its buffers
-        live = list(zip(_row_ranges(rows, step), rollouts))
+        # a short last chunk fills the full chunk's ranges up to its rows
+        live = [(slice(r.start, min(r.stop, rows)), rolls)
+                for r, rolls in zip(ranges, rollouts) if r.start < max(rows, 1)]
         for r, rolls in live:
             for roll in rolls:
                 roll.reset(r.stop - r.start)
         run_all(
             [functools.partial(_roll_out, rolls, frames, r, z_shared)
              for r, rolls in live],
-            workers,
+            len(ranges),
         )
         offset = first * b
         for r, rolls in live:

@@ -1,9 +1,12 @@
-"""Dense float64 substrate: Adam updates, seeded RNG streams, the BLAS
-thread count and the threads that independent calls run on.
+"""Dense float64 substrate: Adam updates, seeded RNG streams, the row
+blocks and per-core row ranges of a pass, the BLAS thread count and the
+threads that independent calls run on.
 
 Parameters are plain numpy arrays; `adam_update` rejects non-finite
-gradients. `run_all` runs independent calls on every usable core
-(`worker_count`), with the loaded OpenBLAS on one thread meanwhile.
+gradients. `row_blocks` and `worker_ranges` are the one split of a pass's
+rows. `run_all` runs independent calls, inline or on every usable core,
+always with the loaded OpenBLAS on one thread: every GEMM of the package
+runs inside it, so its bits do not depend on the BLAS thread count.
 """
 
 import ctypes
@@ -11,6 +14,7 @@ import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -160,22 +164,42 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def worker_count(blocks: int) -> int:
-    """Threads to spread `blocks` row blocks of independent work over.
+# A step runs its elementwise passes over row blocks of about this many
+# elements, so that a block's buffers stay in the per-core cache between
+# passes. Blocking changes no result: every element sees the same ops.
+BLOCK_ELEMENTS = 1 << 15
 
-    One per usable core, at most one per block; 1 where no OpenBLAS thread
-    setter is found, since threads would then share BLAS's own threads.
+
+def row_blocks(rows: int, width: int) -> List[slice]:
+    """`rows` rows of a `width`-wide buffer in contiguous blocks of about
+    `BLOCK_ELEMENTS` elements, the last maybe short; no rows make one
+    empty block."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    blocks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    return blocks or [slice(0, 0)]
+
+
+def worker_ranges(rows: int, width: int) -> List[slice]:
+    """`rows` rows split into contiguous runs of whole `row_blocks`, one
+    per worker of a `run_all`.
+
+    At most one range per usable core and per block; one range where no
+    OpenBLAS thread setter is found, since threads would then share BLAS's
+    own threads.
     """
-    if _openblas_thread_calls() is None:
-        return 1
-    return max(1, min(_usable_cores(), blocks))
+    blocks = row_blocks(rows, width)
+    workers = 1 if _openblas_thread_calls() is None else _usable_cores()
+    per = -(-len(blocks) // min(workers, len(blocks)))  # blocks a range
+    runs = [blocks[i : i + per] for i in range(0, len(blocks), per)]
+    return [slice(run[0].start, run[-1].stop) for run in runs]
 
 
 def thread_setup() -> dict:
     """The usable cores, and whether an OpenBLAS thread setter was found.
 
-    With a setter, training pins BLAS to one thread, so its bits are the
-    same on any host; without one they follow BLAS's own thread count.
+    With a setter, `run_all` pins BLAS to one thread, so training, eval
+    and predict outputs are the same on any host and at any BLAS thread
+    count; without one they follow BLAS's own thread count.
     """
     return {
         "usable_cores": _usable_cores(),
@@ -214,17 +238,17 @@ if hasattr(os, "register_at_fork"):
 def run_all(calls, workers: int):
     """Run independent zero-argument calls; returns their results in order.
 
-    With one worker (`worker_count`) or one call they run inline, one after
-    another, with no pool and no BLAS call. Otherwise the calling thread
-    runs the first call and a thread pool the others, with the loaded
-    OpenBLAS on one thread meanwhile (`blas_threads`), so each core runs
-    one call's GEMMs and elementwise work. Every call has finished before
-    this returns or raises; the calling thread's error, else the first
-    failed call's, is raised here.
+    They run with the loaded OpenBLAS on one thread (`blas_threads`). With
+    one worker (`worker_ranges` gave one range) or one call they run
+    inline, one after another, with no pool. Otherwise the calling thread runs the
+    first call and a thread pool the others, so each core runs one call's
+    GEMMs and elementwise work. Every call has finished before this
+    returns or raises; the calling thread's error, else the first failed
+    call's, is raised here.
     """
-    if workers == 1 or len(calls) == 1:
-        return [call() for call in calls]
     with blas_threads(1):
+        if workers == 1 or len(calls) == 1:
+            return [call() for call in calls]
         futures = [_worker_pool().submit(call) for call in calls[1:]]
         try:
             first = calls[0]()

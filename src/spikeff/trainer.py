@@ -18,15 +18,9 @@ import numpy as np
 from . import predictor
 from .dataio import Dataset, SampleBatch, embed_label, iter_batches
 from .errors import ConfigError, NumericError, UsageError
-from .layer import block_rows, fold_running_stats, goodness, layer_backward
+from .layer import fold_running_stats, goodness, layer_backward
 from .network import FFNetwork, forward_train, label_goodness
-from .numerics import (
-    RngStream,
-    adam_update,
-    blas_threads,
-    run_all,
-    worker_count,
-)
+from .numerics import RngStream, adam_update, run_all, worker_ranges
 
 LOSS_DIVERGENCE_LIMIT = 1e6
 
@@ -52,6 +46,13 @@ class TrainConfig:
             bad.append(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
             bad.append(f"batch_size: must be >= 2, got {self.batch_size}")
+        if not self.lr > 0:
+            bad.append(f"lr: must be > 0, got {self.lr}")
+        milestones, factors = self.lr_milestones, self.lr_factors
+        if (milestones is None) != (factors is None) or (
+            len(milestones or ()) != len(factors or ())
+        ):
+            bad.append("lr_milestones/lr_factors: must be given together, same length")
         if not self.loss_sharpness > 0:
             bad.append(f"loss_sharpness: must be > 0, got {self.loss_sharpness}")
         if self.eval_every < 0:
@@ -147,17 +148,10 @@ def sample_hard_labels(
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
     """Piecewise-constant learning rate; factor applied once per passed milestone."""
-    milestones = config.lr_milestones
-    if milestones is None:
-        milestones = [
-            int(round(0.5 * config.epochs)),
-            int(round(0.75 * config.epochs)),
-        ]
-    factors = config.lr_factors
-    if factors is None:
-        factors = [0.3] * len(milestones)
-    if len(factors) != len(milestones):
-        raise ValueError("lr_factors must pair up with lr_milestones")
+    milestones, factors = config.lr_milestones, config.lr_factors
+    if milestones is None:  # and so are the factors (`TrainConfig`)
+        milestones = [int(round(0.5 * config.epochs)), int(round(0.75 * config.epochs))]
+        factors = [0.3, 0.3]
     lr = config.lr
     for milestone, factor in zip(milestones, factors):
         if epoch >= milestone:
@@ -179,11 +173,12 @@ def train_step(
     The positive and negative passes are independent until the Adam
     update, so the two forwards run at once, and then each layer's two
     backward calls (`numerics.run_all`: the positive pass on the calling
-    thread, the negative one on the pool). They run in turn instead on one
-    usable core, without a BLAS thread setter, or where the batch is one
-    row block (`layer.block_rows`) of the widest layer. The whole step runs
-    with OpenBLAS on one thread, so every GEMM, and hence every bit of the
-    step, is the same on any host and at any BLAS thread count (where no
+    thread, the negative one on the pool). They run in turn instead where
+    `numerics.worker_ranges` gives the batch one range: on one usable
+    core, without a BLAS thread setter, or where the batch is one row
+    block of the widest layer. Every GEMM of the step, scoring included,
+    runs inside `run_all` with OpenBLAS on one thread, so every bit of the
+    step is the same on any host and at any BLAS thread count (where no
     thread setter is found, BLAS runs as it is). After both forwards, each
     layer folds the positive pass's batch statistics and then the negative
     pass's into its running ones.
@@ -200,45 +195,44 @@ def train_step(
     # Passes of one row block each run in turn: at that size two threads
     # would mostly wait on each other for the interpreter lock.
     widest = max(layer.n_out for layer in net.layers)
-    workers = worker_count(-(-batch.size // block_rows(widest)))
-    with blas_threads(1):
-        neg_labels = sample_hard_labels(net, batch, neg_rng)
-        # Overlays are made here and stay unbound: a temporal variant's one
-        # copy is its frames, held by the layer-0 trace alone.
-        pos_traces, neg_traces = run_all(
-            [functools.partial(
-                forward_train, net, embed_label(batch, labels, c).frames(steps)
-            ) for labels in (batch.labels, neg_labels)],
+    workers = len(worker_ranges(batch.size, widest))
+    neg_labels = sample_hard_labels(net, batch, neg_rng)
+    # Overlays are made here and stay unbound: a temporal variant's one
+    # copy is its frames, held by the layer-0 trace alone.
+    pos_traces, neg_traces = run_all(
+        [functools.partial(
+            forward_train, net, embed_label(batch, labels, c).frames(steps)
+        ) for labels in (batch.labels, neg_labels)],
+        workers,
+    )
+    for k, layer in enumerate(net.layers):  # binds no trace beyond its layer
+        fold_running_stats(layer, pos_traces[k])
+        fold_running_stats(layer, neg_traces[k])
+
+    for k, layer in enumerate(net.layers):
+        g_pos = goodness(pos_traces[k])
+        g_neg = goodness(neg_traces[k])
+        loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
+        if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
+            raise NumericError(
+                f"training diverged: layer {k} mean loss {loss} "
+                f"at epoch {epoch}, batch {batch_index}"
+            )
+        grads_pos, grads_neg = run_all(
+            [functools.partial(layer_backward, layer, pos_traces[k], d_pos),
+             functools.partial(layer_backward, layer, neg_traces[k], d_neg)],
             workers,
         )
-        for k, layer in enumerate(net.layers):  # binds no trace beyond its layer
-            fold_running_stats(layer, pos_traces[k])
-            fold_running_stats(layer, neg_traces[k])
-
-        for k, layer in enumerate(net.layers):
-            g_pos = goodness(pos_traces[k])
-            g_neg = goodness(neg_traces[k])
-            loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
-            if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
-                raise NumericError(
-                    f"training diverged: layer {k} mean loss {loss} "
-                    f"at epoch {epoch}, batch {batch_index}"
-                )
-            grads_pos, grads_neg = run_all(
-                [functools.partial(layer_backward, layer, pos_traces[k], d_pos),
-                 functools.partial(layer_backward, layer, neg_traces[k], d_neg)],
-                workers,
+        pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
+        for name, tensor in layer.trainable_tensors().items():
+            grad = grads_pos[name] + grads_neg[name]
+            layer.set_tensor(
+                name,
+                adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
             )
-            pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
-            for name, tensor in layer.trainable_tensors().items():
-                grad = grads_pos[name] + grads_neg[name]
-                layer.set_tensor(
-                    name,
-                    adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
-                )
-            losses[k] = loss
-            gpos[k] = g_pos.sum()
-            gneg[k] = g_neg.sum()
+        losses[k] = loss
+        gpos[k] = g_pos.sum()
+        gneg[k] = g_neg.sum()
     return losses, gpos, gneg
 
 
@@ -284,12 +278,9 @@ def train_epoch(
     train_acc = test_acc = None
     is_last = epoch == config.epochs - 1
     if is_last or (config.eval_every > 0 and epoch % config.eval_every == 0):
-        # on one BLAS thread, as training: the metrics row's accuracies
-        # then have the same bits at any thread count, inline scoring too
-        with blas_threads(1):
-            train_acc = predictor.evaluate(net, dataset)
-            if eval_dataset is not None:
-                test_acc = predictor.evaluate(net, eval_dataset)
+        train_acc = predictor.evaluate(net, dataset)
+        if eval_dataset is not None:
+            test_acc = predictor.evaluate(net, eval_dataset)
 
     return EpochMetrics(
         epoch=epoch,

@@ -1,10 +1,10 @@
 """The positive and negative train passes run at once: the calling thread
 runs the positive pass and the worker pool the negative one, both forwards
 and then each layer's two backward calls, with the loaded OpenBLAS on one
-thread for the whole step. The bits do not depend on the split or on the
-BLAS thread count, running statistics are folded on the calling thread in
-pass order, and an error in either pass is raised after both have
-stopped."""
+thread for every call that runs GEMMs. The bits of training, eval and
+predict do not depend on the split or on the BLAS thread count, running
+statistics are folded on the calling thread in pass order, and an error in
+either pass is raised after both have stopped."""
 
 import copy
 import itertools
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikeff import cli, dataio, layer as layer_module, numerics, trainer
+from spikeff import cli, dataio, numerics, trainer
 from spikeff.errors import NumericError
 from spikeff.network import build_network
 from spikeff.neuron import NeuronConfig
@@ -26,6 +26,7 @@ from spikeff.numerics import RngStream, blas_threads
 from spikeff.trainer import TrainConfig, train_step
 
 from test_network import TIMESTEPS, dataset
+from test_parallel_scoring import spy_blas
 
 needs_setter = pytest.mark.skipif(
     numerics._openblas_thread_calls() is None,
@@ -78,26 +79,42 @@ def test_train_step_bits_do_not_depend_on_the_blas_thread_count(b):
 
 @needs_setter
 def test_cli_runs_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text(cli.serialize_config(cli.ExperimentConfig(
-        dataset="synthetic:blobs", hidden_sizes=[500, 500], batch_size=256,
-        epochs=1, timesteps=4, decay_learnable=True, seed=5,
-    )))
+    """`train` on a 500-unit net, whose train passes and scoring split;
+    then `predict` with a recurrent 64-unit net, whose 2 x 256-row scoring
+    chunks are one block each and run inline."""
     src = str(Path(cli.__file__).parents[1])
-    written = []
-    for count in ("1", "2"):
-        out = tmp_path / f"threads{count}"
+
+    def spikeff(count, *args):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=count,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "spikeff.cli", "train", "--config", str(config),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = subprocess.run([sys.executable, "-m", "spikeff.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        written.append({name: (out / name).read_bytes()
-                        for name in ("checkpoint.sffc", "metrics.csv")})
-    assert written[0] == written[1]
+
+    runs = {
+        "split": cli.ExperimentConfig(
+            dataset="synthetic:blobs", hidden_sizes=[500, 500], batch_size=256,
+            epochs=1, timesteps=4, decay_learnable=True, seed=5,
+        ),
+        "inline": cli.ExperimentConfig(
+            dataset="synthetic:temporal", hidden_sizes=[64, 64], recurrent=True,
+            batch_size=256, epochs=1, seed=5,
+        ),
+    }
+    for name, run in runs.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(cli.serialize_config(run))
+        written = []
+        for count in ("1", "2"):
+            out = tmp_path / f"{name}{count}"
+            spikeff(count, "train", "--config", str(config), "--out", str(out))
+            files = ["checkpoint.sffc", "metrics.csv"]
+            if name == "inline":
+                spikeff(count, "predict", str(out / "checkpoint.sffc"),
+                        "--out", str(out / "predict.csv"))
+                files.append("predict.csv")
+            written.append({f: (out / f).read_bytes() for f in files})
+        assert written[0] == written[1], name
 
 
 SPLIT_GRID = list(itertools.product((False, True), (False, True),
@@ -119,7 +136,7 @@ def test_split_passes_give_the_inline_bits(monkeypatch, recurrent, temporal,
                         RngStream(3), recurrent=recurrent, lr=0.05)
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim, ds.timesteps)
     # row blocks of two rows for the 7-unit layer: each pass is 12 blocks
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 14)
     threads = set()
     real_backward = trainer.layer_backward
 
@@ -162,7 +179,7 @@ def test_running_stats_fold_positive_then_negative_per_layer(monkeypatch):
     monkeypatch.setattr(trainer, "forward_train", forward)
     monkeypatch.setattr(trainer, "fold_running_stats", fold)
     monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 14)
     ds = dataset(False, 3, n=24)
     net = build_network([7, 5], ds.input_dim, 3, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
@@ -174,19 +191,17 @@ def test_running_stats_fold_positive_then_negative_per_layer(monkeypatch):
 
 def test_a_one_block_batch_runs_its_passes_in_turn(monkeypatch):
     """16 rows of a 7-unit layer are one row block: no pool, however many
-    cores."""
-    def no_pool():
-        raise AssertionError("submitted work to the pool")
-
-    monkeypatch.setattr(numerics, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(numerics, "_worker_pool", no_pool)
+    cores, but OpenBLAS on one thread for each inline call."""
+    counts = spy_blas(monkeypatch)
     ds = dataset(False, 3, n=16)
     net = build_network([7, 5], ds.input_dim, 3, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
-    assert layer_module.block_rows(7) > batch.size
+    assert numerics.row_blocks(batch.size, 7) == [slice(0, 16)]
     train_step(net, batch, TrainConfig(epochs=1, batch_size=16), RngStream(2))
     assert [layer.batches_tracked for layer in net.layers] == [2, 2]
+    # scoring, the forwards, and each layer's backward calls: four pins
+    assert counts == [2] + [1, 2] * 4
 
 
 def failing_pass(monkeypatch, stage, failing, finished):
@@ -218,7 +233,7 @@ def test_an_error_in_either_pass_is_raised_after_both_stop(monkeypatch, stage,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
     monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 14)
     finished = []
     failing_pass(monkeypatch, stage, failing, finished)
     before = stored_state(net)

@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from spikeff import dataio, layer as layer_module, network, numerics, trainer
-from spikeff.layer import EvalRollout, goodness
+from spikeff import dataio, network, numerics, trainer
+from spikeff.layer import EvalRollout, goodness, product
 from spikeff.network import build_network, forward_train, label_goodness
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -157,11 +157,11 @@ def test_train_step_peak_within_the_compact_trace_bound(monkeypatch, temporal):
 
     # Run in turn, then (where BLAS threads can be pinned) at once: row
     # blocks of 16 rows make each pass four blocks.
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 16 * max(widths))
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16 * max(widths))
     split = numerics._openblas_thread_calls() is not None
     for cores in (1, 2) if split else (1,):
         monkeypatch.setattr(numerics, "_usable_cores", lambda: cores)
-        assert numerics.worker_count(b // 16) == cores
+        assert len(numerics.worker_ranges(b, max(widths))) == cores
         tracemalloc.start()
         try:
             train_step(net, batch, config, RngStream(3))
@@ -254,7 +254,7 @@ def test_chunked_scores_equal_per_overlay_reference(
     batch = held_out_batch(dataset(temporal, 10, n=11, seed=9))
     widest = max(layer.n_out for layer in net.layers)
     monkeypatch.setattr(network, "CHUNK_ELEMENTS", per_chunk * batch.size * widest)
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 20)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 20)
     rows_before = net.eval_rows
 
     scores = label_goodness(net, batch)
@@ -272,10 +272,12 @@ def test_reset_rollout_replays_a_fresh_one():
     reused = EvalRollout(layer, 20)
     for rollout in (fresh, reused):  # reused runs all 20 rows first
         for t in range(TIMESTEPS):
-            rollout.step(t, rollout.product(frames[t][: rollout.counts.shape[0]], t))
+            product(frames[t][: len(rollout.drive)], layer.weights, t, rollout.drive)
+            rollout.step(t, rollout.drive)
     reused.reset(12)
     for t in range(TIMESTEPS):
-        reused.step(t, reused.product(frames[t][:12], t))
+        product(frames[t][:12], layer.weights, t, reused.drive)
+        reused.step(t, reused.drive)
     assert reused.counts.shape == (12, layer.n_out)
     assert np.array_equal(reused.membrane, fresh.membrane)
     assert np.array_equal(goodness(reused), goodness(fresh))

@@ -8,8 +8,13 @@ import pytest
 
 from spikeff import dataio
 from spikeff.errors import NumericError, ShapeError, UsageError
-from spikeff.layer import EvalRollout, goodness, layer_forward
-from spikeff.network import build_network, forward_eval, label_goodness
+from spikeff.layer import EvalRollout, goodness, layer_forward, product
+from spikeff.network import (
+    build_network,
+    forward_eval,
+    forward_train,
+    label_goodness,
+)
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
 from spikeff.trainer import TrainConfig, train_epoch
@@ -126,7 +131,8 @@ def test_rollout_steps_match_layer_forward_bit_for_bit(
     trace = layer_forward(layer, frames, "eval")
     roll = EvalRollout(layer, 64)
     for t in range(TIMESTEPS):
-        spikes = roll.step(t, roll.product(frames[t], t))
+        product(frames[t], layer.weights, t, roll.drive)
+        spikes = roll.step(t, roll.drive)
         assert np.array_equal(roll.membrane, trace.membranes[t]), t
         assert np.array_equal(spikes, trace.spikes[t]), t
     assert np.array_equal(roll.counts, trace.counts)
@@ -136,10 +142,19 @@ def test_rollout_steps_match_layer_forward_bit_for_bit(
 @pytest.mark.parametrize("layer_index", [0, 1])
 @pytest.mark.parametrize("temporal", [False, True])
 def test_non_finite_weight_names_the_timestep(layer_index, temporal):
+    """NaN, +inf and -inf weights each fail the one product check, in label
+    scoring and in the train pass: layer 0 of static data takes one shared
+    product, every other layer input is stacked."""
     net, ds = trained_network("subtract", False, False, temporal, 2)
-    net.layers[layer_index].weights[0, 0] = np.nan
-    with pytest.raises(NumericError, match="non-finite drive at timestep 0"):
-        label_goodness(net, held_out_batch(ds))
+    batch = held_out_batch(ds)
+    frames = dataio.embed_label(batch, batch.labels, 2).frames(TIMESTEPS)
+    for value in (np.nan, np.inf, -np.inf):
+        net.layers[layer_index].weights[0, 0] = value
+        for run in (lambda: label_goodness(net, batch),
+                    lambda: forward_train(net, frames)):
+            with pytest.raises(NumericError, match="non-finite drive at timestep 0"), \
+                    np.errstate(invalid="ignore"):  # inf * 0 in the GEMM
+                run()
 
 
 def test_wrong_input_width_is_shape_error():

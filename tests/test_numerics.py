@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from spikeff import numerics
 from spikeff.errors import NumericError, ShapeError
-from spikeff.numerics import AdamState, RngStream, adam_update
+from spikeff.numerics import (
+    AdamState,
+    RngStream,
+    adam_update,
+    row_blocks,
+    worker_ranges,
+)
 
 from oracles import adam_scalar_sequence
 
@@ -95,3 +102,52 @@ class TestRngStream:
             5709115244285566421,
             357077068958064791,
         ]
+
+
+class TestRowSplit:
+    @pytest.fixture
+    def setter(self, monkeypatch):
+        """A stand-in OpenBLAS thread setter; yields a core-count setter."""
+        monkeypatch.setattr(numerics, "_openblas_thread_calls",
+                            lambda: (lambda: 1, lambda count: None))
+        return lambda cores: monkeypatch.setattr(numerics, "_usable_cores",
+                                                 lambda: cores)
+
+    @staticmethod
+    def assert_tiles(slices, rows):
+        """Contiguous, non-empty slices from row 0 to `rows`."""
+        assert slices[0].start == 0 and slices[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert all(s.start < s.stop for s in slices)
+
+    @pytest.mark.parametrize("rows,width", [(1, 7), (512, 64), (513, 64),
+                                            (1000, 64), (65, 500), (131, 500),
+                                            (3, 40000)])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_ranges_are_whole_blocks_covering_the_rows(self, setter, rows,
+                                                       width, cores):
+        setter(cores)
+        blocks = row_blocks(rows, width)
+        self.assert_tiles(blocks, rows)
+        step = max(1, numerics.BLOCK_ELEMENTS // width)
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        assert blocks[-1].stop - blocks[-1].start <= step
+
+        ranges = worker_ranges(rows, width)
+        self.assert_tiles(ranges, rows)
+        assert {r.start for r in ranges} <= {b.start for b in blocks}
+        assert {r.stop for r in ranges} <= {b.stop for b in blocks}
+        assert len(ranges) <= min(cores, len(blocks))
+        assert (len(ranges) > 1) == (cores > 1 and len(blocks) > 1)
+
+    def test_one_range_without_a_setter(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 8)
+        assert len(row_blocks(4096, 64)) == 8
+        assert worker_ranges(4096, 64) == [slice(0, 4096)]
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_zero_rows_make_one_empty_range(self, setter, cores):
+        setter(cores)
+        assert row_blocks(0, 64) == [slice(0, 0)]
+        assert worker_ranges(0, 64) == [slice(0, 0)]

@@ -1,8 +1,8 @@
 """Label scoring split over row ranges: the calling thread rolls out the
 first range and a thread pool the others, with the loaded OpenBLAS on one
-thread for the call. Scores keep their bits, the BLAS thread count comes
-back, and everything but the products and steps stays on the calling
-thread."""
+thread for the call, as for inline scoring. Scores keep their bits, the
+BLAS thread count comes back, and everything but the products and steps
+stays on the calling thread."""
 
 import os
 import signal
@@ -13,11 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from spikeff import dataio, layer as layer_module, network, numerics
+from spikeff import dataio, network, numerics, trainer
 from spikeff.errors import NumericError
 from spikeff.network import build_network, label_goodness
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream, blas_threads
+from spikeff.trainer import TrainConfig, train_step
 
 from test_network import (
     TIMESTEPS,
@@ -62,7 +63,7 @@ def split(monkeypatch):
     pool = RecordingPool()
     monkeypatch.setattr(numerics, "_usable_cores", lambda: 3)
     monkeypatch.setattr(numerics, "_worker_pool", lambda: pool)
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 14)
     yield pool
     pool.pool.shutdown()
 
@@ -191,35 +192,68 @@ def test_overlays_buffers_and_goodness_stay_on_the_calling_thread(
         assert seen == {threading.get_ident()}, name
 
 
-def test_a_single_block_chunk_runs_inline(monkeypatch):
-    """2 classes x 128 rows of a 64-unit layer fill one 512-row block: no
-    pool, no BLAS thread call, even with cores to spare."""
-    calls = []
+def no_pool():
+    raise AssertionError("submitted work to the pool")
 
-    def no_pool():
-        raise AssertionError("submitted work to the pool")
 
-    def spy(name):
-        def fn(*args):
-            calls.append(name)
-            return 2
-        return fn
-
+def spy_blas(monkeypatch, count=2):
+    """Stand in for OpenBLAS's thread-count calls, two usable cores and no
+    pool. Returns the counts in the order they were set, from `count`."""
+    counts = [count]
+    monkeypatch.setattr(numerics, "_openblas_thread_calls",
+                        lambda: (lambda: counts[-1], counts.append))
     monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
     monkeypatch.setattr(numerics, "_worker_pool", no_pool)
-    monkeypatch.setattr(numerics, "_openblas_thread_calls",
-                        lambda: (spy("get"), spy("set")))
+    return counts
+
+
+def one_block_network():
+    """A recurrent 64-64 net on 2 classes and a batch of 128 rows: a
+    scoring chunk of 2 x 128 rows and a train pass of 128 rows are each one
+    512-row block of a 64-unit layer."""
     ds = dataset(True, 2, n=128)
     net = build_network([64, 64], ds.input_dim, 2, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3),
                         recurrent=True)
-    batch = held_out_batch(ds, 128)
-    assert layer_module.block_rows(64) == 512
+    assert numerics.row_blocks(2 * 128, 64) == [slice(0, 256)]
+    return net, held_out_batch(ds, 128)
+
+
+def test_a_single_block_chunk_runs_inline(monkeypatch):
+    """One block runs inline: no pool even with cores to spare, but with
+    OpenBLAS on one thread, as split scoring."""
+    counts = spy_blas(monkeypatch)
+    net, batch = one_block_network()
 
     scores = label_goodness(net, batch)
 
-    assert calls == []
+    assert counts == [2, 1, 2]
     assert np.array_equal(scores, reference_scores(net, batch))
+
+
+def test_inline_scoring_and_passes_run_on_one_blas_thread(monkeypatch):
+    """Every call that runs GEMMs, inline too, sees OpenBLAS on one thread,
+    and the previous count is back after scoring and after a train step."""
+    counts = spy_blas(monkeypatch)
+    seen = []  # the count at the start of each such call
+
+    def noting(fn):
+        def wrapper(*args):
+            seen.append(counts[-1])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(network, "_roll_out", noting(network._roll_out))
+    for name in ("forward_train", "layer_backward"):
+        monkeypatch.setattr(trainer, name, noting(getattr(trainer, name)))
+    net, batch = one_block_network()
+
+    label_goodness(net, batch)
+    assert seen == [1] and counts[-1] == 2
+
+    train_step(net, batch, TrainConfig(epochs=1, batch_size=128), RngStream(4))
+    # one scoring rollout, two forwards, two backward calls per layer
+    assert seen == [1] * 8 and counts[-1] == 2
 
 
 def test_blas_threads_restores_on_an_exception_and_without_a_setter(monkeypatch):
@@ -244,7 +278,7 @@ def test_a_forked_child_scores_on_its_own_pool(monkeypatch):
     if numerics._openblas_thread_calls() is None:
         pytest.skip("no OpenBLAS thread-count setter: scoring runs inline")
     monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(layer_module, "BLOCK_ELEMENTS", 14)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 14)
     net, ds = trained_network("subtract", False, False, False, 2)
     batch = held_out_batch(ds, 24)
     scores = label_goodness(net, batch)  # the parent's pool now runs

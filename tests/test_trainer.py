@@ -5,7 +5,7 @@ import pytest
 
 import spikeff.trainer as trainer_mod
 from spikeff import dataio
-from spikeff.errors import NumericError
+from spikeff.errors import ConfigError, NumericError
 from spikeff.network import build_network
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -194,9 +194,11 @@ class TestLrSchedule:
         assert lr_schedule(6, cfg) == pytest.approx(0.000025)
 
     def test_mismatched_factor_list(self):
-        cfg = self.config(lr_milestones=[5], lr_factors=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            lr_schedule(0, cfg)
+        """Rejected when the config is made, not when the schedule runs."""
+        for schedule in (dict(lr_milestones=[5], lr_factors=[0.5, 0.5]),
+                         dict(lr_factors=[0.1]), dict(lr_milestones=[5])):
+            with pytest.raises(ConfigError, match="lr_milestones/lr_factors"):
+                self.config(**schedule)
 
 
 class TestTrainLoop:
@@ -210,12 +212,15 @@ class TestTrainLoop:
             assert layer.weights.tobytes() == weights.tobytes()
 
     def test_zero_lr_leaves_weights_bitwise_unchanged(self):
+        """A zero Adam learning rate (`TrainConfig` takes only lr > 0, so
+        it is set on the network) moves no weight bit."""
         train_ds = dataio.make_blob_dataset(32, seed=1)
         net = blob_network(train_ds)
         before = [layer.weights.copy() for layer in net.layers]
-        cfg = TrainConfig(epochs=1, batch_size=32, lr=0.0, eval_every=0)
-        history = train(net, train_ds, cfg)
-        assert math.isfinite(history[0].total_loss)
+        net.set_lr(0.0)
+        cfg = TrainConfig(epochs=1, batch_size=32, eval_every=0)
+        metrics = train_epoch(net, train_ds, cfg, RngStream(cfg.seed))
+        assert math.isfinite(metrics.total_loss)
         for layer, weights in zip(net.layers, before):
             assert layer.weights.tobytes() == weights.tobytes()
 
@@ -309,3 +314,5 @@ class TestTrainLoop:
             TrainConfig(epochs=1, batch_size=1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, loss_sharpness=0.0)
+        with pytest.raises(ConfigError, match="lr: must be > 0"):
+            TrainConfig(epochs=4, lr=-1.0)
