@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .layer import parameter_counts
-from .network import build_network
+from .network import build_network, check_hidden_sizes
 from .neuron import NeuronConfig
 from .numerics import RngStream, thread_setup
 
@@ -182,19 +182,20 @@ def _section(cls, config: ExperimentConfig):
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError listing every violated field.
 
-    The neuron and training bounds are those of `NeuronConfig` and
-    `TrainConfig`; the checks here cover the fields they do not hold.
+    The hidden-sizes, neuron and training bounds are those of
+    `network.check_hidden_sizes`, `NeuronConfig` and `TrainConfig`; the
+    checks here cover the fields they do not hold.
     """
     bad = []
     if not config.dataset:
         bad.append("dataset: must not be empty")
-    if not config.hidden_sizes or any(h < 1 for h in config.hidden_sizes):
-        bad.append(f"hidden_sizes: need nonempty sizes >= 1, got {config.hidden_sizes}")
     if config.timesteps < 1:
         bad.append(f"timesteps: must be >= 1, got {config.timesteps}")
-    for cls in (NeuronConfig, trainer.TrainConfig):
+    for check in (lambda: check_hidden_sizes(config.hidden_sizes),
+                  lambda: _section(NeuronConfig, config),
+                  lambda: _section(trainer.TrainConfig, config)):
         try:
-            _section(cls, config)
+            check()
         except ConfigError as exc:
             bad.extend(exc.violations)
     if bad:

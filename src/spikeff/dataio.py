@@ -8,7 +8,9 @@ static datasets have timesteps == 1.
 Label overlay replaces the first `class_count` channels of a sample with
 zeros and writes the sample's own maximum value m at the overlay label's
 channel. For temporal data the overlay is applied at every timestep with m
-taken over the whole sample's bins.
+taken over the whole sample's bins. An overlaid batch is kept factored:
+its base rows (the zeroed ones), m and the overlay labels, never the
+overlaid rows themselves.
 """
 
 import gzip
@@ -17,7 +19,7 @@ import pickle
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,19 +86,60 @@ class Dataset:
 
 @dataclass
 class SampleBatch:
-    """One mini-batch of rows plus the structural fields needed to frame them."""
+    """One mini-batch of rows plus the structural fields needed to frame them.
+
+    An overlaid batch (`embed_label`) also has `overlay_max`, each row's
+    m: its `inputs` are then the base rows and its `labels` the overlay
+    labels. The overlaid rows themselves are never written out.
+    """
 
     inputs: np.ndarray  # (B, timesteps * input_dim)
     labels: np.ndarray  # (B,)
     input_dim: int
     timesteps: int = 1
+    overlay_max: Optional[np.ndarray] = None  # (B,), an overlaid batch only
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
 
     def frames(self, run_timesteps: int) -> Sequence[np.ndarray]:
-        return time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
+        """`time_frames` of the rows; of an overlaid batch, its base rows'
+        frames with the overlay beside them (`OverlaidFrames`)."""
+        frames = time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
+        if self.overlay_max is None:
+            return frames
+        return OverlaidFrames(frames, Overlay(self.overlay_max, self.labels))
+
+
+class Overlay(NamedTuple):
+    """A label overlay, factored: row b of the overlaid input is its base
+    row with `peak[b]` added at channel `labels[b]` of every timestep (the
+    base row is zero there). A layer's product of it is therefore
+    `x_base W^T + peak (x) W[:, labels]` (`layer.product`)."""
+
+    peak: np.ndarray  # (B,) each row's m
+    labels: np.ndarray  # (B,) int64
+
+
+class OverlaidFrames:
+    """The frames of an overlaid batch: `time_frames`' frames of its base
+    rows (`base`) and its `Overlay`.
+
+    It is a sequence of the base frames (`len`, indexing and iteration go
+    to `base`), so it is framed input wherever frames are taken, and
+    `layer.layer_forward` applies the overlay to its product.
+    """
+
+    def __init__(self, base: Sequence[np.ndarray], overlay: Overlay):
+        self.base = base
+        self.overlay = overlay
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, t):
+        return self.base[t]
 
 
 def time_frames(
@@ -136,7 +179,13 @@ def embed_label(batch: SampleBatch, overlay_labels, class_count: int) -> SampleB
     class_count channels of every timestep are zeroed and channel
     overlay_labels[b] is set to m; all other channels are copied unchanged.
     The positive variant is `embed_label(batch, batch.labels, c)`.
+
+    The result is factored: its `inputs` are one copy of the base rows
+    (the first class_count channels zeroed) and its `overlay_max` the m of
+    each row; channel overlay_labels[b] of the overlaid row is base + m.
     """
+    if batch.overlay_max is not None:
+        raise UsageError("the batch is overlaid already; overlay the original")
     overlay = np.ascontiguousarray(overlay_labels, dtype=np.int64)
     if overlay.shape != (batch.size,):
         raise ShapeError(
@@ -150,12 +199,11 @@ def embed_label(batch: SampleBatch, overlay_labels, class_count: int) -> SampleB
         )
     b = batch.size
     m = batch.inputs.max(axis=1)
-    framed = batch.inputs.reshape(b, batch.timesteps, batch.input_dim).copy()
-    framed[:, :, :class_count] = 0.0
-    framed[np.arange(b), :, overlay] = m[:, None]
+    base = batch.inputs.reshape(b, batch.timesteps, batch.input_dim).copy()
+    base[:, :, :class_count] = 0.0
     width = batch.timesteps * batch.input_dim
     return SampleBatch(
-        framed.reshape(b, width), overlay, batch.input_dim, batch.timesteps
+        base.reshape(b, width), overlay, batch.input_dim, batch.timesteps, m
     )
 
 

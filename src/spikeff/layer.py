@@ -17,6 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import neuron
+from .dataio import OverlaidFrames, Overlay
 from .errors import NumericError, ShapeError, UsageError
 from .neuron import NeuronConfig, advance_membrane, fire
 from .numerics import AdamState, RngStream, row_blocks
@@ -164,23 +165,43 @@ def _batch_stats(z: np.ndarray, centered: np.ndarray):
     return mu, np.divide(np.sum(centered, axis=0), batch)
 
 
+def overlay_correction(weights: np.ndarray, overlay: Overlay) -> np.ndarray:
+    """peak (x) W[:, labels]: a new (B, n_out) array whose row b is
+    peak[b] * W[:, labels[b]], the overlay's share of every timestep's
+    product (`product`)."""
+    return np.multiply(weights.T[overlay.labels], overlay.peak[:, None])
+
+
+def check_finite(z: np.ndarray, t: int) -> None:
+    """Raise a NumericError naming timestep t unless the product z is finite."""
+    if not np.isfinite(z).all():
+        raise NumericError(f"non-finite drive at timestep {t}")
+
+
 def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
-            cast: Optional[np.ndarray] = None) -> np.ndarray:
+            cast: Optional[np.ndarray] = None,
+            correction: Optional[np.ndarray] = None) -> np.ndarray:
     """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
     Bool spikes are first cast (exactly: they are 0/1) into `cast`, a
-    reused float64 (B, n_in) buffer, when given. Raises a NumericError
-    naming timestep t unless the product is finite. Returns the rows the
-    GEMM read. Every product of a layer input is this call: the train
-    pass's, `pre_norm`'s, the backward's recompute and the eval rollout's,
-    so all have the same bits.
+    reused float64 (B, n_in) buffer, when given. For an overlaid input,
+    x_t is the base frame and `correction` the overlay's
+    `overlay_correction`: z_t = x_base,t W^T + peak (x) W[:, labels], one
+    B-row GEMM and one add, the product of the overlaid rows without
+    writing them out. Raises a NumericError naming timestep t unless the
+    product is finite. Returns the rows the GEMM read. Every product of a
+    layer input is this call: the train pass's, `pre_norm`'s, the
+    backward's recompute and the eval rollout's, so all have the same
+    bits; label scoring adds a row range's correction to its rows of the
+    one B-row base product, the same two ops.
     """
     if cast is not None:
         np.copyto(cast, x)
         x = cast
     np.matmul(x, weights.T, out=out)
-    if not np.isfinite(out).all():
-        raise NumericError(f"non-finite drive at timestep {t}")
+    if correction is not None:
+        np.add(out, correction, out=out)
+    check_finite(out, t)
     return x
 
 
@@ -219,7 +240,9 @@ class LayerForwardTrace:
     mode (which `fold_running_stats` folds into the layer's running ones),
     running statistics in eval mode. `weights`, `gamma` and `shift`
     are the arrays the pass used; training replaces those tensors rather
-    than mutating them, so they keep the pass's values.
+    than mutating them, so they keep the pass's values. For an overlaid
+    input (`OverlaidFrames`), `inputs` are the base frames and `overlay`
+    the overlay that every product adds (`product`).
 
     The products `pre_norm` and the drives `normalized` are derived, not
     stored. `layer_backward` drops a stacked (not shared) trace's
@@ -240,6 +263,7 @@ class LayerForwardTrace:
     eps: float = 0.0
     shared: bool = False
     shared_product: Optional[np.ndarray] = None  # (B, n_out), static input only
+    overlay: Optional[Overlay] = None  # an overlaid input's peak and labels
 
     @property
     def pre_norm(self) -> Optional[np.ndarray]:
@@ -258,9 +282,17 @@ class LayerForwardTrace:
             )
         z = np.empty(self.inputs.shape[:2] + (self.weights.shape[0],))
         cast = _cast_buffer(self.inputs)
+        correction = self.correction()
         for t, x in enumerate(self.inputs):
-            product(x, self.weights, t, z[t], cast)
+            product(x, self.weights, t, z[t], cast, correction)
         return z
+
+    def correction(self) -> Optional[np.ndarray]:
+        """The overlay's `overlay_correction` with the pass's weights, or
+        None for an input without overlay."""
+        if self.overlay is None:
+            return None
+        return overlay_correction(self.weights, self.overlay)
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
@@ -297,6 +329,9 @@ def layer_forward(
     static input: one product serves every timestep) or T frames in one
     C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
     layer's `spikes` give them (a list of T arrays is stacked into one).
+    An overlaid batch's `OverlaidFrames` are its base frames, either way,
+    and its overlay: each product adds the overlay's correction
+    (`product`), computed once for the pass.
     A stacked input keeps its dtype, and its products are taken one
     timestep at a time (`product`) into one (B, n) buffer: bool spikes
     are cast to float64 one timestep at a time, for the GEMM only. Every
@@ -309,6 +344,9 @@ def layer_forward(
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
+    overlay = None
+    if isinstance(frames, OverlaidFrames):
+        frames, overlay = frames.base, frames.overlay
     t_steps = layer.timesteps
     if len(frames) != t_steps:
         raise ShapeError(
@@ -321,6 +359,10 @@ def layer_forward(
             raise ShapeError(
                 f"frame {t} has shape {f.shape}, expected ({batch}, {layer.n_in})"
             )
+    if overlay is not None and overlay.peak.shape != (batch,):
+        raise ShapeError(
+            f"overlay of {overlay.peak.shape} rows for a batch of {batch}"
+        )
     if mode == "train" and batch < 2:
         raise UsageError("train mode needs a batch of at least 2 (batch variance)")
 
@@ -340,11 +382,12 @@ def layer_forward(
     else:
         mu, var = layer.running_mean.copy(), layer.running_var.copy()
 
+    correction = None if overlay is None else overlay_correction(layer.weights, overlay)
     shared = all(f is frames[0] for f in frames)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
         z = shared_product = np.empty((batch, n))
-        product(frames[0], layer.weights, 0, z)
+        product(frames[0], layer.weights, 0, z, correction=correction)
         if train:
             mu[:], var[:] = _batch_stats(z, drive)
     else:
@@ -357,7 +400,7 @@ def layer_forward(
 
     for t in range(t_steps):
         if not shared:
-            product(x[t], layer.weights, t, z, cast)
+            product(x[t], layer.weights, t, z, cast, correction)
             if train:
                 mu[t], var[t] = _batch_stats(z, drive)
         scale, offset = norm_affine(
@@ -391,6 +434,7 @@ def layer_forward(
         eps=layer.eps,
         shared=shared,
         shared_product=shared_product,
+        overlay=overlay,
     )
 
 
@@ -417,7 +461,6 @@ class EvalRollout:
 
     def __init__(self, layer: SpikingLayer, rows: int):
         self.layer = layer
-        self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
         self.scale, self.offset = norm_affine(  # (T, n_out) each
             layer.running_mean, layer.running_var, layer.eps, layer.gamma, layer.shift
         )
@@ -430,6 +473,12 @@ class EvalRollout:
         # the first block is the largest of any rollout of up to `rows` rows
         block = row_blocks(rows, layer.n_out)[0]
         self.scratch = np.empty((block.stop, layer.n_out))
+        # A learnable decay, tiled to a block: the decay multiply then runs
+        # over same-shape operands instead of an (n,) broadcast (same bits).
+        self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
+        self.beta_tile = (
+            None if np.isscalar(self.beta) else np.tile(self.beta, (block.stop, 1))
+        )
         self.reset(rows)
 
     def reset(self, rows: int) -> None:
@@ -460,12 +509,14 @@ class EvalRollout:
                 self.drive[rows], self.membrane[rows], self.spikes[rows],
                 self.counts[rows],
             )
-            tmp = self.scratch[: rows.stop - rows.start]
+            size = rows.stop - rows.start
+            tmp = self.scratch[:size]
+            beta = self.beta if self.beta_tile is None else self.beta_tile[:size]
             np.multiply(z[rows], scale, out=drive)
             np.add(drive, offset, out=drive)
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
-            advance_membrane(u, s, drive, self.beta, cfg, out=u, scratch=tmp)
+            advance_membrane(u, s, drive, beta, cfg, out=u, scratch=tmp)
             fire(u, cfg, out=s)
             np.add(counts, s, out=counts)
         return self.spikes
@@ -504,6 +555,12 @@ def layer_backward(
     then dropped. Bool spikes enter every other use (the zero-reset carry,
     the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
 
+    For an overlaid input (`trace.overlay`), X_t is the base frame plus
+    peak[b] at channel labels[b] of row b, so the weight gradient is the
+    same GEMM(s) over the base frames, plus, for each row, peak[b] times
+    its sum_t dz_t added into column labels[b]. The base frames are zero
+    in the overlay channels, so those columns get only this term.
+
     It reads the layer and writes only the trace's `inputs`, so the two
     passes' backward calls of a layer can run at once.
     """
@@ -531,12 +588,16 @@ def layer_backward(
     inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
     dz_scale = layer.gamma * inv_std
     dz = np.empty((batch, n))  # z_t, then dz_t over it
+    overlay = trace.overlay
+    # sum_t dz_t: the whole weight gradient of a static input, the overlay
+    # term's of an overlaid one
+    dz_sum = np.zeros((batch, n)) if trace.shared or overlay is not None else None
     if trace.shared:
         z = trace.shared_product
-        dz_sum = np.zeros((batch, n))
     else:
         x = trace.inputs
         cast = _cast_buffer(x)
+        correction = trace.correction()
         d_weights = np.zeros_like(layer.weights)
         term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
@@ -564,7 +625,7 @@ def layer_backward(
         if trace.shared:
             np.subtract(z, trace.mu[t], out=dz)
         else:
-            rows = product(x[t], trace.weights, t, dz, cast)
+            rows = product(x[t], trace.weights, t, dz, cast, correction)
             np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = (du * dz).sum(axis=0)
@@ -573,9 +634,9 @@ def layer_backward(
         np.subtract(du, dz, out=dz)
         np.subtract(dz, d_shift[t] / batch, out=dz)
         np.multiply(dz, dz_scale[t], out=dz)
-        if trace.shared:
+        if dz_sum is not None:
             dz_sum += dz
-        else:
+        if not trace.shared:
             d_weights += np.matmul(dz.T, rows, out=term)
         du_next = du
 
@@ -584,6 +645,10 @@ def layer_backward(
         d_weights = dz_sum.T @ trace.inputs[0]
     else:
         trace.inputs = None
+    if overlay is not None:  # column labels[b] += peak[b] * sum_t dz_t[b]
+        peaks = np.zeros((batch, overlay.labels.max() + 1))
+        peaks[np.arange(batch), overlay.labels] = overlay.peak
+        d_weights[:, : peaks.shape[1]] += dz_sum.T @ peaks
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}
     if d_beta is not None:
         sig = neuron.sigmoid(layer.decay_raw)

@@ -18,6 +18,7 @@ from .layer import (
     CHUNK_ELEMENTS,
     EvalRollout,
     SpikingLayer,
+    check_finite,
     goodness,
     init_layer,
     layer_forward,
@@ -44,6 +45,15 @@ class FFNetwork:
             layer.set_lr(lr)
 
 
+def check_hidden_sizes(hidden_sizes: Sequence[int]) -> None:
+    """Raise a ConfigError unless there is at least one hidden layer and
+    every size is >= 1."""
+    if not hidden_sizes or any(h < 1 for h in hidden_sizes):
+        raise ConfigError(
+            [f"hidden_sizes: need nonempty sizes >= 1, got {hidden_sizes}"]
+        )
+
+
 def build_network(
     hidden_sizes: Sequence[int],
     input_dim: int,
@@ -54,10 +64,7 @@ def build_network(
     recurrent: bool = False,
     lr: float = 1e-3,
 ) -> FFNetwork:
-    if not hidden_sizes or any(h < 1 for h in hidden_sizes):
-        raise ConfigError(
-            [f"hidden_sizes: need nonempty sizes >= 1, got {hidden_sizes}"]
-        )
+    check_hidden_sizes(hidden_sizes)
     layers = []
     n_in = input_dim
     for i, n_out in enumerate(hidden_sizes):
@@ -88,13 +95,17 @@ def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def _count_eval(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
-    """Reject frames of the wrong width, then count the rows run in eval mode."""
-    if frames[0].shape[1] != net.input_dim:
+def _check_width(net: FFNetwork, channels: int) -> None:
+    if channels != net.input_dim:
         raise ShapeError(
-            f"input frames have {frames[0].shape[1]} channels, "
+            f"input frames have {channels} channels, "
             f"network expects {net.input_dim}"
         )
+
+
+def _count_eval(net: FFNetwork, frames: Sequence[np.ndarray]) -> None:
+    """Reject frames of the wrong width, then count the rows run in eval mode."""
+    _check_width(net, frames[0].shape[1])
     net.eval_rows += frames[0].shape[0]
 
 
@@ -115,96 +126,153 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def _roll_out(rollouts, frames, rows: slice, z_shared) -> None:
-    """Advance one row range's rollouts over every timestep.
+@dataclass
+class _Overlays:
+    """What every row range of one scoring call reads.
 
-    Only products and steps, into buffers allocated beforehand: this is
-    the part of scoring that runs off the calling thread. `z_shared`, when
-    given, receives the range's one layer-0 product of a static input.
+    Layer 0's products of the batch's base rows, one per input timestep
+    (one for static data), the rows' peaks, and the overlays' split into
+    chunks of `per_chunk` whole overlays. Row i of a chunk that starts at
+    label y0 is sample i % B under label y0 + i // B.
     """
-    if z_shared is not None:
-        product(frames[0][rows], rollouts[0].layer.weights, 0, z_shared[rows])
-    for t, frame in enumerate(frames):
-        x = frame[rows]
-        for k, roll in enumerate(rollouts):
-            if k == 0 and z_shared is not None:
-                z = z_shared[rows]
-            else:
-                z = roll.drive
-                product(x, roll.layer.weights, t, z)
-            x = roll.step(t, z)
+
+    base_products: np.ndarray  # (T_in, B, n_0)
+    peak: np.ndarray  # (B,)
+    class_count: int
+    per_chunk: int
+    timesteps: int  # of the run
+
+    def chunks(self, rows: slice):
+        """Per chunk in which the range has rows (a short last chunk holds
+        fewer or none): its first label, the range's rows of the chunk, and
+        per overlay they meet, its label and the (range rows, batch rows)
+        slices of its rows."""
+        b = self.base_products.shape[1]
+        for first in range(0, self.class_count, self.per_chunk):
+            chunk_rows = min(self.per_chunk, self.class_count - first) * b
+            r = slice(rows.start, min(rows.stop, chunk_rows))
+            runs, lo = [], r.start
+            while lo < r.stop:
+                hi = min(r.stop, (lo // b + 1) * b)
+                runs.append((first + lo // b, slice(lo - r.start, hi - r.start),
+                             slice(lo % b, lo % b + hi - lo)))
+                lo = hi
+            if runs:
+                yield first, r, runs
+
+
+def _roll_out(rollouts, overlays: _Overlays, rows: slice, total: np.ndarray) -> None:
+    """One row range's whole share of every chunk of a scoring call.
+
+    Per chunk: the range's overlay correction, added to its rows of the
+    base products, a reset of its rollouts, the rollout over every
+    timestep and the goodness sums, written to the range's rows of
+    `total`. Layer 0's product of each row is the base product plus the
+    correction, `product`'s two ops for an overlaid input; the correction
+    of one overlay's rows is `overlay_correction`'s products, taken as
+    one outer product. Everything else it writes was allocated
+    beforehand, so the ranges of a call run at once.
+    """
+    first_roll = rollouts[0]
+    weights = first_roll.layer.weights
+    z_base = overlays.base_products
+    static = len(z_base) == 1
+    corrections = np.empty((rows.stop - rows.start, len(weights)))
+    for first, r, runs in overlays.chunks(rows):
+        for roll in rollouts:
+            roll.reset(r.stop - r.start)
+        correction = corrections[: r.stop - r.start]
+        for label, own, batch_rows in runs:
+            np.multiply(weights[:, label], overlays.peak[batch_rows, None],
+                        out=correction[own])
+        # a static input's one product serves every timestep: it is written
+        # over the correction
+        z = correction if static else first_roll.drive
+        for t in range(overlays.timesteps):
+            if t == 0 or not static:
+                for _, own, batch_rows in runs:
+                    np.add(z_base[0 if static else t][batch_rows], correction[own],
+                           out=z[own])
+                check_finite(z, t)
+            x = first_roll.step(t, z)
+            for roll in rollouts[1:]:
+                product(x, roll.layer.weights, t, roll.drive)
+                x = roll.step(t, roll.drive)
+        offset = first * len(overlays.peak)
+        out = total[offset + r.start : offset + r.stop]
+        for roll in rollouts:
+            out += goodness(roll)
 
 
 def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     """Total goodness per candidate class: (B, class_count).
 
-    The class_count overlays of the batch are scored in eval-mode rollouts
-    over chunks of whole overlays, at most about `CHUNK_ELEMENTS` rows x
-    n_out each, that reuse one set of buffers. Eval normalization uses
-    running statistics only, so this equals the goodness sums of one
+    Every overlay of a batch shares its base rows (`embed_label`), so
+    layer 0's product of an overlay is the base rows' product plus the
+    overlay's correction (`product`). The base rows' product is taken
+    once per call, one B-row GEMM per input timestep, on the calling
+    thread; then the class_count overlays are scored in eval-mode
+    rollouts over chunks of whole overlays, at most about `CHUNK_ELEMENTS`
+    rows x n_out each, that reuse one set of buffers. Eval normalization
+    uses running statistics only, so this equals the goodness sums of one
     `forward_eval` per overlay bit for bit. Each rollout is timestep-major
     and in place: at each t every layer advances one step on the previous
     layer's spikes, and only one step of state per layer is live.
 
     A chunk's rows are split into `numerics.worker_ranges` of the widest
     layer, each with its own rollouts: together they hold a chunk's rows.
-    `numerics.run_all` rolls the ranges out with OpenBLAS on one thread,
-    the first on the calling thread and the others on its pool. Only the
-    products and steps run off the calling thread; overlays, buffers and
-    goodness are made on it. One range (one core, one block in a chunk, or
-    no BLAS thread setter) runs inline, with no pool, but still pinned, so
-    scores do not depend on the BLAS thread count.
+    `numerics.run_all` runs each range's whole share of every chunk
+    (`_roll_out`: correction, reset, rollout and goodness sums) with
+    OpenBLAS on one thread, the first on the calling thread and the others
+    on its pool. The calling thread makes the base rows, the buffers and
+    the base products first. One range (one core, one block in a chunk,
+    or no BLAS thread setter) runs inline, with no pool, but still pinned,
+    so scores do not depend on the BLAS thread count.
 
     A row's elementwise steps do not depend on the other rows of its range,
     but its GEMM result can: OpenBLAS blocks a call by its row count, so a
     row's product in a range's GEMM can differ in the last bits from the
     same row's in a whole chunk's GEMM, even on one thread (36 of 2560 rows
     of a 2560x500 @ 500x500 product split into 256-row calls, by at most
-    3e-16 of the largest product). A score is a sum of squared integer
-    spike counts, so such a difference moves it only where it moves a
-    membrane across the threshold. The tests require split scores to equal
-    the per-overlay `forward_eval` reference exactly; perfbench's gate
-    allows 1e-9.
+    3e-16 of the largest product). Layer 0's base product is the B-row
+    GEMM that `forward_eval` takes, but the products of deeper layers are
+    range GEMMs. A score is a sum of squared integer spike counts, so such
+    a difference moves it only where it moves a membrane across the
+    threshold. The tests require split scores to equal the per-overlay
+    `forward_eval` reference exactly; perfbench's gate allows 1e-9.
     """
     c, b = net.class_count, batch.size
     d, t_in = batch.input_dim, batch.timesteps
+    _check_width(net, d)
     time_frames(batch.inputs[:0], d, t_in, net.timesteps)  # checks the run length
+    if b == 0:
+        return np.zeros((0, c))
+    overlaid = embed_label(batch, batch.labels, c)  # the batch's one base copy
+    net.eval_rows += c * b
     widest = max(layer.n_out for layer in net.layers)
-    per_chunk = min(c, max(1, CHUNK_ELEMENTS // max(1, b * widest)))
-    chunk_rows = per_chunk * b
-    ranges = worker_ranges(chunk_rows, widest)
+    per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * widest)))
+    ranges = worker_ranges(per_chunk * b, widest)
     rollouts = [
         [EvalRollout(layer, r.stop - r.start) for layer in net.layers]
         for r in ranges
     ]
-    # reused, laid out as time_frames does
-    frame_rows = np.empty((t_in, chunk_rows, d))
-    # Static data repeats one frame object T times: one layer-0 product.
-    z_shared = None if t_in > 1 else np.empty((chunk_rows, net.layers[0].n_out))
+    first = net.layers[0]
+    # timestep t's base frame, read in place from the sample-major rows: the
+    # GEMM gets the same values as from a `time_frames` copy, and so the
+    # same bits
+    base = overlaid.inputs.reshape(b, t_in, d)
+    z_base = np.empty((t_in, b, first.n_out))
+
+    def base_products():
+        for t in range(t_in):
+            product(base[:, t], first.weights, t, z_base[t])
+
+    overlays = _Overlays(z_base, overlaid.overlay_max, c, per_chunk, net.timesteps)
     total = np.zeros(c * b)
-    for first in range(0, c, per_chunk):
-        labels = range(first, min(first + per_chunk, c))
-        rows = len(labels) * b
-        chunk = frame_rows[:, :rows]
-        for j, y in enumerate(labels):  # one unbound overlay alive at a time
-            chunk[:, j * b : (j + 1) * b] = embed_label(
-                batch, np.full(b, y, dtype=np.int64), c
-            ).inputs.reshape(b, t_in, d).transpose(1, 0, 2)
-        frames = [chunk[0]] * net.timesteps if t_in == 1 else chunk
-        _count_eval(net, frames)
-        # a short last chunk fills the full chunk's ranges up to its rows
-        live = [(slice(r.start, min(r.stop, rows)), rolls)
-                for r, rolls in zip(ranges, rollouts) if r.start < max(rows, 1)]
-        for r, rolls in live:
-            for roll in rolls:
-                roll.reset(r.stop - r.start)
-        run_all(
-            [functools.partial(_roll_out, rolls, frames, r, z_shared)
-             for r, rolls in live],
-            len(ranges),
-        )
-        offset = first * b
-        for r, rolls in live:
-            for roll in rolls:
-                total[offset + r.start : offset + r.stop] += goodness(roll)
+    run_all(
+        [functools.partial(_roll_out, rolls, overlays, r, total)
+         for r, rolls in zip(ranges, rollouts)],
+        len(ranges),
+        before=base_products,
+    )
     return total.reshape(c, b).T

@@ -75,7 +75,8 @@ def advance_membrane(
     beta is `effective_decay`'s value. `spikes` may be bool (as train traces
     store them) or float: the reset term casts bool to exact 0.0/1.0, so both
     give the same bits. `out` may be `membrane` itself (an in-place step);
-    `scratch`, when given, is a float buffer that holds the reset term. The
+    `scratch`, when given, is a float buffer that holds the reset term (a
+    unit threshold subtracts the spikes directly: thr * S == S). The
     ufuncs and their order are fixed, so every caller gets the same bits.
     """
     out = np.multiply(beta, membrane, out=out)
@@ -83,6 +84,8 @@ def advance_membrane(
         np.multiply(out, np.subtract(1.0, spikes, out=scratch), out=out)
         return np.add(out, drive, out=out)
     np.add(out, drive, out=out)
+    if config.threshold == 1.0:  # 1.0 * s == s exactly: no reset-term pass
+        return np.subtract(out, spikes, out=out)
     return np.subtract(out, np.multiply(config.threshold, spikes, out=scratch), out=out)
 
 

@@ -235,10 +235,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def run_all(calls, workers: int):
+def run_all(calls, workers: int, before=None):
     """Run independent zero-argument calls; returns their results in order.
 
-    They run with the loaded OpenBLAS on one thread (`blas_threads`). With
+    They run with the loaded OpenBLAS on one thread (`blas_threads`), as
+    does `before`, when given: a zero-argument call made on the calling
+    thread before any of the calls starts (work that they all read). With
     one worker (`worker_ranges` gave one range) or one call they run
     inline, one after another, with no pool. Otherwise the calling thread runs the
     first call and a thread pool the others, so each core runs one call's
@@ -247,6 +249,8 @@ def run_all(calls, workers: int):
     call's, is raised here.
     """
     with blas_threads(1):
+        if before is not None:
+            before()
         if workers == 1 or len(calls) == 1:
             return [call() for call in calls]
         futures = [_worker_pool().submit(call) for call in calls[1:]]

@@ -175,3 +175,14 @@ def relative_errors(analytic, numeric, zero_floor=1e-12):
     live = scale > zero_floor
     out[live] = np.abs(analytic[live] - numeric[live]) / scale[live]
     return out
+
+
+def overlaid_rows(batch):
+    """The rows an overlaid batch stands for, written out with loops: its
+    base rows with each row's peak (`overlay_max`) set at its label's
+    channel of every timestep."""
+    rows = batch.inputs.copy()
+    for b in range(batch.size):
+        for t in range(batch.timesteps):
+            rows[b, t * batch.input_dim + batch.labels[b]] = batch.overlay_max[b]
+    return rows

@@ -21,6 +21,9 @@ from spikeff.cli import (
     validate_config,
 )
 from spikeff.errors import ConfigError, NumericError
+from spikeff.network import build_network
+from spikeff.neuron import NeuronConfig
+from spikeff.numerics import RngStream
 
 
 def tiny_config(tmp_path, **overrides):
@@ -108,6 +111,15 @@ class TestConfigFormat:
                      "epochs", "batch_size", "lr", "timesteps"):
             assert name in joined
         assert len(err.value.violations) >= 8
+
+    @pytest.mark.parametrize("sizes", [[], [4, 0]])
+    def test_hidden_sizes_bound_is_the_networks(self, sizes):
+        with pytest.raises(ConfigError) as built:
+            build_network(sizes, 4, 2, 3, NeuronConfig(), RngStream(0))
+        with pytest.raises(ConfigError) as validated:
+            validate_config(ExperimentConfig(dataset="synthetic:blobs",
+                                             hidden_sizes=sizes))
+        assert validated.value.violations == built.value.violations
 
 
 class TestPresets:

@@ -15,6 +15,8 @@ from spikeff.errors import (
 )
 from spikeff.numerics import RngStream
 
+from oracles import overlaid_rows
+
 MNIST_TRAIN, MNIST_TRAIN_MISSING = cli.idx_paths(cli.data_root(), "mnist", "train")
 
 
@@ -218,12 +220,12 @@ class TestEmbedding:
     def test_simple_overlay(self):
         batch = self.batch([[0.2, 0.5, 0.1, 0.9]], [0])
         out = dataio.embed_label(batch, [1], class_count=2)
-        np.testing.assert_array_equal(out.inputs, [[0.0, 0.9, 0.1, 0.9]])
+        np.testing.assert_array_equal(overlaid_rows(out), [[0.0, 0.9, 0.1, 0.9]])
 
     def test_zero_row_stays_zero(self):
         batch = self.batch([[0.0, 0.0, 0.0, 0.0]], [1])
         out = dataio.embed_label(batch, [0], class_count=2)
-        np.testing.assert_array_equal(out.inputs, np.zeros((1, 4)))
+        np.testing.assert_array_equal(overlaid_rows(out), np.zeros((1, 4)))
 
     def test_one_lit_pixel_among_first_ten(self):
         rng = RngStream(11)
@@ -231,7 +233,7 @@ class TestEmbedding:
         for target in (0, 4, 9):
             batch = self.batch([row], [target])
             out = dataio.embed_label(batch, [target], class_count=10)
-            head = out.inputs[0, :10]
+            head = overlaid_rows(out)[0, :10]
             assert np.count_nonzero(head) == 1
             assert head[target] == row.max()
 
@@ -240,19 +242,19 @@ class TestEmbedding:
         rows = rng.uniform((5, 30))
         batch = self.batch(rows, [0] * 5)
         out = dataio.embed_label(batch, [2] * 5, class_count=3)
-        assert out.inputs[:, 3:].tobytes() == rows[:, 3:].tobytes()
+        assert overlaid_rows(out)[:, 3:].tobytes() == rows[:, 3:].tobytes()
 
     def test_max_from_original_row_head_included(self):
         # the row maximum sits inside the overlaid head and must still win
         batch = self.batch([[0.9, 0.1, 0.2, 0.3]], [0])
         out = dataio.embed_label(batch, [1], class_count=2)
-        np.testing.assert_array_equal(out.inputs, [[0.0, 0.9, 0.2, 0.3]])
+        np.testing.assert_array_equal(overlaid_rows(out), [[0.0, 0.9, 0.2, 0.3]])
 
     def test_temporal_overlay_every_timestep(self):
         rows = np.array([[0.1, 0.2, 0.7, 0.4, 0.0, 0.3, 0.1, 0.5]])
         batch = self.batch(rows, [1], timesteps=2)
         out = dataio.embed_label(batch, [0], class_count=2)
-        framed = out.inputs.reshape(1, 2, 4)
+        framed = overlaid_rows(out).reshape(1, 2, 4)
         assert framed[0, 0, 0] == 0.7 and framed[0, 1, 0] == 0.7
         assert framed[0, 0, 1] == 0.0 and framed[0, 1, 1] == 0.0
         np.testing.assert_array_equal(framed[0, :, 2:],
@@ -284,8 +286,8 @@ class TestEmbedding:
         assert isinstance(out, dataio.SampleBatch)
         assert list(out.labels) == [3, 1]
         assert (out.input_dim, out.timesteps) == (4, 1)
-        np.testing.assert_array_equal(out.inputs, [[0.0, 0.0, 0.0, 0.4],
-                                                   [0.0, 0.4, 0.0, 0.0]])
+        np.testing.assert_array_equal(overlaid_rows(out), [[0.0, 0.0, 0.0, 0.4],
+                                                           [0.0, 0.4, 0.0, 0.0]])
 
     def test_argmax_recovers_true_labels(self):
         rng = RngStream(13)
@@ -293,7 +295,7 @@ class TestEmbedding:
         labels = rng.integers(0, 4, 20)
         batch = self.batch(rows, labels)
         out = dataio.embed_label(batch, batch.labels, class_count=4)
-        recovered = out.inputs[:, :4].argmax(axis=1)
+        recovered = overlaid_rows(out)[:, :4].argmax(axis=1)
         np.testing.assert_array_equal(recovered, labels)
 
     def test_matches_embed_label_oracle(self):
@@ -303,7 +305,35 @@ class TestEmbedding:
         batch = self.batch(rows, labels)
         via_positive = dataio.embed_label(batch, batch.labels, 3)
         via_embed = dataio.embed_label(batch, labels, 3)
-        np.testing.assert_array_equal(via_positive.inputs, via_embed.inputs)
+        np.testing.assert_array_equal(overlaid_rows(via_positive),
+                                      overlaid_rows(via_embed))
+
+    @pytest.mark.parametrize("timesteps,class_count",
+                             [(1, 2), (1, 10), (3, 2), (3, 10)])
+    def test_values_equal_the_written_out_overlay(self, timesteps, class_count):
+        """The factored batch stands for the rows the overlay used to write
+        out: first c channels of every timestep zeroed, m at the label's."""
+        rng = RngStream(15)
+        rows = rng.uniform((7, 12 * timesteps))
+        labels = rng.integers(0, class_count, 7)
+        out = dataio.embed_label(self.batch(rows, labels, timesteps), labels,
+                                 class_count)
+        written = rows.reshape(7, timesteps, 12).copy()
+        written[:, :, :class_count] = 0.0
+        written[np.arange(7), :, labels] = rows.max(axis=1)[:, None]
+        assert overlaid_rows(out).tobytes() == written.reshape(7, -1).tobytes()
+        # stored: the base rows, the peaks and the overlay labels
+        assert not out.inputs.reshape(7, timesteps, 12)[:, :, :class_count].any()
+        assert out.overlay_max.tobytes() == rows.max(axis=1).tobytes()
+        frames = out.frames(timesteps)
+        assert isinstance(frames, dataio.OverlaidFrames)
+        assert frames.overlay.labels.tolist() == labels.tolist()
+
+    def test_an_overlaid_batch_is_not_overlaid_again(self):
+        batch = self.batch([[0.2, 0.5, 0.1, 0.9]], [0])
+        out = dataio.embed_label(batch, [1], class_count=2)
+        with pytest.raises(UsageError, match="overlaid already"):
+            dataio.embed_label(out, [0], class_count=2)
 
 
 class TestScaling:

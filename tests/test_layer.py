@@ -22,7 +22,7 @@ from spikeff.neuron import (
 )
 from spikeff.numerics import RngStream
 
-from oracles import scalar_layer_forward
+from oracles import overlaid_rows, scalar_layer_forward
 
 
 def make_layer(n_in=3, n_out=4, timesteps=3, seed=0, **cfg_kwargs):
@@ -405,12 +405,17 @@ class TestTraceLayout:
                             RngStream(2), recurrent=recurrent)
         sample = dataio.SampleBatch(ds.inputs, ds.labels, 8, t_steps)
         frames = dataio.embed_label(sample, sample.labels, 2).frames(t_steps)
+        peak, labels = frames.overlay
         traces = forward_train(net, frames)
         expected = []
-        for trace, layer in zip(traces, net.layers):
-            expected.append(np.stack([  # one GEMM a timestep, as the pass
-                x.astype(np.float64) @ layer.weights.T for x in trace.inputs
-            ]).tobytes())
+        for k, (trace, layer) in enumerate(zip(traces, net.layers)):
+            # one GEMM a timestep, as the pass; layer 0's input is the base
+            # frames, to which the pass adds peak * W[:, label] per row
+            # after the GEMM
+            z = [x.astype(np.float64) @ layer.weights.T for x in trace.inputs]
+            if k == 0:
+                z = [z_t + peak[:, None] * layer.weights[:, labels].T for z_t in z]
+            expected.append(np.stack(z).tobytes())
             assert trace.pre_norm.tobytes() == expected[-1]
         trainer.train_step(net, sample, trainer.TrainConfig(epochs=1),
                            RngStream(3))
@@ -462,3 +467,64 @@ class TestInit:
         counts = parameter_counts(layer)
         assert counts == {"weights": 35, "gamma": 20, "shift": 20,
                           "decay_raw": 5, "recurrent": 25}
+
+
+# The factored product x_base W^T + m W[:, y] and the GEMM of the written-out
+# overlay x_y W^T sum the same terms in another order: they may differ by a
+# few roundings of the largest product, never more than this many eps.
+FACTORED_PRODUCT_EPS = 8
+OVERLAY_CASES = [(t, c) for t in (False, True) for c in (2, 10)]
+
+
+def overlay_case(temporal, class_count, t_steps=4, batch=24, seed=0):
+    """A layer, an overlaid batch of random labels and the same batch's
+    overlaid rows written out, as frames."""
+    d = class_count + 14
+    layer = make_layer(n_in=d, n_out=9, timesteps=t_steps, seed=seed,
+                       decay_learnable=True)
+    rng = RngStream(seed + 1)
+    t_in = t_steps if temporal else 1
+    sample = dataio.SampleBatch(rng.uniform((batch, d * t_in), 0.0, 2.0),
+                                rng.integers(0, class_count, batch), d, t_in)
+    overlaid = dataio.embed_label(
+        sample, rng.integers(0, class_count, batch), class_count)
+    written = dataio.time_frames(overlaid_rows(overlaid), d, t_in, t_steps)
+    return layer, overlaid.frames(t_steps), written
+
+
+class TestFactoredOverlay:
+    @pytest.mark.parametrize("temporal,class_count", OVERLAY_CASES)
+    def test_product_matches_the_written_out_overlay(self, temporal, class_count):
+        layer, factored, written = overlay_case(temporal, class_count)
+        assert isinstance(factored, dataio.OverlaidFrames)
+        got = layer_forward(layer, factored, "train").pre_norm
+        want = np.stack([x @ layer.weights.T for x in written])
+        bound = FACTORED_PRODUCT_EPS * np.finfo(np.float64).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("temporal,class_count", OVERLAY_CASES)
+    def test_weight_gradient_matches_the_written_out_overlay(
+            self, temporal, class_count):
+        layer, factored, written = overlay_case(temporal, class_count, seed=3)
+        traces = [layer_forward(layer, frames, "train")
+                  for frames in (factored, written)]
+        assert traces[0].overlay is not None and traces[1].overlay is None
+        # products a few roundings apart fire the same spikes here, so the
+        # two gradients differ only by the products' roundings
+        assert np.array_equal(traces[0].spikes, traces[1].spikes)
+        dgood = RngStream(4).normal(len(traces[0].counts))
+        got, want = (layer_backward(layer, tr, dgood)["weights"] for tr in traces)
+        assert np.abs(want).max() > 0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        # the overlay channels' columns hold only the peak term
+        channels = np.arange(layer.n_in) < class_count
+        assert np.abs(got[:, channels]).max() > 0
+
+    def test_overlay_of_another_batch_size_is_shape_error(self):
+        layer, factored, _ = overlay_case(False, 2)
+        short = dataio.OverlaidFrames(
+            factored.base, dataio.Overlay(factored.overlay.peak[:-1],
+                                          factored.overlay.labels[:-1]))
+        with pytest.raises(ShapeError, match="overlay of"):
+            layer_forward(layer, short, "train")
+

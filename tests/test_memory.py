@@ -195,8 +195,8 @@ def test_scoring_peak_below_the_unchunked_buffers():
 
 
 def test_temporal_scoring_holds_one_overlay_beside_its_frames(monkeypatch):
-    """Overlays are written into one reused timestep-major buffer, one at a
-    time: no sample-major chunk and no per-chunk frame copy."""
+    """Scoring holds the batch's base rows once, framed timestep-major:
+    no overlay is written out and no per-chunk frame copy is made."""
     c, b, t_steps, d = 3, 64, 5, 400
     ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
                                       class_count=c, seed=0)
@@ -214,8 +214,31 @@ def test_temporal_scoring_holds_one_overlay_beside_its_frames(monkeypatch):
         tracemalloc.stop()
 
     assert np.array_equal(scores, reference_scores(net, batch))
-    # the frame buffer and the overlay being written; a third copy fails
+    # the base rows and their frames, briefly both; a third copy fails
     assert peak < 2.5 * overlay_bytes, (peak, overlay_bytes)
+
+
+def test_scoring_writes_out_no_overlay_chunk():
+    """All c overlays in one chunk: a scoring call allocates no (T, c*B, d)
+    buffer of overlaid frames, only the base rows, framed, and layer 0's
+    (T, B, n) base products beside the rollout buffers."""
+    c, b, t_steps, d = 10, 64, 5, 400
+    ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
+                                      class_count=c, seed=0)
+    net = build_network([8, 6], d, c, t_steps,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, d, t_steps)
+    assert network.CHUNK_ELEMENTS >= c * b * 8  # one chunk
+    overlay_chunk = 8 * t_steps * c * b * d
+
+    tracemalloc.start()
+    try:
+        label_goodness(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert peak < 0.3 * overlay_chunk, (peak, overlay_chunk)
 
 
 def test_normalized_is_derived_and_matches_the_first_membrane():

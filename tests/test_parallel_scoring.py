@@ -1,8 +1,8 @@
 """Label scoring split over row ranges: the calling thread rolls out the
 first range and a thread pool the others, with the loaded OpenBLAS on one
 thread for the call, as for inline scoring. Scores keep their bits, the
-BLAS thread count comes back, and everything but the products and steps
-stays on the calling thread."""
+BLAS thread count comes back, and each range does its whole share of every
+chunk: overlay correction, rollout and goodness sums."""
 
 import os
 import signal
@@ -151,11 +151,11 @@ def test_an_error_on_the_calling_thread_waits_for_the_workers(
     finished = []
     real_roll_out = network._roll_out
 
-    def roll_out(rollouts, frames, rows, z_shared):
+    def roll_out(rollouts, overlays, rows, total):
         if rows.start == 0:
             raise NumericError("the calling thread's range failed")
         time.sleep(0.2)
-        real_roll_out(rollouts, frames, rows, z_shared)
+        real_roll_out(rollouts, overlays, rows, total)
         finished.append(rows)
 
     net, ds = trained_network("subtract", False, False, False, 2)
@@ -167,29 +167,34 @@ def test_an_error_on_the_calling_thread_waits_for_the_workers(
     assert len(finished) == split.submitted > 0
 
 
-def test_overlays_buffers_and_goodness_stay_on_the_calling_thread(
+def test_base_rows_and_buffers_on_the_calling_thread_goodness_on_each_range(
     split, monkeypatch
 ):
-    threads = {"embed_label": set(), "goodness": set(), "EvalRollout": set()}
+    """The calling thread makes the batch's one copy of base rows and every
+    buffer; each range sums its own goodness on the thread that rolls it
+    out, so the calling thread does no per-row work between chunks."""
+    threads = {"embed_label": [], "goodness": [], "EvalRollout": []}
 
-    def on_calling_thread(name, fn):
+    def noting_thread(name, fn):
         def wrapper(*args, **kwargs):
-            threads[name].add(threading.get_ident())
+            threads[name].append(threading.get_ident())
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in threads:
-        monkeypatch.setattr(network, name,
-                            on_calling_thread(name, getattr(network, name)))
     net, _ = trained_network("subtract", False, True, True, 10)
     batch = held_out_batch(dataset(True, 10, n=11, seed=9))
+    for name in threads:
+        monkeypatch.setattr(network, name,
+                            noting_thread(name, getattr(network, name)))
     split.clear()
 
     label_goodness(net, batch)
 
+    caller = threading.get_ident()
     assert split.submitted > 0
-    for name, seen in threads.items():
-        assert seen == {threading.get_ident()}, name
+    assert threads["embed_label"] == [caller]
+    assert set(threads["EvalRollout"]) == {caller}
+    assert caller in threads["goodness"] and len(set(threads["goodness"])) > 1
 
 
 def no_pool():
