@@ -237,55 +237,47 @@ def _idx_pair(root: Path, name: str, split: str) -> List[Path]:
     return found
 
 
-def load_datasets(config: ExperimentConfig, root: Optional[str] = None):
-    """Resolve the config's dataset id to a (train, test) pair."""
+def load_split(config: ExperimentConfig, root: Optional[str], split: str):
+    """Resolve the config's dataset id to its `split` ("train" or "test")."""
     name = config.dataset
     base = data_root(root)
     if name in ("mnist", "fmnist", "kmnist"):
-        train = dataio.load_idx(*_idx_pair(base, name, "train"), class_count=10)
-        test = dataio.load_idx(*_idx_pair(base, name, "test"), class_count=10)
-        return train, test
+        return dataio.load_idx(*_idx_pair(base, name, split), class_count=10)
     if name == "cifar10":
-        folder = base / "cifar-10-batches-py"
-        return (
-            dataio.load_cifar10(folder, "train"),
-            dataio.load_cifar10(folder, "test"),
-        )
+        return dataio.load_cifar10(base / "cifar-10-batches-py", split)
     if name in ("nmnist", "shd"):
-        folder = base / name
-        for path in (folder / "train.bse", folder / "test.bse"):
-            if not path.exists():
-                raise FileNotFoundError(
-                    f"missing {name} file: {path}; place its BSE1 train.bse and "
-                    f"test.bse under {folder}/ or point {DATA_ROOT_ENV} at the "
-                    "directory that holds them"
-                )
-        name = f"bse:{folder}"  # read as any other BSE1 directory
+        path = base / name / f"{split}.bse"
+        if not path.exists():
+            raise FileNotFoundError(
+                f"missing {name} file: {path}; place its BSE1 train.bse and "
+                f"test.bse under {path.parent}/ or point {DATA_ROOT_ENV} at the "
+                "directory that holds them"
+            )
+        return dataio.load_binned_events(path)
     if name.startswith("bse:"):
-        folder = Path(name[len("bse:"):])
-        return (
-            dataio.load_binned_events(folder / "train.bse"),
-            dataio.load_binned_events(folder / "test.bse"),
-        )
+        return dataio.load_binned_events(Path(name[len("bse:"):]) / f"{split}.bse")
     if name.startswith("synthetic:"):
         kind = name[len("synthetic:"):]
-        if kind == "blobs":
-            return (
-                dataio.make_blob_dataset(2000, seed=config.seed * 2 + 1),
-                dataio.make_blob_dataset(500, seed=config.seed * 2 + 2),
-            )
-        if kind == "temporal":
-            return (
-                dataio.make_temporal_dataset(2000, seed=config.seed * 2 + 1),
-                dataio.make_temporal_dataset(500, seed=config.seed * 2 + 2),
-            )
-        raise ConfigError([f"dataset: unknown synthetic generator {kind!r}"])
+        make = {"blobs": dataio.make_blob_dataset,
+                "temporal": dataio.make_temporal_dataset}.get(kind)
+        if make is None:
+            raise ConfigError([f"dataset: unknown synthetic generator {kind!r}"])
+        n, offset = (2000, 1) if split == "train" else (500, 2)
+        return make(n, seed=config.seed * 2 + offset)
     raise ConfigError(
         [
             f"dataset: unknown id {name!r}; expected mnist | fmnist | kmnist | "
             "cifar10 | nmnist | shd | bse:<path> | synthetic:<generator>"
         ]
     )
+
+
+def load_datasets(config: ExperimentConfig, root: Optional[str] = None):
+    """Resolve the config's dataset id to a (train, test) pair; the test
+    split, the smaller, is read first, so its errors come before the
+    training split is read."""
+    test = load_split(config, root, "test")
+    return load_split(config, root, "train"), test
 
 
 def build_from_config(config: ExperimentConfig, train_ds: dataio.Dataset):
@@ -482,9 +474,7 @@ def run_inspect(path: str) -> int:
 def run_eval(checkpoint_path: str, config: ExperimentConfig,
              root: Optional[str], split: str) -> int:
     net, _ = load_checkpoint(checkpoint_path)
-    train_ds, test_ds = load_datasets(config, root)
-    ds = train_ds if split == "train" else test_ds
-    acc = predictor.evaluate(net, ds)
+    acc = predictor.evaluate(net, load_split(config, root, split))
     print(json.dumps({"dataset": config.dataset, "split": split, "accuracy": acc}))
     return 0
 
@@ -492,12 +482,11 @@ def run_eval(checkpoint_path: str, config: ExperimentConfig,
 def run_predict(checkpoint_path: str, config: ExperimentConfig,
                 root: Optional[str], split: str, out_path: Optional[str]) -> int:
     net, _ = load_checkpoint(checkpoint_path)
-    train_ds, test_ds = load_datasets(config, root)
-    ds = train_ds if split == "train" else test_ds
     lines = ["sample,true_label,predicted," + ",".join(
         f"score_{y}" for y in range(net.class_count))]
     offset = 0
-    for batch in dataio.iter_batches(ds, 256, shuffle=False):
+    for batch in dataio.iter_batches(load_split(config, root, split), 256,
+                                     shuffle=False):
         result = predictor.score_labels(net, batch)
         for i in range(batch.size):
             scores = ",".join(repr(float(s)) for s in result.scores[i])

@@ -104,8 +104,8 @@ class SampleBatch:
         return self.inputs.shape[0]
 
     def frames(self, run_timesteps: int) -> Sequence[np.ndarray]:
-        """`time_frames` of the rows; of an overlaid batch, its base rows'
-        frames with the overlay beside them (`OverlaidFrames`)."""
+        """`time_frames` of the rows, no copy; of an overlaid batch, its
+        base rows' frames with the overlay beside them (`OverlaidFrames`)."""
         frames = time_frames(self.inputs, self.input_dim, self.timesteps, run_timesteps)
         if self.overlay_max is None:
             return frames
@@ -147,12 +147,12 @@ def time_frames(
 ) -> Sequence[np.ndarray]:
     """Per-timestep (B, input_dim) frames of a batch.
 
-    Static rows (timesteps == 1) are presented as a constant input current,
-    without a copy: the same matrix object at every one of the run's
-    timesteps. Temporal rows must match the run length exactly; they are
-    returned as one C-contiguous timestep-major (T, B, input_dim) copy
-    whose entry t is the rows' t-th column block, the layout of every
-    stacked array in a layer's trace.
+    Neither form copies the rows. Static rows (timesteps == 1) are
+    presented as a constant input current: the same matrix object at every
+    one of the run's timesteps. Temporal rows must match the run length
+    exactly; they are returned as a timestep-major (T, B, input_dim) view
+    of the sample-major rows, whose entry t is the rows' t-th column block
+    (B rows, T * input_dim apart).
     """
     if timesteps == 1:
         return [inputs] * run_timesteps
@@ -161,9 +161,7 @@ def time_frames(
             f"temporal data has {timesteps} timesteps but the run wants "
             f"{run_timesteps}"
         )
-    return np.ascontiguousarray(
-        inputs.reshape(inputs.shape[0], timesteps, input_dim).transpose(1, 0, 2)
-    )
+    return inputs.reshape(inputs.shape[0], timesteps, input_dim).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

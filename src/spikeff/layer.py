@@ -165,11 +165,17 @@ def _batch_stats(z: np.ndarray, centered: np.ndarray):
     return mu, np.divide(np.sum(centered, axis=0), batch)
 
 
-def overlay_correction(weights: np.ndarray, overlay: Overlay) -> np.ndarray:
-    """peak (x) W[:, labels]: a new (B, n_out) array whose row b is
-    peak[b] * W[:, labels[b]], the overlay's share of every timestep's
-    product (`product`)."""
-    return np.multiply(weights.T[overlay.labels], overlay.peak[:, None])
+def overlay_correction(weights: np.ndarray, peak: np.ndarray, labels,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """peak (x) W[:, labels]: the (R, n_out) array whose row r is
+    peak[r] * W[:, labels[r]], the overlay's share of every timestep's
+    product (`product`), written to `out` when given.
+
+    `labels` is one label per row (a pass's `Overlay`), or one int label
+    for all R rows (a run of one overlay's rows in label scoring); the
+    same multiply either way, so equal values give equal bits.
+    """
+    return np.multiply(weights.T[labels], peak[:, None], out=out)
 
 
 def check_finite(z: np.ndarray, t: int) -> None:
@@ -229,13 +235,15 @@ def fold_running_stats(layer: SpikingLayer, trace: "LayerForwardTrace") -> None:
 class LayerForwardTrace:
     """Everything one forward pass recorded.
 
-    `spikes`, `membranes` and `inputs` are C-contiguous timestep-major
-    (T, B, n) arrays; entry t is timestep t's (B, n) view. `spikes` are
-    bool (1 byte each; float64 only under `smooth_spikes`), and `inputs` is
-    the array the pass was given, so a layer fed another's spikes holds
-    them as bool too. For a static input (one frame object repeated T
-    times, `shared`), `inputs` is instead a read-only broadcast of the one
-    frame, and `shared_product` holds its one (B, n_out) product.
+    `spikes` and `membranes` are C-contiguous timestep-major (T, B, n)
+    arrays; entry t is timestep t's (B, n) view. `spikes` are bool (1 byte
+    each; float64 only under `smooth_spikes`). `inputs` is the (T, B, n_in)
+    array the pass was given, as it is: a layer fed another's spikes holds
+    them as bool, and layer 0 of temporal data holds `time_frames`' view
+    of the batch's sample-major rows, no copy. For a static input (one
+    frame object repeated T times, `shared`), `inputs` is instead a
+    read-only broadcast of the one frame, and `shared_product` holds its
+    one (B, n_out) product.
     `mu`/`var` are the statistics actually used: batch statistics in train
     mode (which `fold_running_stats` folds into the layer's running ones),
     running statistics in eval mode. `weights`, `gamma` and `shift`
@@ -292,7 +300,7 @@ class LayerForwardTrace:
         None for an input without overlay."""
         if self.overlay is None:
             return None
-        return overlay_correction(self.weights, self.overlay)
+        return overlay_correction(self.weights, *self.overlay)
 
     @property
     def normalized(self) -> Optional[np.ndarray]:
@@ -327,8 +335,9 @@ def layer_forward(
 
     `frames` is either one (B, n_in) frame object repeated T times (a
     static input: one product serves every timestep) or T frames in one
-    C-contiguous timestep-major (T, B, n_in) array, as `time_frames` and a
-    layer's `spikes` give them (a list of T arrays is stacked into one).
+    timestep-major (T, B, n_in) array, as `time_frames` (a view of the
+    sample-major rows) and a layer's `spikes` give them. An array is used
+    as it is, not copied; a list of T arrays is stacked into one.
     An overlaid batch's `OverlaidFrames` are its base frames, either way,
     and its overlay: each product adds the overlay's correction
     (`product`), computed once for the pass.
@@ -382,8 +391,10 @@ def layer_forward(
     else:
         mu, var = layer.running_mean.copy(), layer.running_var.copy()
 
-    correction = None if overlay is None else overlay_correction(layer.weights, overlay)
     shared = all(f is frames[0] for f in frames)
+    # a static input's one product reads its correction once, from `drive`
+    correction = None if overlay is None else overlay_correction(
+        layer.weights, *overlay, out=drive if shared else None)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
         z = shared_product = np.empty((batch, n))
@@ -391,7 +402,7 @@ def layer_forward(
         if train:
             mu[:], var[:] = _batch_stats(z, drive)
     else:
-        x = np.ascontiguousarray(frames)
+        x = np.asarray(frames)
         if x.dtype != np.bool_:
             x = x.astype(np.float64, copy=False)
         shared_product = None

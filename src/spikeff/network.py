@@ -22,6 +22,7 @@ from .layer import (
     goodness,
     init_layer,
     layer_forward,
+    overlay_correction,
     product,
 )
 from .neuron import NeuronConfig
@@ -126,69 +127,56 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-@dataclass
-class _Overlays:
-    """What every row range of one scoring call reads.
+def overlay_runs(rows: range, batch_size: int):
+    """The overlays that a range of the flat overlaid rows meets.
 
-    Layer 0's products of the batch's base rows, one per input timestep
-    (one for static data), the rows' peaks, and the overlays' split into
-    chunks of `per_chunk` whole overlays. Row i of a chunk that starts at
-    label y0 is sample i % B under label y0 + i // B.
+    Label scoring numbers the c * B overlaid rows of a batch flat: row i
+    is sample i % B under label i // B. Per overlay the range meets, in
+    order: its label, the slice of the range's own rows it covers, and the
+    slice of the batch rows they are.
     """
-
-    base_products: np.ndarray  # (T_in, B, n_0)
-    peak: np.ndarray  # (B,)
-    class_count: int
-    per_chunk: int
-    timesteps: int  # of the run
-
-    def chunks(self, rows: slice):
-        """Per chunk in which the range has rows (a short last chunk holds
-        fewer or none): its first label, the range's rows of the chunk, and
-        per overlay they meet, its label and the (range rows, batch rows)
-        slices of its rows."""
-        b = self.base_products.shape[1]
-        for first in range(0, self.class_count, self.per_chunk):
-            chunk_rows = min(self.per_chunk, self.class_count - first) * b
-            r = slice(rows.start, min(rows.stop, chunk_rows))
-            runs, lo = [], r.start
-            while lo < r.stop:
-                hi = min(r.stop, (lo // b + 1) * b)
-                runs.append((first + lo // b, slice(lo - r.start, hi - r.start),
-                             slice(lo % b, lo % b + hi - lo)))
-                lo = hi
-            if runs:
-                yield first, r, runs
+    lo = rows.start
+    while lo < rows.stop:
+        label, row = divmod(lo, batch_size)
+        hi = min(rows.stop, (label + 1) * batch_size)
+        yield label, slice(lo - rows.start, hi - rows.start), slice(row, row + hi - lo)
+        lo = hi
 
 
-def _roll_out(rollouts, overlays: _Overlays, rows: slice, total: np.ndarray) -> None:
+def _roll_out(rollouts, shared, rows: slice, total: np.ndarray) -> None:
     """One row range's whole share of every chunk of a scoring call.
 
-    Per chunk: the range's overlay correction, added to its rows of the
-    base products, a reset of its rollouts, the rollout over every
-    timestep and the goodness sums, written to the range's rows of
-    `total`. Layer 0's product of each row is the base product plus the
-    correction, `product`'s two ops for an overlaid input; the correction
-    of one overlay's rows is `overlay_correction`'s products, taken as
-    one outer product. Everything else it writes was allocated
-    beforehand, so the ranges of a call run at once.
+    `shared` is what every range reads: layer 0's base products (T_in, B,
+    n_0), the rows' peaks and the rows of a chunk (whole overlays). Chunk
+    k holds the flat overlaid rows (`overlay_runs`) from k * chunk on, and
+    the range its rows `rows` (a short last chunk holds fewer or none of
+    them). Per chunk: the range's overlay corrections (`overlay_correction`,
+    one per overlay it meets), added to its rows of the base products, a
+    reset of its rollouts, the rollout over every timestep and the
+    goodness sums, written to the range's rows of `total`. Layer 0's
+    product of each row is the base product plus the correction,
+    `product`'s two ops for an overlaid input. Everything else it writes
+    was allocated beforehand, so the ranges of a call run at once.
     """
+    z_base, peak, chunk = shared
     first_roll = rollouts[0]
     weights = first_roll.layer.weights
-    z_base = overlays.base_products
     static = len(z_base) == 1
     corrections = np.empty((rows.stop - rows.start, len(weights)))
-    for first, r, runs in overlays.chunks(rows):
+    for start in range(0, len(total), chunk):
+        r = range(start + rows.start, min(start + rows.stop, len(total)))
+        if not r:
+            continue
+        runs = list(overlay_runs(r, len(peak)))
         for roll in rollouts:
-            roll.reset(r.stop - r.start)
-        correction = corrections[: r.stop - r.start]
+            roll.reset(len(r))
+        correction = corrections[: len(r)]
         for label, own, batch_rows in runs:
-            np.multiply(weights[:, label], overlays.peak[batch_rows, None],
-                        out=correction[own])
+            overlay_correction(weights, peak[batch_rows], label, out=correction[own])
         # a static input's one product serves every timestep: it is written
         # over the correction
         z = correction if static else first_roll.drive
-        for t in range(overlays.timesteps):
+        for t in range(first_roll.layer.timesteps):
             if t == 0 or not static:
                 for _, own, batch_rows in runs:
                     np.add(z_base[0 if static else t][batch_rows], correction[own],
@@ -198,8 +186,7 @@ def _roll_out(rollouts, overlays: _Overlays, rows: slice, total: np.ndarray) -> 
             for roll in rollouts[1:]:
                 product(x, roll.layer.weights, t, roll.drive)
                 x = roll.step(t, roll.drive)
-        offset = first * len(overlays.peak)
-        out = total[offset + r.start : offset + r.stop]
+        out = total[r.start : r.stop]
         for roll in rollouts:
             out += goodness(roll)
 
@@ -209,25 +196,29 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
 
     Every overlay of a batch shares its base rows (`embed_label`), so
     layer 0's product of an overlay is the base rows' product plus the
-    overlay's correction (`product`). The base rows' product is taken
-    once per call, one B-row GEMM per input timestep, on the calling
-    thread; then the class_count overlays are scored in eval-mode
-    rollouts over chunks of whole overlays, at most about `CHUNK_ELEMENTS`
-    rows x n_out each, that reuse one set of buffers. Eval normalization
-    uses running statistics only, so this equals the goodness sums of one
-    `forward_eval` per overlay bit for bit. Each rollout is timestep-major
-    and in place: at each t every layer advances one step on the previous
-    layer's spikes, and only one step of state per layer is live.
+    overlay's correction (`product`). A plain batch is overlaid here, one
+    base copy; an overlaid one (a train step's) is scored from its base
+    rows as it is, whatever its labels. The base rows' product is taken
+    once per call, one B-row GEMM per input timestep of their
+    `time_frames` view, on the calling thread; then the class_count
+    overlays are scored in eval-mode rollouts over chunks of whole
+    overlays, at most about `CHUNK_ELEMENTS` rows x n_out each, that reuse
+    one set of buffers. Eval normalization uses running statistics only,
+    so this equals the goodness sums of one `forward_eval` per overlay bit
+    for bit. Each rollout is timestep-major and in place: at each t every
+    layer advances one step on the previous layer's spikes, and only one
+    step of state per layer is live.
 
     A chunk's rows are split into `numerics.worker_ranges` of the widest
     layer, each with its own rollouts: together they hold a chunk's rows.
     `numerics.run_all` runs each range's whole share of every chunk
     (`_roll_out`: correction, reset, rollout and goodness sums) with
     OpenBLAS on one thread, the first on the calling thread and the others
-    on its pool. The calling thread makes the base rows, the buffers and
-    the base products first. One range (one core, one block in a chunk,
-    or no BLAS thread setter) runs inline, with no pool, but still pinned,
-    so scores do not depend on the BLAS thread count.
+    on its pool. The calling thread makes the base rows (of a plain
+    batch), the buffers and the base products first. One range (one core,
+    one block in a chunk, or no BLAS thread setter) runs inline, with no
+    pool, but still pinned, so scores do not depend on the BLAS thread
+    count.
 
     A row's elementwise steps do not depend on the other rows of its range,
     but its GEMM result can: OpenBLAS blocks a call by its row count, so a
@@ -242,12 +233,13 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     `forward_eval` reference exactly; perfbench's gate allows 1e-9.
     """
     c, b = net.class_count, batch.size
-    d, t_in = batch.input_dim, batch.timesteps
-    _check_width(net, d)
-    time_frames(batch.inputs[:0], d, t_in, net.timesteps)  # checks the run length
+    _check_width(net, batch.input_dim)
+    if batch.overlay_max is None:
+        batch = embed_label(batch, batch.labels, c)  # the batch's one base copy
+    # timestep t's base frame, a view of the sample-major base rows
+    frames = time_frames(batch.inputs, batch.input_dim, batch.timesteps, net.timesteps)
     if b == 0:
         return np.zeros((0, c))
-    overlaid = embed_label(batch, batch.labels, c)  # the batch's one base copy
     net.eval_rows += c * b
     widest = max(layer.n_out for layer in net.layers)
     per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * widest)))
@@ -257,20 +249,16 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
         for r in ranges
     ]
     first = net.layers[0]
-    # timestep t's base frame, read in place from the sample-major rows: the
-    # GEMM gets the same values as from a `time_frames` copy, and so the
-    # same bits
-    base = overlaid.inputs.reshape(b, t_in, d)
-    z_base = np.empty((t_in, b, first.n_out))
+    z_base = np.empty((batch.timesteps, b, first.n_out))
 
     def base_products():
-        for t in range(t_in):
-            product(base[:, t], first.weights, t, z_base[t])
+        for t in range(batch.timesteps):
+            product(frames[t], first.weights, t, z_base[t])
 
-    overlays = _Overlays(z_base, overlaid.overlay_max, c, per_chunk, net.timesteps)
+    shared = z_base, batch.overlay_max, per_chunk * b
     total = np.zeros(c * b)
     run_all(
-        [functools.partial(_roll_out, rolls, overlays, r, total)
+        [functools.partial(_roll_out, rolls, shared, r, total)
          for r, rolls in zip(ranges, rollouts)],
         len(ranges),
         before=base_products,

@@ -1,16 +1,17 @@
 """Forward-forward training loop.
 
-Per mini-batch: overlay true labels (positive variant), sample hard negative
-labels from the network's own per-class goodness, overlay them (negative
-variant), run one train-mode forward per variant, then update every layer
-locally from the contrastive loss on its goodness pair. Layers are processed
-first to last within the batch; each consumes the upstream spikes produced
-by pre-update weights (one forward, then local updates).
+Per mini-batch: overlay the true labels (positive variant), sample hard
+negative labels from the network's own per-class goodness, take the same
+overlaid rows under those labels (negative variant), run one train-mode
+forward per variant, then update every layer locally from the contrastive
+loss on its goodness pair. Layers are processed first to last within the
+batch; each consumes the upstream spikes produced by pre-update weights
+(one forward, then local updates).
 """
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -123,6 +124,8 @@ def sample_hard_labels(
     distribution, normalized, then one draw. If every non-true score is
     zero the draw is uniform over the false labels. The true label is
     structurally unreachable: the draw runs over the false classes only.
+    `batch` is plain, or overlaid with its true labels (`embed_label`),
+    which scoring reads as it is.
     """
     c = net.class_count
     if c < 2:
@@ -170,6 +173,11 @@ def train_step(
 ):
     """One mini-batch: hard negatives, both train passes, layer-local updates.
 
+    The batch is overlaid once (`embed_label`, one copy of its base rows):
+    hard-negative scoring reads that copy, and so do both passes, framed
+    without a copy (`SampleBatch.frames`). The negative variant is the
+    same batch with the negative labels (`dataclasses.replace`).
+
     The positive and negative passes are independent until the Adam
     update, so the two forwards run at once, and then each layer's two
     backward calls (`numerics.run_all`: the positive pass on the calling
@@ -186,25 +194,24 @@ def train_step(
     Returns per-layer arrays of the mean loss and of the summed positive and
     negative goodness. The passes' traces live only in this call: each
     layer's are dropped once its gradients are taken, and all are freed
-    before the next batch's scoring allocates its buffers.
+    before the next batch's scoring allocates its buffers. The base rows
+    go with layer 0's traces.
     Raises a NumericError naming the layer and batch if a loss diverges.
     """
     n_layers = len(net.layers)
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
-    c, steps = net.class_count, net.timesteps
     # Passes of one row block each run in turn: at that size two threads
     # would mostly wait on each other for the interpreter lock.
     widest = max(layer.n_out for layer in net.layers)
     workers = len(worker_ranges(batch.size, widest))
-    neg_labels = sample_hard_labels(net, batch, neg_rng)
-    # Overlays are made here and stay unbound: a temporal variant's one
-    # copy is its frames, held by the layer-0 trace alone.
+    positive = embed_label(batch, batch.labels, net.class_count)
+    negative = replace(positive, labels=sample_hard_labels(net, positive, neg_rng))
     pos_traces, neg_traces = run_all(
-        [functools.partial(
-            forward_train, net, embed_label(batch, labels, c).frames(steps)
-        ) for labels in (batch.labels, neg_labels)],
+        [functools.partial(forward_train, net, variant.frames(net.timesteps))
+         for variant in (positive, negative)],
         workers,
     )
+    del positive, negative  # the layer-0 traces alone hold the base rows
     for k, layer in enumerate(net.layers):  # binds no trace beyond its layer
         fold_running_stats(layer, pos_traces[k])
         fold_running_stats(layer, neg_traces[k])

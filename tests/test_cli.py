@@ -496,6 +496,29 @@ class TestCommands:
         assert record["error"] == "ShapeError"
         assert "14 channels" in record["message"]
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_eval_and_predict_read_only_their_split(self, tmp_path, capsys,
+                                                    command):
+        config = tiny_config(tmp_path, dataset="synthetic:temporal", timesteps=10)
+        assert run_train(config) == 0
+        data_dir = tmp_path / "test-only"
+        data_dir.mkdir()
+        dataio.write_binned_events(
+            data_dir / "test.bse", dataio.make_temporal_dataset(6, seed=2))
+        checkpoint = str(Path(config.out_dir) / "checkpoint.sffc")
+        to_file = ["--out", str(tmp_path / "out")] if command == "predict" else []
+        capsys.readouterr()
+
+        def run(split):
+            return cli.main([command, checkpoint, "--dataset", f"bse:{data_dir}",
+                             "--split", split, *to_file])
+
+        assert run("test") == 0
+        assert run("train") == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FileNotFoundError"
+        assert "train.bse" in record["message"]
+
     def write_mnist_with_label(self, root, label):
         folder = root / "mnist"
         folder.mkdir(parents=True)

@@ -10,6 +10,7 @@ from spikeff.layer import (
     init_layer,
     layer_backward,
     layer_forward,
+    overlay_correction,
     parameter_counts,
 )
 from spikeff.network import build_network, forward_train
@@ -377,9 +378,16 @@ class TestTraceLayout:
                 n = layer.n_in if name == "inputs" else layer.n_out
                 assert isinstance(array, np.ndarray), name
                 assert array.shape == (t_steps, batch, n), name
-                # only static layer-0 inputs and products are broadcasts
-                broadcast = trace.shared and name in ("pre_norm", "inputs")
-                assert array.flags.c_contiguous is not broadcast, name
+            assert trace.spikes.flags.c_contiguous
+            assert trace.membranes.flags.c_contiguous
+            # only static layer-0 products are broadcasts
+            assert trace.pre_norm.flags.c_contiguous is not trace.shared
+        # layer 0's inputs are the batch rows, not a copy: a broadcast of
+        # the static frame, or a timestep-major view of the temporal rows
+        first = traces[0].inputs
+        assert np.shares_memory(first, rows) and not first.flags.c_contiguous
+        timestep_major = rows.reshape(batch, -1, 8).transpose(1, 0, 2)
+        assert np.array_equal(first, np.broadcast_to(timestep_major, first.shape))
         assert traces[1].inputs is traces[0].spikes
         assert traces[0].shared is not temporal and not traces[1].shared
 
@@ -519,6 +527,34 @@ class TestFactoredOverlay:
         # the overlay channels' columns hold only the peak term
         channels = np.arange(layer.n_in) < class_count
         assert np.abs(got[:, channels]).max() > 0
+
+    @pytest.mark.parametrize("class_count", [2, 10])
+    def test_one_int_label_is_that_label_on_every_row(self, class_count):
+        """Scoring's form (one int label for a run of rows) and the passes'
+        (one label per row) are one correction: equal values, equal bits."""
+        layer, factored, _ = overlay_case(False, class_count)
+        peak = factored.overlay.peak
+        for label in range(class_count):
+            one = overlay_correction(layer.weights, peak, label)
+            per_row = overlay_correction(layer.weights, peak,
+                                         np.full(len(peak), label))
+            assert one.shape == (len(peak), layer.n_out)
+            assert one.tobytes() == per_row.tobytes()
+            assert one.tobytes() == np.outer(peak, layer.weights[:, label]).tobytes()
+
+    def test_correction_into_out(self):
+        """Written into a given buffer, as the static train pass does, and
+        one label's run into its rows of one, as scoring does."""
+        layer, factored, _ = overlay_case(True, 10)
+        peak, labels = factored.overlay
+        want = np.stack([p * layer.weights[:, y] for p, y in zip(peak, labels)])
+        out = np.full(want.shape, np.nan)
+        assert overlay_correction(layer.weights, peak, labels, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        run = slice(3, 10)
+        overlay_correction(layer.weights, peak[run], 4, out=out[run])
+        want[run] = np.outer(peak[run], layer.weights[:, 4])
+        assert out.tobytes() == want.tobytes()
 
     def test_overlay_of_another_batch_size_is_shape_error(self):
         layer, factored, _ = overlay_case(False, 2)

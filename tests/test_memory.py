@@ -83,32 +83,43 @@ def test_layer_traces_freed_before_its_adam_update(monkeypatch):
     assert live_at_adam == {0: 0, 1: 0}
 
 
-def test_temporal_overlays_freed_once_framed(monkeypatch):
-    """A temporal variant's frames are a timestep-major copy of its overlaid
-    rows; the step keeps the frames (in the layer-0 trace), not the rows."""
+def test_one_overlay_per_step_framed_without_a_copy(monkeypatch):
+    """A temporal step overlays its batch once: scoring and both passes
+    read that one copy of the base rows, each pass's layer-0 inputs being
+    a view of it, and it is freed with layer 0's traces."""
     ds = dataset(True, 2, n=16)
     net = build_network([8, 6], ds.input_dim, ds.class_count, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
     overlays = []  # weak references to the rows of each overlaid batch
-    live_at_forward = []
-    real_embed, real_forward = trainer.embed_label, trainer.forward_train
+    views = []  # per pass: whether its layer-0 inputs are a view of them
+    live_at_adam = []
+    real_embed, real_forward = dataio.embed_label, trainer.forward_train
+    real_adam = trainer.adam_update
 
     def recording_embed(batch, labels, class_count):
         variant = real_embed(batch, labels, class_count)
         overlays.append(weakref.ref(variant.inputs))
         return variant
 
-    def checking_forward(net, frames):
-        live_at_forward.append(sum(ref() is not None for ref in overlays))
-        return real_forward(net, frames)
+    def recording_forward(net, frames):
+        traces = real_forward(net, frames)
+        views.append(np.shares_memory(traces[0].inputs, overlays[-1]()))
+        return traces
 
-    monkeypatch.setattr(trainer, "embed_label", recording_embed)
-    monkeypatch.setattr(trainer, "forward_train", checking_forward)
+    def checking_adam(param, grad, state, name):
+        live_at_adam.append(overlays[-1]() is not None)
+        return real_adam(param, grad, state, name)
+
+    for module in (trainer, network):
+        monkeypatch.setattr(module, "embed_label", recording_embed)
+    monkeypatch.setattr(trainer, "forward_train", recording_forward)
+    monkeypatch.setattr(trainer, "adam_update", checking_adam)
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim, ds.timesteps)
     train_step(net, batch, TrainConfig(epochs=1, batch_size=16), RngStream(2))
 
-    assert len(overlays) == 2
-    assert live_at_forward == [0, 0]
+    assert len(overlays) == 1
+    assert views == [True, True]
+    assert live_at_adam and not any(live_at_adam)
 
 
 @pytest.mark.parametrize("temporal", [False, True])
