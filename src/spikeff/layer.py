@@ -565,6 +565,9 @@ def layer_backward(
     dz_t^T X_t is added to the weight gradient. The trace's `inputs` are
     then dropped. Bool spikes enter every other use (the zero-reset carry,
     the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
+    A timestep allocates no (B, n) array: dL/dU[t] and dL/dU[t+1] take
+    turns in two buffers, and each other product goes to one scratch
+    buffer, with the ufuncs and operand order of the plain expressions.
 
     For an overlaid input (`trace.overlay`), X_t is the base frame plus
     peak[b] at channel labels[b] of row b, so the weight gradient is the
@@ -612,26 +615,35 @@ def layer_backward(
         d_weights = np.zeros_like(layer.weights)
         term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
+    du_buffers = np.empty((2, batch, n))  # dL/dU[t] and dL/dU[t+1], in turn
+    scratch = np.empty((batch, n))
     du_next = None  # dL/dU[t+1]
-    for t in reversed(range(t_steps)):
-        du = neuron.surrogate_grad(trace.membranes[t], cfg)
+    for i, t in enumerate(reversed(range(t_steps))):
+        du = neuron.surrogate_grad(trace.membranes[t], cfg, out=du_buffers[i % 2])
         if d_rec is not None and du_next is not None:
-            d_spike = du_next @ layer.recurrent.T
+            d_spike = np.matmul(du_next, layer.recurrent.T, out=scratch)
             d_spike += d_counts
             du *= d_spike
         else:
             du *= d_counts
-        if du_next is not None:
-            carry = beta * (1.0 - trace.spikes[t]) if zero_reset else beta
-            du += du_next * carry
+        if du_next is not None:  # du += du_next * carry; du_next dies here
+            carry = beta
+            if zero_reset:  # beta * (1 - S[t])
+                carry = np.subtract(1.0, trace.spikes[t], out=scratch)
+                np.multiply(beta, carry, out=carry)
+            du += np.multiply(du_next, carry, out=du_next)
         if t > 0:
             prev_mem = trace.membranes[t - 1]
             prev_spk = trace.spikes[t - 1]
             if d_beta is not None:
-                path = prev_mem * (1.0 - prev_spk) if zero_reset else prev_mem
-                d_beta += (du * path).sum(axis=0)
+                path = prev_mem
+                if zero_reset:  # prev_mem * (1 - S[t-1])
+                    path = np.subtract(1.0, prev_spk, out=scratch)
+                    np.multiply(prev_mem, path, out=path)
+                d_beta += np.multiply(du, path, out=scratch).sum(axis=0)
             if d_rec is not None:
-                d_rec += prev_spk.astype(np.float64, copy=False).T @ du
+                np.copyto(scratch, prev_spk)  # bool spikes as exact 0/1
+                d_rec += scratch.T @ du
         # normalization backward: xhat, then dz over it in place
         if trace.shared:
             np.subtract(z, trace.mu[t], out=dz)
@@ -639,7 +651,7 @@ def layer_backward(
             rows = product(x[t], trace.weights, t, dz, cast, correction)
             np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
-        d_gamma[t] = (du * dz).sum(axis=0)
+        d_gamma[t] = np.multiply(du, dz, out=scratch).sum(axis=0)
         d_shift[t] = du.sum(axis=0)
         np.multiply(dz, d_gamma[t] / batch, out=dz)
         np.subtract(du, dz, out=dz)
@@ -651,7 +663,8 @@ def layer_backward(
             d_weights += np.matmul(dz.T, rows, out=term)
         du_next = du
 
-    del du, du_next, dz, d_counts  # freed before the weight gradient is made
+    # freed before the weight gradient is made
+    del du, du_next, du_buffers, dz, scratch, d_counts
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
     else:

@@ -78,18 +78,20 @@ def build_network(
     return FFNetwork(layers, class_count, input_dim, timesteps)
 
 
-def forward_train(net: FFNetwork, frames: Sequence[np.ndarray]):
-    """Train-mode pass through every layer; returns one trace per layer.
+def forward_train(layers: Sequence[SpikingLayer], frames: Sequence[np.ndarray]):
+    """Train-mode pass through `layers` in order; returns one trace per layer.
 
-    The layers are not changed: each trace carries its batch statistics,
-    which the caller folds into the running ones (`fold_running_stats`).
-    Layer k+1 consumes layer k's spike train produced by the pre-update
-    weights of the same pass (one forward, then local updates): the trace's
-    stacked (T, B, n) bool `spikes` array is its frames as it is.
+    `layers` is a run of a network's layers: `net.layers` for a whole
+    pass, or one layer, `net.layers[k:k+1]`, fed layer k-1's spikes, as a
+    train step runs them. The layers are not changed: each trace carries
+    its batch statistics, which the caller folds into the running ones
+    (`fold_running_stats`). Each layer after the first consumes the
+    previous one's spike train, its trace's stacked (T, B, n) bool
+    `spikes` array, as its frames as it is.
     """
     traces = []
     x = frames
-    for layer in net.layers:
+    for layer in layers:
         trace = layer_forward(layer, x, "train")
         traces.append(trace)
         x = trace.spikes

@@ -114,15 +114,19 @@ def fire(membrane, config: NeuronConfig, out=None) -> np.ndarray:
     return np.greater_equal(membrane, config.threshold, out=out)
 
 
-def surrogate_grad(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:
+def surrogate_grad(membrane: np.ndarray, config: NeuronConfig,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pseudo-derivative of the spike function, centred at the threshold.
 
     (1/pi) / (1 + (pi * slope/2 * (U - thr))^2): maximal (1/pi) at threshold,
-    even in (U - thr), strictly positive everywhere. One new array holds
-    every intermediate.
+    even in (U - thr), strictly positive everywhere. One array holds every
+    intermediate: `out` when given (a float64 buffer of the membrane's
+    shape), else a new one.
     """
     k = math.pi * config.surrogate_slope / 2.0
-    out = np.subtract(membrane, config.threshold, out=np.empty(np.shape(membrane)))
+    if out is None:
+        out = np.empty(np.shape(membrane))
+    out = np.subtract(membrane, config.threshold, out=out)
     np.multiply(k, out, out=out)
     np.square(out, out=out)
     np.add(1.0, out, out=out)

@@ -1,12 +1,13 @@
 """Forward-forward training loop.
 
 Per mini-batch: overlay the true labels (positive variant), sample hard
-negative labels from the network's own per-class goodness, take the same
-overlaid rows under those labels (negative variant), run one train-mode
-forward per variant, then update every layer locally from the contrastive
-loss on its goodness pair. Layers are processed first to last within the
-batch; each consumes the upstream spikes produced by pre-update weights
-(one forward, then local updates).
+negative labels from the network's own per-class goodness, and take the
+same overlaid rows under those labels (negative variant). Then each layer,
+first to last, runs its train-mode forward on both variants and is updated
+locally from the contrastive loss on its goodness pair before the next
+layer runs. Layer k+1 consumes the spikes that layer k made with its
+pre-update weights, so the updates are those of one whole forward followed
+by local updates, while a step holds only one layer's traces at a time.
 """
 
 import functools
@@ -171,15 +172,29 @@ def train_step(
     epoch: int = 0,
     batch_index: int = 0,
 ):
-    """One mini-batch: hard negatives, both train passes, layer-local updates.
+    """One mini-batch: hard negatives, then each layer's forward and update.
 
     The batch is overlaid once (`embed_label`, one copy of its base rows):
     hard-negative scoring reads that copy, and so do both passes, framed
     without a copy (`SampleBatch.frames`). The negative variant is the
     same batch with the negative labels (`dataclasses.replace`).
 
+    Forward-forward needs no activations kept for a backward pass through
+    the stack, so the step finishes each layer before the next one's
+    forward. For layer k, in order: both passes' train forward
+    (`forward_train` of `net.layers[k:k+1]`), the fold of the positive
+    pass's batch statistics and then the negative pass's into the running
+    ones, the goodness pair, `ff_loss` and its divergence check, both
+    passes' `layer_backward`, the drop of layer k's traces (their bool
+    `spikes` stay, as layer k+1's input), the Adam update and the drop of
+    the gradients. Layer k+1 reads spikes made by layer k's pre-update
+    weights, and no layer's weights or statistics move before its own
+    update, so the result is that of both whole forwards followed by the
+    updates, bit for bit; a step holds one layer's traces, not every
+    layer's. The base rows go with layer 0's traces.
+
     The positive and negative passes are independent until the Adam
-    update, so the two forwards run at once, and then each layer's two
+    update, so a layer's two forwards run at once, and then its two
     backward calls (`numerics.run_all`: the positive pass on the calling
     thread, the negative one on the pool). They run in turn instead where
     `numerics.worker_ranges` gives the batch one range: on one usable
@@ -187,16 +202,15 @@ def train_step(
     block of the widest layer. Every GEMM of the step, scoring included,
     runs inside `run_all` with OpenBLAS on one thread, so every bit of the
     step is the same on any host and at any BLAS thread count (where no
-    thread setter is found, BLAS runs as it is). After both forwards, each
-    layer folds the positive pass's batch statistics and then the negative
-    pass's into its running ones.
+    thread setter is found, BLAS runs as it is).
 
     Returns per-layer arrays of the mean loss and of the summed positive and
-    negative goodness. The passes' traces live only in this call: each
-    layer's are dropped once its gradients are taken, and all are freed
-    before the next batch's scoring allocates its buffers. The base rows
-    go with layer 0's traces.
+    negative goodness. The passes' traces live only in this call and are
+    all freed before the next batch's scoring allocates its buffers.
     Raises a NumericError naming the layer and batch if a loss diverges.
+    A NumericError raised in layer k (a diverged loss, or a non-finite
+    value in its forward or backward) leaves layers 0..k-1 folded and
+    updated by this batch, and layer k and those above it as they were.
     """
     n_layers = len(net.layers)
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
@@ -206,19 +220,18 @@ def train_step(
     workers = len(worker_ranges(batch.size, widest))
     positive = embed_label(batch, batch.labels, net.class_count)
     negative = replace(positive, labels=sample_hard_labels(net, positive, neg_rng))
-    pos_traces, neg_traces = run_all(
-        [functools.partial(forward_train, net, variant.frames(net.timesteps))
-         for variant in (positive, negative)],
-        workers,
-    )
-    del positive, negative  # the layer-0 traces alone hold the base rows
-    for k, layer in enumerate(net.layers):  # binds no trace beyond its layer
-        fold_running_stats(layer, pos_traces[k])
-        fold_running_stats(layer, neg_traces[k])
-
+    inputs = [variant.frames(net.timesteps) for variant in (positive, negative)]
+    del positive, negative  # the frames alone hold the base rows
     for k, layer in enumerate(net.layers):
-        g_pos = goodness(pos_traces[k])
-        g_neg = goodness(neg_traces[k])
+        (pos,), (neg,) = run_all(
+            [functools.partial(forward_train, net.layers[k : k + 1], x)
+             for x in inputs],
+            workers,
+        )
+        inputs = None  # the traces alone hold the layer's inputs
+        fold_running_stats(layer, pos)
+        fold_running_stats(layer, neg)
+        g_pos, g_neg = goodness(pos), goodness(neg)
         loss, d_pos, d_neg = ff_loss(g_pos, g_neg, config.loss_sharpness)
         if not np.isfinite(loss) or abs(loss) > LOSS_DIVERGENCE_LIMIT:
             raise NumericError(
@@ -226,17 +239,19 @@ def train_step(
                 f"at epoch {epoch}, batch {batch_index}"
             )
         grads_pos, grads_neg = run_all(
-            [functools.partial(layer_backward, layer, pos_traces[k], d_pos),
-             functools.partial(layer_backward, layer, neg_traces[k], d_neg)],
+            [functools.partial(layer_backward, layer, pos, d_pos),
+             functools.partial(layer_backward, layer, neg, d_neg)],
             workers,
         )
-        pos_traces[k] = neg_traces[k] = None  # freed before Adam allocates
+        inputs = [pos.spikes, neg.spikes]  # layer k+1's frames
+        del pos, neg  # freed before Adam allocates
         for name, tensor in layer.trainable_tensors().items():
             grad = grads_pos[name] + grads_neg[name]
             layer.set_tensor(
                 name,
                 adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
             )
+        del grads_pos, grads_neg, grad, tensor  # freed before the next forward
         losses[k] = loss
         gpos[k] = g_pos.sum()
         gneg[k] = g_neg.sum()

@@ -1,10 +1,10 @@
 """The positive and negative train passes run at once: the calling thread
-runs the positive pass and the worker pool the negative one, both forwards
-and then each layer's two backward calls, with the loaded OpenBLAS on one
-thread for every call that runs GEMMs. The bits of training, eval and
-predict do not depend on the split or on the BLAS thread count, running
-statistics are folded on the calling thread in pass order, and an error in
-either pass is raised after both have stopped."""
+runs the positive pass and the worker pool the negative one, layer by
+layer, each layer's two forwards and then its two backward calls, with the
+loaded OpenBLAS on one thread for every call that runs GEMMs. The bits of
+training, eval and predict do not depend on the split or on the BLAS
+thread count, running statistics are folded on the calling thread in pass
+order, and an error in either pass is raised after both have stopped."""
 
 import copy
 import itertools
@@ -165,8 +165,8 @@ def test_running_stats_fold_positive_then_negative_per_layer(monkeypatch):
     passes, folds = {}, []  # trace id -> pass; (layer, pass) in fold order
     real_forward, real_fold = trainer.forward_train, trainer.fold_running_stats
 
-    def forward(net, frames):
-        traces = real_forward(net, frames)
+    def forward(layers, frames):
+        traces = real_forward(layers, frames)
         which = "positive" if threading.get_ident() == caller else "negative"
         passes.update((id(trace), which) for trace in traces)
         return traces
@@ -200,8 +200,8 @@ def test_a_one_block_batch_runs_its_passes_in_turn(monkeypatch):
     assert numerics.row_blocks(batch.size, 7) == [slice(0, 16)]
     train_step(net, batch, TrainConfig(epochs=1, batch_size=16), RngStream(2))
     assert [layer.batches_tracked for layer in net.layers] == [2, 2]
-    # scoring, the forwards, and each layer's backward calls: four pins
-    assert counts == [2] + [1, 2] * 4
+    # scoring, then each layer's forwards and its backward calls: five pins
+    assert counts == [2] + [1, 2] * 5
 
 
 def failing_pass(monkeypatch, stage, failing, finished):
@@ -249,5 +249,7 @@ def test_an_error_in_either_pass_is_raised_after_both_stop(monkeypatch, stage,
     assert finished == [other]
     if stage == "forward":  # no statistics folded, no tensor changed
         assert_same_bits(stored_state(net), before)
-    else:  # both passes were folded before the backward calls
-        assert [layer.batches_tracked for layer in net.layers] == [2, 2]
+    else:  # layer 0 folded both passes before its backward calls; layer 1
+        # never ran
+        assert [layer.batches_tracked for layer in net.layers] == [2, 0]
+        assert_same_bits(stored_state(net)[1:], before[1:])

@@ -371,7 +371,7 @@ class TestTraceLayout:
                             RngStream(3))
         rows = RngStream(4).uniform((batch, 8 * (t_steps if temporal else 1)))
         frames = dataio.time_frames(rows, 8, t_steps if temporal else 1, t_steps)
-        traces = forward_train(net, frames)
+        traces = forward_train(net.layers, frames)
         for trace, layer in zip(traces, net.layers):
             for name in ("spikes", "membranes", "pre_norm", "inputs"):
                 array = getattr(trace, name)
@@ -414,7 +414,7 @@ class TestTraceLayout:
         sample = dataio.SampleBatch(ds.inputs, ds.labels, 8, t_steps)
         frames = dataio.embed_label(sample, sample.labels, 2).frames(t_steps)
         peak, labels = frames.overlay
-        traces = forward_train(net, frames)
+        traces = forward_train(net.layers, frames)
         expected = []
         for k, (trace, layer) in enumerate(zip(traces, net.layers)):
             # one GEMM a timestep, as the pass; layer 0's input is the base

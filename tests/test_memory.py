@@ -1,7 +1,7 @@
-"""What a training step keeps alive: step traces are released before the
-next batch's scoring, label scoring runs in overlay chunks on reused
-buffers, and a trace stores bool spikes and derives its products and
-normalized drive instead of storing them."""
+"""What a training step keeps alive: one layer's traces at a time, all
+released before the next batch's scoring; label scoring runs in overlay
+chunks on reused buffers, and a trace stores bool spikes and derives its
+products and normalized drive instead of storing them."""
 
 import dataclasses
 import itertools
@@ -35,8 +35,8 @@ def test_step_traces_freed_before_the_next_scoring(monkeypatch):
     live_at_scoring = []
     real_forward, real_sample = trainer.forward_train, trainer.sample_hard_labels
 
-    def recording_forward(net, frames):
-        traces = real_forward(net, frames)
+    def recording_forward(layers, frames):
+        traces = real_forward(layers, frames)
         steps[-1].extend(weakref.ref(trace) for trace in traces)
         return traces
 
@@ -55,23 +55,29 @@ def test_step_traces_freed_before_the_next_scoring(monkeypatch):
     assert live_at_scoring == [0, 0, 0, 0]
 
 
+def layer_index(net, layers):
+    """The index in `net` of the one layer a step's `forward_train` runs."""
+    (layer,) = layers
+    return next(k for k, each in enumerate(net.layers) if each is layer)
+
+
 def test_layer_traces_freed_before_its_adam_update(monkeypatch):
     ds = dataio.make_blob_dataset(32, seed=0)
     net = build_network([8, 6], ds.input_dim, ds.class_count, 4,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
-    refs = []  # weak references to the step's traces, pass by pass
+    refs = []  # (layer, weak reference) of each trace of the step
     live_at_adam = {}  # layer -> its traces still alive at its first update
     real_forward, real_adam = trainer.forward_train, trainer.adam_update
 
-    def recording_forward(net, frames):
-        traces = real_forward(net, frames)
-        refs.append([weakref.ref(trace) for trace in traces])
+    def recording_forward(layers, frames):
+        traces = real_forward(layers, frames)
+        refs.extend((layer_index(net, layers), weakref.ref(t)) for t in traces)
         return traces
 
     def checking_adam(param, grad, state, name):
         k = int(name[len("layer")])
         live_at_adam.setdefault(
-            k, sum(pass_refs[k]() is not None for pass_refs in refs))
+            k, sum(ref() is not None for j, ref in refs if j == k))
         return real_adam(param, grad, state, name)
 
     monkeypatch.setattr(trainer, "forward_train", recording_forward)
@@ -79,30 +85,63 @@ def test_layer_traces_freed_before_its_adam_update(monkeypatch):
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
     train_step(net, batch, TrainConfig(epochs=1, batch_size=32), RngStream(2))
 
-    assert len(refs) == 2
+    assert [k for k, _ in refs] == [0, 0, 1, 1]
     assert live_at_adam == {0: 0, 1: 0}
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+def test_lower_layer_traces_freed_before_each_forward(monkeypatch, temporal):
+    """A step runs one layer at a time, both passes of it: when layer k's
+    forward starts, no trace of a layer below it is alive, and no trace
+    outlives its step."""
+    ds = dataset(temporal, 3, n=32)
+    net = build_network([8, 7, 6], ds.input_dim, 3, TIMESTEPS,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    refs = []  # (layer, weak reference) of each trace made so far
+    calls, live_below = [], []  # per forward: its layer, lower traces alive
+    real_forward = network.layer_forward
+
+    def checking_forward(layer, frames, mode="train", **kwargs):
+        k = layer_index(net, [layer])
+        calls.append(k)
+        live_below.append(sum(ref() is not None for j, ref in refs if j < k))
+        trace = real_forward(layer, frames, mode, **kwargs)
+        refs.append((k, weakref.ref(trace)))
+        return trace
+
+    monkeypatch.setattr(network, "layer_forward", checking_forward)
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim, ds.timesteps)
+    config = TrainConfig(epochs=1, batch_size=32)
+    for seed in (2, 3):
+        train_step(net, batch, config, RngStream(seed))
+
+    assert calls == [0, 0, 1, 1, 2, 2] * 2
+    assert live_below == [0] * 12
+    assert not any(ref() is not None for _, ref in refs)
 
 
 def test_one_overlay_per_step_framed_without_a_copy(monkeypatch):
     """A temporal step overlays its batch once: scoring and both passes
     read that one copy of the base rows, each pass's layer-0 inputs being
-    a view of it, and it is freed with layer 0's traces."""
+    a view of it, and it is freed with layer 0's traces, before layer 0's
+    Adam update."""
     ds = dataset(True, 2, n=16)
     net = build_network([8, 6], ds.input_dim, ds.class_count, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
-    overlays = []  # weak references to the rows of each overlaid batch
-    views = []  # per pass: whether its layer-0 inputs are a view of them
+    overlays = []  # weak references to the array owning each overlay's rows
+    views = []  # per forward: whether its inputs are a view of them
     live_at_adam = []
     real_embed, real_forward = dataio.embed_label, trainer.forward_train
     real_adam = trainer.adam_update
 
     def recording_embed(batch, labels, class_count):
         variant = real_embed(batch, labels, class_count)
-        overlays.append(weakref.ref(variant.inputs))
+        rows = variant.inputs  # maybe a view: the frames keep its owner alive
+        overlays.append(weakref.ref(rows if rows.base is None else rows.base))
         return variant
 
-    def recording_forward(net, frames):
-        traces = real_forward(net, frames)
+    def recording_forward(layers, frames):
+        traces = real_forward(layers, frames)
         views.append(np.shares_memory(traces[0].inputs, overlays[-1]()))
         return traces
 
@@ -118,7 +157,7 @@ def test_one_overlay_per_step_framed_without_a_copy(monkeypatch):
     train_step(net, batch, TrainConfig(epochs=1, batch_size=16), RngStream(2))
 
     assert len(overlays) == 1
-    assert views == [True, True]
+    assert views == [True, True, False, False]  # layer 0's passes, layer 1's
     assert live_at_adam and not any(live_at_adam)
 
 
@@ -129,7 +168,7 @@ def test_train_traces_hold_no_float64_stack_but_membranes(temporal):
                         RngStream(3))
     rows = RngStream(4).uniform((batch, d * (t_steps if temporal else 1)))
     frames = dataio.time_frames(rows, d, t_steps if temporal else 1, t_steps)
-    traces = forward_train(net, frames)
+    traces = forward_train(net.layers, frames)
     for k, trace in enumerate(traces):
         float_stacks = {
             name for name, value in vars(trace).items()
@@ -183,6 +222,54 @@ def test_train_step_peak_within_the_compact_trace_bound(monkeypatch, temporal):
         assert peak < bound, (cores, peak, bound)
 
 
+@pytest.mark.parametrize("temporal", [False, True])
+def test_train_step_peak_within_one_layers_traces(monkeypatch, temporal):
+    """A step holds one layer's traces at a time, so its peak does not
+    grow with depth: it stays below the widest layer's traces and its
+    input, however many layers there are."""
+    t_steps, b, widths, d = 20, 64, (200, 200, 200), 24
+    if temporal:
+        ds = dataio.make_temporal_dataset(b, input_dim=d, timesteps=t_steps,
+                                          class_count=2, seed=0)
+    else:
+        ds = dataio.make_blob_dataset(b, input_dim=d, class_count=2, seed=0)
+    net = build_network(list(widths), d, 2, t_steps,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    batch = dataio.SampleBatch(ds.inputs, ds.labels, d, ds.timesteps)
+    config = TrainConfig(epochs=1, batch_size=b)
+    train_step(net, batch, config, RngStream(2))  # populates running stats
+    stack, n = t_steps * b, max(widths)  # rows of one (T, B, n) array
+    # The widest layer's traces for both passes at 9 bytes per (T, B, n)
+    # element (a float64 membrane and a bool spike), its input (both
+    # passes' bool spikes of the layer below; layer 0's base rows are
+    # smaller), four float64 (n, n) arrays (weight gradients of both
+    # passes' backward calls, each with its one-timestep term) and 32
+    # float64 (B, n) buffers (per-timestep state and gradients of both
+    # calls).
+    bound = (2 * 9 * stack * n + 2 * stack * n + 4 * 8 * n * n
+             + 32 * 8 * b * n)
+    assert 8 * b * t_steps * d < 2 * stack * n
+    # Every layer's traces held at once, as when all forwards run before
+    # any backward, exceed it alone.
+    assert 2 * 9 * stack * sum(widths) > bound
+
+    # Run in turn, then (where BLAS threads can be pinned) at once: row
+    # blocks of 16 rows make each pass four blocks.
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16 * n)
+    split = numerics._openblas_thread_calls() is not None
+    for cores in (1, 2) if split else (1,):
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: cores)
+        assert len(numerics.worker_ranges(b, n)) == cores
+        tracemalloc.start()
+        try:
+            train_step(net, batch, config, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert peak < bound, (cores, peak, bound)
+
+
 def test_scoring_peak_below_the_unchunked_buffers():
     c, b, widths, t_steps = 10, 128, (1024, 256), 3
     ds = dataio.make_blob_dataset(b, input_dim=16, class_count=c, seed=0)
@@ -225,8 +312,9 @@ def test_temporal_scoring_holds_one_overlay_beside_its_frames(monkeypatch):
         tracemalloc.stop()
 
     assert np.array_equal(scores, reference_scores(net, batch))
-    # the base rows and their frames, briefly both; a third copy fails
-    assert peak < 2.5 * overlay_bytes, (peak, overlay_bytes)
+    # the base rows, read in place (about 1.08 times them); one more copy
+    # of them (about 2.08) fails
+    assert peak < 1.5 * overlay_bytes, (peak, overlay_bytes)
 
 
 def test_scoring_writes_out_no_overlay_chunk():
@@ -258,7 +346,7 @@ def test_normalized_is_derived_and_matches_the_first_membrane():
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
     batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
     frames = dataio.embed_label(batch, batch.labels, ds.class_count).frames(4)
-    traces = forward_train(net, frames)
+    traces = forward_train(net.layers, frames)
     # Adam replaces gamma and shift; the traces keep the pass's arrays.
     train_step(net, batch, TrainConfig(epochs=1, batch_size=32), RngStream(4))
     for trace, layer in zip(traces, net.layers):

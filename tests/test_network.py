@@ -152,7 +152,7 @@ def test_non_finite_weight_names_the_timestep(layer_index, temporal):
     for value in (np.nan, np.inf, -np.inf):
         net.layers[layer_index].weights[0, 0] = value
         for run in (lambda: label_goodness(net, batch),
-                    lambda: forward_train(net, frames)):
+                    lambda: forward_train(net.layers, frames)):
             with pytest.raises(NumericError, match="non-finite drive at timestep 0"), \
                     np.errstate(invalid="ignore"):  # inf * 0 in the GEMM
                 run()

@@ -257,8 +257,9 @@ def test_inline_scoring_and_passes_run_on_one_blas_thread(monkeypatch):
     assert seen == [1] and counts[-1] == 2
 
     train_step(net, batch, TrainConfig(epochs=1, batch_size=128), RngStream(4))
-    # one scoring rollout, two forwards, two backward calls per layer
-    assert seen == [1] * 8 and counts[-1] == 2
+    # one scoring rollout, then per layer its two forwards and its two
+    # backward calls
+    assert seen == [1] * 10 and counts[-1] == 2
 
 
 def test_blas_threads_restores_on_an_exception_and_without_a_setter(monkeypatch):

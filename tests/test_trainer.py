@@ -18,6 +18,7 @@ from spikeff.trainer import (
     sample_hard_labels,
     train,
     train_epoch,
+    train_step,
 )
 
 
@@ -235,6 +236,37 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="layer 0 .* batch 0"):
             train_epoch(net, train_ds, TrainConfig(epochs=1, batch_size=32),
                         RngStream(0))
+
+    def test_a_non_finite_layer_1_weight_leaves_layer_0_updated(self, monkeypatch):
+        """A step finishes each layer before the next one runs, so an error
+        in layer 1's forward leaves layer 0 folded and updated by the batch,
+        and layer 1 as it was. Scoring, which would meet the weight first,
+        is replaced by a fixed draw of wrong labels."""
+        train_ds = dataio.make_blob_dataset(32, seed=1)
+        net = blob_network(train_ds, hidden=(8, 6))
+
+        def wrong_labels(net, batch, rng):
+            return (batch.labels + 1) % net.class_count
+
+        monkeypatch.setattr(trainer_mod, "sample_hard_labels", wrong_labels)
+        net.layers[1].weights[0, 0] = np.nan
+        before = [{name: t.copy() for name, t in layer.stored_tensors().items()}
+                  for layer in net.layers]
+        batch = dataio.SampleBatch(train_ds.inputs, train_ds.labels,
+                                   train_ds.input_dim)
+        with pytest.raises(NumericError, match="non-finite drive at timestep 0"):
+            train_step(net, batch, TrainConfig(epochs=1, batch_size=32),
+                       RngStream(0))
+
+        first, second = net.layers
+        assert first.batches_tracked == 2  # both passes folded
+        assert {state.step for state in first.adam.values()} == {1}
+        for name, tensor in before[0].items():  # every tensor moved
+            assert not np.array_equal(getattr(first, name), tensor), name
+        assert second.batches_tracked == 0
+        assert {state.step for state in second.adam.values()} == {0}
+        for name, tensor in before[1].items():
+            assert getattr(second, name).tobytes() == tensor.tobytes(), name
 
     def test_single_sample_final_batch_skipped(self):
         train_ds = dataio.make_blob_dataset(33, seed=2)
