@@ -453,6 +453,10 @@ def make_temporal_dataset(
     match in distribution: counting alone cannot separate the classes. Any
     remaining channels fire once at a class-independent random step. Bin
     counts are small integers (exact in f32).
+
+    Each sample's jitters and then its distractor steps are one row of a
+    single bounded draw, the order in which per-sample draws would read
+    the stream.
     """
     if input_dim < class_count + timesteps:
         raise ValueError(
@@ -465,12 +469,15 @@ def make_temporal_dataset(
     timed = np.arange(class_count, class_count + timesteps)
     base = timed - class_count  # channel k fires at step k (rising sweep)
     distract = np.arange(class_count + timesteps, input_dim)
-    for i in range(n):
-        slots = base if labels[i] % 2 == 0 else (timesteps - 1) - base
-        jitter = rng.integers(-1, 2, timed.size)
-        bins[i, (slots + jitter) % timesteps, timed] = 1.0
-        if distract.size:
-            bins[i, rng.integers(0, timesteps, distract.size), distract] = 1.0
+    # per row: a jitter in [-1, 2) per timed channel, then a step in
+    # [0, T) per distractor channel
+    low = np.repeat([-1, 0], [timed.size, distract.size])
+    high = np.repeat([2, timesteps], [timed.size, distract.size])
+    draws = rng.integers(low, high, (n, low.size))
+    slots = np.where(labels[:, None] % 2 == 0, base, (timesteps - 1) - base)
+    rows = np.arange(n)[:, None]
+    bins[rows, (slots + draws[:, : timed.size]) % timesteps, timed] = 1.0
+    bins[rows, draws[:, timed.size :], distract] = 1.0
     noise = rng.uniform((n, timesteps, input_dim)) < 0.02
     bins += noise
     return Dataset(

@@ -253,13 +253,14 @@ class LayerForwardTrace:
     the overlay that every product adds (`product`).
 
     The products `pre_norm` and the drives `normalized` are derived, not
-    stored. `layer_backward` drops a stacked (not shared) trace's
-    `inputs`, after which both read None, so such a trace is
-    backpropagated once.
+    stored. `layer_backward` consumes a trace, shared or stacked: it
+    writes its gradients over `membranes` and `counts`, then drops them
+    and `inputs`, after which all five read None, so a trace is
+    backpropagated once; a caller that needs them reads them before.
     """
 
     mode: str
-    counts: np.ndarray  # (B, n_out)
+    counts: Optional[np.ndarray]  # (B, n_out)
     mu: np.ndarray  # (T, n_out)
     var: np.ndarray  # (T, n_out)
     spikes: np.ndarray  # (T, B, n_out)
@@ -342,10 +343,11 @@ def layer_forward(
     and its overlay: each product adds the overlay's correction
     (`product`), computed once for the pass.
     A stacked input keeps its dtype, and its products are taken one
-    timestep at a time (`product`) into one (B, n) buffer: bool spikes
-    are cast to float64 one timestep at a time, for the GEMM only. Every
-    pass records its spikes (bool) and membranes; the products are derived
-    on demand (`LayerForwardTrace.pre_norm`).
+    timestep at a time (`product`): z_t goes into `membranes[t]`, the slot
+    that timestep's membrane update overwrites once z_t is normalized, and
+    bool spikes are cast to float64 one timestep at a time, for the GEMM
+    only. Every pass records its spikes (bool) and membranes; the products
+    are derived on demand (`LayerForwardTrace.pre_norm`).
 
     smooth_spikes replaces the hard threshold with its smooth primitive,
     recorded as float64 spikes; this exists for gradient verification and
@@ -407,10 +409,11 @@ def layer_forward(
             x = x.astype(np.float64, copy=False)
         shared_product = None
         cast = _cast_buffer(x)
-        z = np.empty((batch, n))  # one timestep's product at a time
 
     for t in range(t_steps):
         if not shared:
+            # z_t goes to the membrane slot this timestep's update overwrites
+            z = membranes[t]
             product(x[t], layer.weights, t, z, cast, correction)
             if train:
                 mu[t], var[t] = _batch_stats(z, drive)
@@ -562,12 +565,18 @@ def layer_backward(
     input, each timestep's product is recomputed with the pass's call
     (`product`, bool spikes cast into one reused float64 (B, n_in)
     buffer) into one (B, n) buffer, dz_t is written over it, and
-    dz_t^T X_t is added to the weight gradient. The trace's `inputs` are
-    then dropped. Bool spikes enter every other use (the zero-reset carry,
-    the decay path, `prev_spk^T @ du` cast per timestep) as exact 0/1.
-    A timestep allocates no (B, n) array: dL/dU[t] and dL/dU[t+1] take
-    turns in two buffers, and each other product goes to one scratch
-    buffer, with the ufuncs and operand order of the plain expressions.
+    dz_t^T X_t is added to the weight gradient. Bool spikes enter every
+    other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
+    cast per timestep) as exact 0/1.
+
+    The trace is consumed in place: dL/dC is written over `counts`, and
+    dL/dU[t] over `membranes[t]`, which in descending t has served as
+    step t+1's prior membrane and is read for the last time by its own
+    surrogate gradient. The carry term of dL/dU[t+1] is taken in place in
+    its dead slot, and each other product goes to one scratch buffer, so
+    a timestep allocates no (B, n) array; the ufuncs and operand order
+    are those of the plain expressions. The trace's `membranes`, `counts`
+    and `inputs` are then dropped, and a second call raises.
 
     For an overlaid input (`trace.overlay`), X_t is the base frame plus
     peak[b] at channel labels[b] of row b, so the weight gradient is the
@@ -575,13 +584,13 @@ def layer_backward(
     its sum_t dz_t added into column labels[b]. The base frames are zero
     in the overlay channels, so those columns get only this term.
 
-    It reads the layer and writes only the trace's `inputs`, so the two
-    passes' backward calls of a layer can run at once.
+    It reads the layer and writes only its own trace, so the two passes'
+    backward calls of a layer can run at once.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
-    if trace.inputs is None:
-        raise UsageError("layer_backward already consumed this trace's products")
+    if trace.membranes is None:
+        raise UsageError("layer_backward already consumed this trace")
     batch, n = trace.counts.shape
     t_steps = layer.timesteps
     dgoodness = np.asarray(dgoodness, dtype=np.float64)
@@ -594,7 +603,9 @@ def layer_backward(
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     zero_reset = cfg.reset_mode == "zero"
 
-    d_counts = (2.0 / n) * trace.counts * dgoodness[:, None]
+    # dL/dC over the counts: (2/n) * counts * dgoodness, in that order
+    d_counts = np.multiply(2.0 / n, trace.counts, out=trace.counts)
+    np.multiply(d_counts, dgoodness[:, None], out=d_counts)
     d_gamma = np.empty_like(layer.gamma)
     d_shift = np.empty_like(layer.shift)
     d_beta = np.zeros(n) if layer.decay_raw is not None else None
@@ -615,11 +626,13 @@ def layer_backward(
         d_weights = np.zeros_like(layer.weights)
         term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
-    du_buffers = np.empty((2, batch, n))  # dL/dU[t] and dL/dU[t+1], in turn
     scratch = np.empty((batch, n))
     du_next = None  # dL/dU[t+1]
-    for i, t in enumerate(reversed(range(t_steps))):
-        du = neuron.surrogate_grad(trace.membranes[t], cfg, out=du_buffers[i % 2])
+    for t in reversed(range(t_steps)):
+        # dL/dU[t] over U[t], read for the last time here (it was step
+        # t+1's prev_mem)
+        u = trace.membranes[t]
+        du = neuron.surrogate_grad(u, cfg, out=u)
         if d_rec is not None and du_next is not None:
             d_spike = np.matmul(du_next, layer.recurrent.T, out=scratch)
             d_spike += d_counts
@@ -664,11 +677,11 @@ def layer_backward(
         du_next = du
 
     # freed before the weight gradient is made
-    del du, du_next, du_buffers, dz, scratch, d_counts
+    del u, du, du_next, dz, scratch, d_counts
+    trace.membranes = trace.counts = None
     if trace.shared:
         d_weights = dz_sum.T @ trace.inputs[0]
-    else:
-        trace.inputs = None
+    trace.inputs = None
     if overlay is not None:  # column labels[b] += peak[b] * sum_t dz_t[b]
         peaks = np.zeros((batch, overlay.labels.max() + 1))
         peaks[np.arange(batch), overlay.labels] = overlay.peak

@@ -121,7 +121,7 @@ def surrogate_grad(membrane: np.ndarray, config: NeuronConfig,
     (1/pi) / (1 + (pi * slope/2 * (U - thr))^2): maximal (1/pi) at threshold,
     even in (U - thr), strictly positive everywhere. One array holds every
     intermediate: `out` when given (a float64 buffer of the membrane's
-    shape), else a new one.
+    shape, which may be the membrane itself), else a new one.
     """
     k = math.pi * config.surrogate_slope / 2.0
     if out is None:

@@ -80,6 +80,11 @@ def adam_update(
     Standard recursion with bias correction:
         m <- b1*m + (1-b1)*g,  v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+
+    The ufuncs and their order are those of these expressions, in two
+    parameter-sized arrays: one scratch, and one that becomes the returned
+    parameters. The parameters are a new array, not `param` changed in
+    place, since a trace keeps the weights its pass used.
     """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise ShapeError(
@@ -91,13 +96,20 @@ def adam_update(
             f"non-finite gradient entries for {name} at step {state.step + 1}"
         )
     state.step += 1
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * grad
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * np.square(grad)
-    m_hat = state.first_moment / (1.0 - state.beta1**state.step)
-    v_hat = state.second_moment / (1.0 - state.beta2**state.step)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.first_moment, state.second_moment
+    scratch = np.empty_like(m)
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, grad, out=scratch)
+    v *= state.beta2
+    np.square(grad, out=scratch)
+    v += np.multiply(1.0 - state.beta2, scratch, out=scratch)
+    m_hat = np.divide(m, 1.0 - state.beta1**state.step, out=scratch)
+    update = np.multiply(state.lr, m_hat, out=scratch)
+    denom = np.divide(v, 1.0 - state.beta2**state.step)  # v_hat
+    np.sqrt(denom, out=denom)
+    np.add(denom, state.eps, out=denom)
+    np.divide(update, denom, out=update)
+    return np.subtract(param, update, out=denom)
 
 
 # (get, set) symbol pairs of the thread count, in the order they are tried:

@@ -186,3 +186,26 @@ def overlaid_rows(batch):
         for t in range(batch.timesteps):
             rows[b, t * batch.input_dim + batch.labels[b]] = batch.overlay_max[b]
     return rows
+
+
+def temporal_dataset_per_sample(n, input_dim, timesteps, class_count, seed):
+    """The (rows, labels) of `make_temporal_dataset`, drawn one sample at a
+    time from the same Philox stream: its label, then per sample the
+    jitter of each timed channel and the step of each distractor channel,
+    then the noise."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    labels = rng.integers(0, class_count, size=n)
+    bins = np.zeros((n, timesteps, input_dim))
+    timed = np.arange(class_count, class_count + timesteps)
+    distract = np.arange(class_count + timesteps, input_dim)
+    for i in range(n):
+        jitter = rng.integers(-1, 2, size=timed.size)
+        for k, channel in enumerate(timed):
+            slot = k if labels[i] % 2 == 0 else timesteps - 1 - k
+            bins[i, (slot + jitter[k]) % timesteps, channel] = 1.0
+        if distract.size:
+            steps = rng.integers(0, timesteps, size=distract.size)
+            for channel, step in zip(distract, steps):
+                bins[i, step, channel] = 1.0
+    bins += rng.uniform(0.0, 1.0, (n, timesteps, input_dim)) < 0.02
+    return bins.reshape(n, -1), labels

@@ -15,7 +15,7 @@ from spikeff.errors import (
 )
 from spikeff.numerics import RngStream
 
-from oracles import overlaid_rows
+from oracles import overlaid_rows, temporal_dataset_per_sample
 
 MNIST_TRAIN, MNIST_TRAIN_MISSING = cli.idx_paths(cli.data_root(), "mnist", "train")
 
@@ -422,6 +422,20 @@ class TestSynthetic:
         frames = ds.inputs.reshape(30, 10, 20)
         per_channel = (frames > 0).sum(axis=1)[:, 2:12]
         assert per_channel.min() >= 1
+
+    @pytest.mark.parametrize("n,input_dim,timesteps,class_count", [
+        (1, 12, 10, 2), (37, 20, 10, 2), (50, 14, 6, 4), (9, 13, 10, 3),
+        (5, 8, 6, 2),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_temporal_equals_per_sample_draws(self, n, input_dim, timesteps,
+                                              class_count, seed):
+        ds = dataio.make_temporal_dataset(n, input_dim, timesteps, class_count,
+                                          seed)
+        rows, labels = temporal_dataset_per_sample(n, input_dim, timesteps,
+                                                    class_count, seed)
+        assert ds.inputs.tobytes() == rows.tobytes()
+        assert np.array_equal(ds.labels, labels)
 
     def test_temporal_classes_differ_in_timing(self):
         ds = dataio.make_temporal_dataset(200, seed=7)

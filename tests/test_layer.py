@@ -232,14 +232,15 @@ class TestBackward:
         x = np.array([[0.8, 0.1], [0.2, 0.7], [0.5, 0.9], [0.1, 0.3]])
         trace = layer_forward(layer, [x], "train")
         seed = np.array([1.0, 0.5, -0.25, 2.0])
+        # read before the backward, which consumes the trace
+        z = trace.pre_norm[0][:, 0].copy()
+        mu, var = trace.mu[0][0], trace.var[0][0]
+        u = trace.membranes[0][:, 0].copy()
+        counts = trace.counts[:, 0].copy()
         grads = layer_backward(layer, trace, seed)
 
-        z = trace.pre_norm[0][:, 0]
-        mu, var = trace.mu[0][0], trace.var[0][0]
         inv = 1.0 / np.sqrt(var + layer.eps)
         xhat = (z - mu) * inv
-        u = trace.membranes[0][:, 0]
-        counts = trace.counts[:, 0]
         # dL/dU per sample (N=1: dG/dC = 2C)
         du = seed * 2.0 * counts * surrogate_grad(u[:, None], layer.neuron)[:, 0]
         b = x.shape[0]
@@ -353,14 +354,23 @@ class TestBackwardForm:
             assert scale > 0, name
             assert np.abs(grads[name] - want).max() <= 1e-10 * scale, name
 
-    def test_stacked_trace_is_backpropagated_once(self):
-        layer = make_layer(seed=13)
-        trace = layer_forward(layer, input_frames("stacked", 6, 3, 3, RngStream(1)),
-                              "train")
-        layer_backward(layer, trace, np.ones(6))
+    @pytest.mark.parametrize("kind", ["shared", "stacked", "temporal", "overlaid"])
+    def test_backward_consumes_any_trace(self, kind):
+        # the gradients are written over the membranes and counts, so any
+        # trace is backpropagated once
+        if kind == "overlaid":
+            layer, frames, _ = overlay_case(False, 2)
+        else:
+            layer = make_layer(seed=13)
+            frames = input_frames(kind, 6, 3, 3, RngStream(1))
+        trace = layer_forward(layer, frames, "train")
+        batch = len(trace.counts)
+        layer_backward(layer, trace, np.ones(batch))
+        assert trace.membranes is None and trace.counts is None
+        assert trace.inputs is None
         assert trace.pre_norm is None and trace.normalized is None
         with pytest.raises(UsageError, match="consumed"):
-            layer_backward(layer, trace, np.ones(6))
+            layer_backward(layer, trace, np.ones(batch))
 
 
 class TestTraceLayout:

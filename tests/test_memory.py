@@ -237,27 +237,35 @@ def test_train_step_peak_within_one_layers_traces(monkeypatch, temporal):
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
     batch = dataio.SampleBatch(ds.inputs, ds.labels, d, ds.timesteps)
     config = TrainConfig(epochs=1, batch_size=b)
-    train_step(net, batch, config, RngStream(2))  # populates running stats
     stack, n = t_steps * b, max(widths)  # rows of one (T, B, n) array
+    # Run in turn, then (where BLAS threads can be pinned) at once: row
+    # blocks of 16 rows make each pass four blocks.
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16 * n)
+    split = numerics._openblas_thread_calls() is not None
+    core_counts = (1, 2) if split else (1,)
+    # The warm-up step populates running stats and, with the most cores,
+    # makes the worker pool, so no traced step counts its import or threads.
+    monkeypatch.setattr(numerics, "_usable_cores", lambda: core_counts[-1])
+    train_step(net, batch, config, RngStream(2))
     # The widest layer's traces for both passes at 9 bytes per (T, B, n)
     # element (a float64 membrane and a bool spike), its input (both
     # passes' bool spikes of the layer below; layer 0's base rows are
     # smaller), four float64 (n, n) arrays (weight gradients of both
-    # passes' backward calls, each with its one-timestep term) and 32
+    # passes' backward calls, each with its one-timestep term) and 21
     # float64 (B, n) buffers (per-timestep state and gradients of both
-    # calls).
+    # calls, and the tensors Adam replaced in the layers below). The
+    # backward writes dL/dU and dL/dC over the trace's membranes and
+    # counts: with its own two dL/dU buffers and dL/dC, each call holds
+    # three buffers more, and the step at two cores peaks about 24
+    # buffers above the rest of the bound.
     bound = (2 * 9 * stack * n + 2 * stack * n + 4 * 8 * n * n
-             + 32 * 8 * b * n)
+             + 21 * 8 * b * n)
     assert 8 * b * t_steps * d < 2 * stack * n
     # Every layer's traces held at once, as when all forwards run before
     # any backward, exceed it alone.
     assert 2 * 9 * stack * sum(widths) > bound
 
-    # Run in turn, then (where BLAS threads can be pinned) at once: row
-    # blocks of 16 rows make each pass four blocks.
-    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 16 * n)
-    split = numerics._openblas_thread_calls() is not None
-    for cores in (1, 2) if split else (1,):
+    for cores in core_counts:
         monkeypatch.setattr(numerics, "_usable_cores", lambda: cores)
         assert len(numerics.worker_ranges(b, n)) == cores
         tracemalloc.start()

@@ -62,6 +62,31 @@ class TestAdam:
         expected = adam_scalar_sequence(2.0, grads, lr=0.05)[-1]
         assert current[0, 0] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+    def test_matches_the_plain_expressions_bit_for_bit(self, shape):
+        rng = RngStream(8)
+        param = rng.normal(shape)
+        state = AdamState.for_param(param, lr=0.02)
+        m, v = np.zeros(shape), np.zeros(shape)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        current = want = param
+        for step in range(1, 6):
+            grad = rng.normal(shape) * 10.0 ** rng.integers(-4, 3, shape)
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * np.square(grad)
+            m_hat, v_hat = m / (1.0 - b1**step), v / (1.0 - b2**step)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+            previous = current.copy()
+            updated = adam_update(current, grad, state)
+            # a new array: the old parameters stay as they were
+            assert np.array_equal(current, previous)
+            for other in (current, grad, state.first_moment, state.second_moment):
+                assert not np.shares_memory(updated, other)
+            assert np.array_equal(updated, want), step
+            assert np.array_equal(state.first_moment, m)
+            assert np.array_equal(state.second_moment, v)
+            current = updated
+
     def test_shape_mismatch(self):
         param = np.zeros((2, 2))
         state = AdamState.for_param(param)
