@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import read_exact
-from .errors import CheckpointVersionError, FormatError
+from .errors import CheckpointVersionError, ConfigError, FormatError
 from .layer import TENSORS, SpikingLayer, tensor_shapes
-from .network import FFNetwork
+from .network import FFNetwork, check_hidden_sizes
 from .neuron import NeuronConfig
 
 MAGIC = b"SFFC"
@@ -132,6 +132,13 @@ def _has_tensor(name: str, layer_meta: dict, config: NeuronConfig) -> bool:
 
 def _network(header: dict, f, path: str) -> FFNetwork:
     """Read the manifest's tensors from f and assemble the network."""
+    try:  # a network needs a layer, units in each, a timestep and a class
+        check_hidden_sizes([int(lm["n_out"]) for lm in header["layers"]])
+    except ConfigError as exc:
+        raise ValueError(f"layer widths: {exc.violations[0]}") from None
+    for key in ("timesteps", "class_count"):
+        if int(header[key]) < 1:
+            raise ValueError(f"{key} is {header[key]}, need >= 1")
     arrays = {}
     for entry in header["tensors"]:
         shape = tuple(int(n) for n in entry["shape"])

@@ -402,6 +402,11 @@ def load_binned_events(path) -> Dataset:
             raise DataConsistencyError(
                 f"{path}: inconsistent header (num_samples={n}, T={t}, d={d}, c={c})"
             )
+        if 1 + 4 * t * d > np.iinfo(np.intc).max:  # numpy's largest record
+            raise DataConsistencyError(
+                f"{path}: header (num_samples={n}, T={t}, d={d}, c={c}) declares "
+                f"{1 + 4 * t * d}-byte sample records, over 2**31 - 1 bytes"
+            )
         record = _bse_record(t, d)
         payload = f.read()
     if len(payload) != n * record.itemsize:

@@ -129,68 +129,49 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     return traces
 
 
-def overlay_runs(rows: range, batch_size: int):
-    """The overlays that a range of the flat overlaid rows meets.
-
-    Label scoring numbers the c * B overlaid rows of a batch flat: row i
-    is sample i % B under label i // B. Per overlay the range meets, in
-    order: its label, the slice of the range's own rows it covers, and the
-    slice of the batch rows they are.
-    """
-    lo = rows.start
-    while lo < rows.stop:
-        label, row = divmod(lo, batch_size)
-        hi = min(rows.stop, (label + 1) * batch_size)
-        yield label, slice(lo - rows.start, hi - rows.start), slice(row, row + hi - lo)
-        lo = hi
-
-
 def _roll_out(rollouts, shared, rows: slice, total: np.ndarray) -> None:
-    """One row range's whole share of every chunk of a scoring call.
+    """One range of a batch's samples, scored under every overlay.
 
     `shared` is what every range reads: layer 0's base products (T_in, B,
-    n_0), the rows' peaks and the rows of a chunk (whole overlays). Chunk
-    k holds the flat overlaid rows (`overlay_runs`) from k * chunk on, and
-    the range its rows `rows` (a short last chunk holds fewer or none of
-    them). Per chunk: the range's overlay corrections (`overlay_correction`,
-    one per overlay it meets), added to its rows of the base products, a
-    reset of its rollouts, the rollout over every timestep and the
-    goodness sums, written to the range's rows of `total`. Layer 0's
-    product of each row is the base product plus the correction,
-    `product`'s two ops for an overlaid input. Everything else it writes
-    was allocated beforehand, so the ranges of a call run at once.
+    n_0), the samples' peaks and the overlays per chunk. Each chunk holds
+    the range's samples under its labels, overlay-major: the samples under
+    the chunk's first label, then under the next. Per chunk: one overlay
+    correction per label (`overlay_correction`), added to the range's rows
+    of the base products in one broadcast add, a reset of the range's
+    rollouts, the rollout over every timestep and the goodness sums,
+    written to `total[labels, rows]`. Layer 0's product of each row is the
+    base product plus the correction, `product`'s two ops for an overlaid
+    input. Everything else it writes was allocated beforehand, so the
+    ranges of a call run at once.
     """
-    z_base, peak, chunk = shared
+    z_base, peak, per_chunk = shared
     first_roll = rollouts[0]
     weights = first_roll.layer.weights
     static = len(z_base) == 1
-    corrections = np.empty((rows.stop - rows.start, len(weights)))
-    for start in range(0, len(total), chunk):
-        r = range(start + rows.start, min(start + rows.stop, len(total)))
-        if not r:
-            continue
-        runs = list(overlay_runs(r, len(peak)))
+    size = rows.stop - rows.start
+    corrections = np.empty((per_chunk, size, len(weights)))
+    peak = peak[rows]
+    for lo in range(0, len(total), per_chunk):
+        labels = range(lo, min(lo + per_chunk, len(total)))
+        correction = corrections[: len(labels)]
         for roll in rollouts:
-            roll.reset(len(r))
-        correction = corrections[: len(r)]
-        for label, own, batch_rows in runs:
-            overlay_correction(weights, peak[batch_rows], label, out=correction[own])
+            roll.reset(len(labels) * size)
+        for k, label in enumerate(labels):
+            overlay_correction(weights, peak, label, out=correction[k])
         # a static input's one product serves every timestep: it is written
         # over the correction
-        z = correction if static else first_roll.drive
+        z = correction if static else first_roll.drive.reshape(correction.shape)
         for t in range(first_roll.layer.timesteps):
             if t == 0 or not static:
-                for _, own, batch_rows in runs:
-                    np.add(z_base[0 if static else t][batch_rows], correction[own],
-                           out=z[own])
+                np.add(z_base[0 if static else t][rows], correction, out=z)
                 check_finite(z, t)
-            x = first_roll.step(t, z)
+            x = first_roll.step(t, z.reshape(-1, z.shape[-1]))
             for roll in rollouts[1:]:
                 product(x, roll.layer.weights, t, roll.drive)
                 x = roll.step(t, roll.drive)
-        out = total[r.start : r.stop]
+        out = total[labels.start : labels.stop, rows]
         for roll in rollouts:
-            out += goodness(roll)
+            out += goodness(roll).reshape(out.shape)
 
 
 def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
@@ -211,16 +192,17 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     layer advances one step on the previous layer's spikes, and only one
     step of state per layer is live.
 
-    A chunk's rows are split into `numerics.worker_ranges` of the widest
-    layer, each with its own rollouts: together they hold a chunk's rows.
-    `numerics.run_all` runs each range's whole share of every chunk
-    (`_roll_out`: correction, reset, rollout and goodness sums) with
-    OpenBLAS on one thread, the first on the calling thread and the others
-    on its pool. The calling thread makes the base rows (of a plain
-    batch), the buffers and the base products first. One range (one core,
-    one block in a chunk, or no BLAS thread setter) runs inline, with no
-    pool, but still pinned, so scores do not depend on the BLAS thread
-    count.
+    The batch's samples are split into `numerics.worker_ranges` of the
+    widest layer, the split a train step makes of the same batch. Each
+    range has its own rollouts, for its samples under a chunk's overlays:
+    together they hold a chunk's rows. `numerics.run_all` runs each
+    range's samples under every overlay (`_roll_out`: corrections, reset,
+    rollout and goodness sums) with OpenBLAS on one thread, the first on
+    the calling thread and the others on its pool. The calling thread
+    makes the base rows (of a plain batch), the buffers and the base
+    products first. One range (one core, a batch of one row block, or no
+    BLAS thread setter) runs inline, with no pool, but still pinned, so
+    scores do not depend on the BLAS thread count.
 
     A row's elementwise steps do not depend on the other rows of its range,
     but its GEMM result can: OpenBLAS blocks a call by its row count, so a
@@ -245,9 +227,9 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     net.eval_rows += c * b
     widest = max(layer.n_out for layer in net.layers)
     per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * widest)))
-    ranges = worker_ranges(per_chunk * b, widest)
+    ranges = worker_ranges(b, widest)
     rollouts = [
-        [EvalRollout(layer, r.stop - r.start) for layer in net.layers]
+        [EvalRollout(layer, per_chunk * (r.stop - r.start)) for layer in net.layers]
         for r in ranges
     ]
     first = net.layers[0]
@@ -257,12 +239,12 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
         for t in range(batch.timesteps):
             product(frames[t], first.weights, t, z_base[t])
 
-    shared = z_base, batch.overlay_max, per_chunk * b
-    total = np.zeros(c * b)
+    shared = z_base, batch.overlay_max, per_chunk
+    total = np.zeros((c, b))
     run_all(
         [functools.partial(_roll_out, rolls, shared, r, total)
          for r, rolls in zip(ranges, rollouts)],
         len(ranges),
         before=base_products,
     )
-    return total.reshape(c, b).T
+    return total.T

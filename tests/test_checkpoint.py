@@ -9,6 +9,7 @@ import pytest
 from spikeff import checkpoint, dataio
 from spikeff.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from spikeff.errors import CheckpointVersionError, FormatError, TruncatedFileError
+from spikeff.layer import tensor_shapes
 from spikeff.network import build_network
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -113,6 +114,30 @@ def save_edited_tensors(path, net, edit):
                                 for a in tensors.values()))
 
 
+def save_empty_dimension(path, edit):
+    """Save a trained 6-5 net (T=4) with its header changed by edit and its
+    tensors zeros of the shapes the edited header implies: a file whose
+    only fault is a dimension of no size."""
+    net, _ = trained_net()
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    shapes, n_in = {}, header["input_dim"]
+    for i, lm in enumerate(header["layers"]):
+        for name, shape in tensor_shapes(n_in, lm["n_out"],
+                                         header["timesteps"]).items():
+            shapes[f"layer{i}/{name}"] = shape
+        n_in = lm["n_out"]
+    header["tensors"] = [{"name": e["name"], "shape": list(shapes[e["name"]])}
+                         for e in header["tensors"] if e["name"] in shapes]
+    text = json.dumps(header).encode()
+    payload = sum(8 * math.prod(e["shape"]) for e in header["tensors"])
+    path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
+                     + bytes(payload))
+
+
 class TestFormatGuards:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "junk"
@@ -191,6 +216,20 @@ class TestFormatGuards:
         path = tmp_path / "net.sffc"
         save_edited_header(path, edit)
         with pytest.raises(FormatError, match="shape|n_in"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h.update(layers=[]), "layer widths"),
+        (lambda h: h["layers"][1].update(n_out=0), "layer widths"),
+        (lambda h: h.update(timesteps=0), "timesteps is 0"),
+        (lambda h: h.update(class_count=0), "class_count is 0"),
+    ], ids=["no layers", "a layer of no units", "no timesteps", "no classes"])
+    def test_header_with_an_empty_dimension(self, tmp_path, edit, match):
+        path = tmp_path / "net.sffc"
+        save_empty_dimension(path, lambda header: None)
+        assert load_checkpoint(path)[0].layers[1].n_out == 5  # unedited: loads
+        save_empty_dimension(path, edit)
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("recurrent,learnable,edit", [

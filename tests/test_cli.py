@@ -680,6 +680,23 @@ class TestCommands:
         assert record["error"] == "CheckpointVersionError"
         assert "version 99" in record["message"]
 
+    def test_eval_of_a_checkpoint_with_no_layers_reported(self, tmp_path, capsys):
+        import struct
+
+        config = self.run_tiny(tmp_path)
+        blob = (Path(config.out_dir) / "checkpoint.sffc").read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        header.update(layers=[], tensors=[])  # no layer, and no tensor either
+        text = json.dumps(header).encode()
+        doctored = tmp_path / "doctored.sffc"
+        doctored.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text)
+        code = cli.main(["eval", str(doctored), "--dataset", "synthetic:blobs"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert "layer widths" in record["message"]
+
 
 class TestConfigRoundTripProperty:
     def test_random_configs_round_trip(self):

@@ -195,6 +195,15 @@ class TestBse:
         with pytest.raises(DataConsistencyError, match="declares 2 samples"):
             dataio.load_binned_events(path)
 
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_records_too_large_to_read(self, tmp_path, samples):
+        """T * d = 2**32 float32 bins a record: refused from the header."""
+        path = tmp_path / "huge.bse"
+        path.write_bytes(dataio.BSE_MAGIC
+                         + struct.pack("<IIII", samples, 65536, 65536, 10))
+        with pytest.raises(DataConsistencyError, match="T=65536, d=65536"):
+            dataio.load_binned_events(path)
+
 
 class TestDatasetChecks:
     def test_label_out_of_range_is_data_consistency_error(self):

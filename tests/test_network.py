@@ -14,7 +14,6 @@ from spikeff.network import (
     forward_eval,
     forward_train,
     label_goodness,
-    overlay_runs,
 )
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
@@ -192,29 +191,3 @@ def test_an_overlaid_batch_scores_as_its_plain_batch(temporal):
     for labels in (batch.labels, 1 - batch.labels):
         overlaid = dataio.embed_label(batch, labels, 2)
         assert np.array_equal(label_goodness(net, overlaid), want)
-
-
-@pytest.mark.parametrize("class_count", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
-def test_overlay_runs_cover_every_range_of_every_chunk(class_count, batch_size):
-    """Flat overlaid row i is sample i % B under label i // B: for every
-    range of every chunk of 1..c whole overlays, the runs cover the range
-    once, in order, each inside one overlay."""
-    rows = class_count * batch_size
-    for per_chunk in range(1, class_count + 1):
-        for start in range(0, rows, per_chunk * batch_size):
-            stop = min(start + per_chunk * batch_size, rows)
-            for lo, hi in itertools.combinations(range(start, stop + 1), 2):
-                covered = []
-                for label, own, batch_rows in overlay_runs(range(lo, hi),
-                                                           batch_size):
-                    assert 0 <= label < class_count
-                    own, batch_rows = (range(r.start, r.stop)
-                                       for r in (own, batch_rows))
-                    assert 0 < len(own) == len(batch_rows)
-                    assert 0 <= batch_rows[0] and batch_rows[-1] < batch_size
-                    # the run's rows map back to themselves, in one overlay
-                    assert [label * batch_size + b for b in batch_rows] == [
-                        lo + i for i in own]
-                    covered.extend(own)
-                assert covered == list(range(hi - lo))

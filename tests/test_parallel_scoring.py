@@ -1,8 +1,9 @@
-"""Label scoring split over row ranges: the calling thread rolls out the
+"""Label scoring split over ranges of a batch's samples, the ranges a
+train step splits the same batch into: the calling thread rolls out the
 first range and a thread pool the others, with the loaded OpenBLAS on one
 thread for the call, as for inline scoring. Scores keep their bits, the
-BLAS thread count comes back, and each range does its whole share of every
-chunk: overlay correction, rollout and goodness sums."""
+BLAS thread count comes back, and each range scores its own samples under
+every overlay: overlay corrections, rollout and goodness sums."""
 
 import os
 import signal
@@ -69,25 +70,30 @@ def split(monkeypatch):
 
 
 SPLIT_GRID = [
-    # (recurrent, temporal, overlays per chunk of 10)
-    (False, False, 10),
-    (False, False, 3),  # a short last chunk of one overlay
-    (False, True, 3),
-    (True, False, 10),
-    (True, True, 3),
+    # (recurrent, temporal, overlays per chunk of 10, batch size)
+    (False, False, 10, 11),
+    (False, False, 3, 11),  # a short last chunk of one overlay
+    (False, True, 3, 11),
+    (True, False, 10, 11),
+    (True, True, 3, 11),
+    (False, False, 3, 1),  # one sample: one range, inline
+    (True, True, 10, 2),  # one row block: one range, inline
+    (False, True, 3, 5),  # a last range of one sample
+    (True, False, 10, 5),
 ]
 
 
 @pytest.mark.parametrize(
-    "recurrent,temporal,per_chunk", SPLIT_GRID,
+    "recurrent,temporal,per_chunk,size", SPLIT_GRID,
     ids=[f"{'rec' if rc else 'ff'}-{'temporal' if t else 'static'}-x{n}"
-         for rc, t, n in SPLIT_GRID],
+         + ("" if b == 11 else f"-b{b}")
+         for rc, t, n, b in SPLIT_GRID],
 )
 def test_split_scores_equal_per_overlay_reference(
-    split, monkeypatch, recurrent, temporal, per_chunk
+    split, monkeypatch, recurrent, temporal, per_chunk, size
 ):
     net, _ = trained_network("subtract", True, recurrent, temporal, 10)
-    batch = held_out_batch(dataset(temporal, 10, n=11, seed=9))
+    batch = held_out_batch(dataset(temporal, 10, n=11, seed=9), size)
     widest = max(layer.n_out for layer in net.layers)
     monkeypatch.setattr(network, "CHUNK_ELEMENTS", per_chunk * batch.size * widest)
     rows_before = net.eval_rows
@@ -95,10 +101,40 @@ def test_split_scores_equal_per_overlay_reference(
 
     scores = label_goodness(net, batch)
 
-    assert split.submitted > 0
+    # every range but the calling thread's runs on the pool
+    assert split.submitted == len(numerics.worker_ranges(size, widest)) - 1
     assert net.eval_rows - rows_before == 10 * batch.size
     assert np.array_equal(scores, reference_scores(net, batch))
     assert np.ptp(scores) > 0
+
+
+def test_each_range_scores_the_batch_rows_a_train_step_splits(
+    split, monkeypatch
+):
+    """Every `_roll_out` call gets one of `worker_ranges(B, widest)`, the
+    ranges of a train step's passes over the same batch: contiguous runs
+    of samples that cover the batch once, each scored under every label."""
+    calls = []
+    real_roll_out = network._roll_out
+
+    def roll_out(rollouts, shared, rows, total):
+        calls.append(rows)
+        real_roll_out(rollouts, shared, rows, total)
+
+    net, _ = trained_network("subtract", False, False, False, 10)
+    batch = held_out_batch(dataset(False, 10, n=11, seed=9))
+    widest = max(layer.n_out for layer in net.layers)
+    monkeypatch.setattr(network, "_roll_out", roll_out)
+    split.clear()
+
+    scores = label_goodness(net, batch)
+
+    calls.sort(key=lambda rows: rows.start)
+    assert calls == numerics.worker_ranges(batch.size, widest)
+    assert len(calls) == 3
+    assert [i for rows in calls for i in range(rows.start, rows.stop)] == list(
+        range(batch.size))
+    assert np.array_equal(scores, reference_scores(net, batch))
 
 
 def test_split_scores_of_an_empty_batch(split):
@@ -213,14 +249,14 @@ def spy_blas(monkeypatch, count=2):
 
 
 def one_block_network():
-    """A recurrent 64-64 net on 2 classes and a batch of 128 rows: a
-    scoring chunk of 2 x 128 rows and a train pass of 128 rows are each one
+    """A recurrent 64-64 net on 2 classes and a batch of 128 rows: the
+    batch, which scoring and a train step's passes split alike, is one
     512-row block of a 64-unit layer."""
     ds = dataset(True, 2, n=128)
     net = build_network([64, 64], ds.input_dim, 2, TIMESTEPS,
                         NeuronConfig(threshold=1.0, decay=0.9), RngStream(3),
                         recurrent=True)
-    assert numerics.row_blocks(2 * 128, 64) == [slice(0, 256)]
+    assert numerics.row_blocks(128, 64) == [slice(0, 128)]
     return net, held_out_batch(ds, 128)
 
 
