@@ -10,21 +10,23 @@ Layout (little-endian):
                  (name, shape) pairs in file order
     then         the tensors as contiguous float64 arrays, manifest order
 
-Optimizer moments are not stored; loading yields fresh Adam states. A
-checkpoint is written to a temporary file in the same directory and then
-renamed over the target, so a failed write leaves any previous file whole.
+Optimizer moments are not stored: a tensor's moments are made by its first
+update, so a loaded network holds only its tensors, each read straight
+from the file into its own array, and trains on from fresh Adam states.
+A checkpoint is written to a temporary file in the same directory and
+then renamed over the target, so a failed write leaves any previous file
+whole.
 """
 
 import dataclasses
 import json
-import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_exact
+from .dataio import read_array, read_exact
 from .errors import CheckpointVersionError, ConfigError, FormatError
 from .layer import TENSORS, SpikingLayer, tensor_shapes
 from .network import FFNetwork, check_hidden_sizes
@@ -144,8 +146,7 @@ def _network(header: dict, f, path: str) -> FFNetwork:
         shape = tuple(int(n) for n in entry["shape"])
         if min(shape, default=0) < 0:
             raise ValueError(f"negative dimension in tensor shape {shape}")
-        raw = read_exact(f, 8 * math.prod(shape), path)
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arrays[entry["name"]] = read_array(f, shape, path)
     _check_shapes(header, arrays)
     configs = [NeuronConfig(**lm["neuron"]) for lm in header["layers"]]
     names = [  # per layer, the tensors its header says it stores
@@ -181,12 +182,15 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (network, meta dict).
 
     A short file raises TruncatedFileError; a header that is not JSON, lacks
-    a field or holds a bad value raises FormatError.
+    a field or holds a bad value raises FormatError, which names the path
+    once.
     """
     path = str(path)
     with open(path, "rb") as f:
         header = _read_header(f, path)
         try:
             return _network(header, f, path), header.get("meta", {})
+        except FormatError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed header ({exc!r})") from exc

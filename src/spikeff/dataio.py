@@ -15,6 +15,7 @@ overlaid rows themselves.
 
 import gzip
 import math
+import os
 import pickle
 import struct
 import warnings
@@ -284,6 +285,25 @@ def read_exact(f, count: int, path: str) -> bytes:
     return data
 
 
+def read_array(f, shape: tuple, path: str) -> np.ndarray:
+    """The next bytes of the regular file f as a new little-endian float64
+    array of `shape`, read straight into it.
+
+    A file that holds fewer bytes raises TruncatedFileError, before the
+    array is made when its size says so, so a header cannot ask for more
+    memory than its file backs.
+    """
+    wanted = 8 * math.prod(shape)
+    size = os.fstat(f.fileno()).st_size
+    if wanted > size - f.tell():
+        raise TruncatedFileError(path, size, wanted - (size - f.tell()))
+    out = np.empty(shape, dtype="<f8")
+    got = f.readinto(out)
+    if got != wanted:
+        raise TruncatedFileError(path, f.tell(), wanted - got)
+    return out
+
+
 def _read_be_u32(f, path: str) -> int:
     return struct.unpack(">I", read_exact(f, 4, path))[0]
 
@@ -361,16 +381,26 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bse_record(timesteps: int, input_dim: int) -> np.dtype:
-    """One BSE1 sample record: a u8 label, then T*d little-endian float32 bins."""
-    return np.dtype([("label", "u1"), ("bins", "<f4", (timesteps * input_dim,))])
+def _bse_record(path: str, n: int, t: int, d: int, c: int) -> np.dtype:
+    """One BSE1 sample record: a u8 label, then T*d little-endian float32 bins.
+
+    numpy's largest record is 2**31 - 1 bytes; a file of longer records
+    can be neither written nor read, and raises DataConsistencyError.
+    """
+    if 1 + 4 * t * d > np.iinfo(np.intc).max:
+        raise DataConsistencyError(
+            f"{path}: header (num_samples={n}, T={t}, d={d}, c={c}) declares "
+            f"{1 + 4 * t * d}-byte sample records, over 2**31 - 1 bytes"
+        )
+    return np.dtype([("label", "u1"), ("bins", "<f4", (t * d,))])
 
 
 def write_binned_events(path, dataset: Dataset) -> None:
     """Write a dataset as a BSE1 container (values stored as float32).
 
     Raises FormatError, before the file is opened, when a label does not
-    fit the format's u8 label field.
+    fit the format's u8 label field, and DataConsistencyError when a
+    sample's record would be too long to read back (`_bse_record`).
     """
     bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
     if bad.size:
@@ -381,7 +411,7 @@ def write_binned_events(path, dataset: Dataset) -> None:
         )
     n = dataset.num_samples
     t, d, c = dataset.timesteps, dataset.input_dim, dataset.class_count
-    records = np.empty(n, dtype=_bse_record(t, d))
+    records = np.empty(n, dtype=_bse_record(path, n, t, d, c))
     records["label"] = dataset.labels
     records["bins"] = dataset.inputs
     with open(path, "wb") as f:
@@ -402,12 +432,7 @@ def load_binned_events(path) -> Dataset:
             raise DataConsistencyError(
                 f"{path}: inconsistent header (num_samples={n}, T={t}, d={d}, c={c})"
             )
-        if 1 + 4 * t * d > np.iinfo(np.intc).max:  # numpy's largest record
-            raise DataConsistencyError(
-                f"{path}: header (num_samples={n}, T={t}, d={d}, c={c}) declares "
-                f"{1 + 4 * t * d}-byte sample records, over 2**31 - 1 bytes"
-            )
-        record = _bse_record(t, d)
+        record = _bse_record(path, n, t, d, c)
         payload = f.read()
     if len(payload) != n * record.itemsize:
         raise DataConsistencyError(

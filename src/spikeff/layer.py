@@ -49,8 +49,9 @@ def tensor_shapes(n_in: int, n_out: int, timesteps: int) -> Dict[str, Tuple[int,
 class SpikingLayer:
     """A layer's tensors (shapes in `TENSORS`) and its normalization state.
 
-    A layer built without Adam states gets fresh ones (learning rate 1e-3)
-    for each trainable tensor it has.
+    A layer built without Adam states gets a fresh one (learning rate 1e-3)
+    for each trainable tensor it has; a state holds no moments until the
+    tensor's first update (`adam_update`).
     """
 
     weights: np.ndarray
@@ -68,10 +69,7 @@ class SpikingLayer:
 
     def __post_init__(self):
         if not self.adam:
-            self.adam = {
-                name: AdamState.for_param(tensor)
-                for name, tensor in self.trainable_tensors().items()
-            }
+            self.adam = {name: AdamState() for name in self.trainable_tensors()}
 
     @property
     def n_out(self) -> int:

@@ -3,10 +3,11 @@ blocks and per-core row ranges of a pass, the BLAS thread count and the
 threads that independent calls run on.
 
 Parameters are plain numpy arrays; `adam_update` rejects non-finite
-gradients. `row_blocks` and `worker_ranges` are the one split of a pass's
-rows. `run_all` runs independent calls, inline or on every usable core,
-always with the loaded OpenBLAS on one thread: every GEMM of the package
-runs inside it, so its bits do not depend on the BLAS thread count.
+gradients and makes a state's moments at its first step. `row_blocks` and
+`worker_ranges` are the one split of a pass's rows. `run_all` runs
+independent calls, inline or on every usable core, always with the loaded
+OpenBLAS on one thread: every GEMM of the package runs inside it, so its
+bits do not depend on the BLAS thread count.
 """
 
 import ctypes
@@ -14,7 +15,7 @@ import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,19 +58,20 @@ class RngStream:
 
 @dataclass
 class AdamState:
-    """Optimizer state for one parameter tensor."""
+    """Optimizer state for one parameter tensor.
 
-    first_moment: np.ndarray
-    second_moment: np.ndarray
+    A state starts without moments: `adam_update` makes both, zeros of its
+    parameter's shape, at the state's first step, so a network that never
+    trains (built, copied or loaded for eval) holds only its tensors.
+    """
+
+    first_moment: Optional[np.ndarray] = None
+    second_moment: Optional[np.ndarray] = None
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
-        return cls(np.zeros_like(param), np.zeros_like(param), lr=lr)
 
 
 def adam_update(
@@ -77,24 +79,33 @@ def adam_update(
 ) -> np.ndarray:
     """One Adam step; returns the updated parameters and mutates `state`.
 
-    Standard recursion with bias correction:
+    Standard recursion with bias correction, from m = v = 0:
         m <- b1*m + (1-b1)*g,  v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
-    The ufuncs and their order are those of these expressions, in two
-    parameter-sized arrays: one scratch, and one that becomes the returned
-    parameters. The parameters are a new array, not `param` changed in
-    place, since a trace keeps the weights its pass used.
+    A state without moments gets both as `np.zeros_like(param)` once the
+    shapes and the gradient are checked; a refused update leaves it
+    without them. The ufuncs and their order are those of these
+    expressions, in two parameter-sized arrays beside the moments: one
+    scratch, and one that becomes the returned parameters. The parameters
+    are a new array, not `param` changed in place, since a trace keeps the
+    weights its pass used.
     """
-    if param.shape != grad.shape or param.shape != state.first_moment.shape:
+    moments = state.first_moment
+    if param.shape != grad.shape or (
+        moments is not None and param.shape != moments.shape
+    ):
         raise ShapeError(
             f"adam_update({name}): param {param.shape}, grad {grad.shape}, "
-            f"moments {state.first_moment.shape} must all match"
+            f"moments {None if moments is None else moments.shape} must all match"
         )
     if not np.all(np.isfinite(grad)):
         raise NumericError(
             f"non-finite gradient entries for {name} at step {state.step + 1}"
         )
+    if moments is None:
+        state.first_moment = np.zeros_like(param)
+        state.second_moment = np.zeros_like(param)
     state.step += 1
     m, v = state.first_moment, state.second_moment
     scratch = np.empty_like(m)

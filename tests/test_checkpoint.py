@@ -251,7 +251,20 @@ class TestFormatGuards:
         save_edited_tensors(path, net, lambda tensors: None)
         assert load_checkpoint(path)[0].layers[1].n_out == 5  # unedited: loads
         save_edited_tensors(path, net, edit)
-        with pytest.raises(FormatError, match="disagree with the layer headers"):
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        message = str(info.value)  # raised as it is, not wrapped again
+        assert "disagree with the layer headers" in message, message
+        assert message.count(str(path)) == 1, message
+        assert "FormatError(" not in message, message
+
+    def test_tensor_larger_than_its_file_refused_before_allocating(self, tmp_path):
+        """A manifest entry of 80 GB in a file of a few kB: refused from the
+        file's size, not by a failed allocation."""
+        path = tmp_path / "net.sffc"
+        save_edited_header(
+            path, lambda h: h["tensors"][0].update(shape=[10**5, 10**5]))
+        with pytest.raises(TruncatedFileError, match="needed 799999"):
             load_checkpoint(path)
 
     def test_magic_constant(self):

@@ -204,6 +204,15 @@ class TestBse:
         with pytest.raises(DataConsistencyError, match="T=65536, d=65536"):
             dataio.load_binned_events(path)
 
+    def test_records_too_large_to_write(self, tmp_path):
+        """The reader's bound, refused before the file is opened."""
+        ds = dataio.Dataset(np.zeros((0, 65536 * 65536)), np.zeros(0, int), 10,
+                            65536, temporal=True, timesteps=65536)
+        path = tmp_path / "huge.bse"
+        with pytest.raises(DataConsistencyError, match="T=65536, d=65536"):
+            dataio.write_binned_events(path, ds)
+        assert not path.exists()
+
 
 class TestDatasetChecks:
     def test_label_out_of_range_is_data_consistency_error(self):

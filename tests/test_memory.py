@@ -1,8 +1,10 @@
 """What a training step keeps alive: one layer's traces at a time, all
 released before the next batch's scoring; label scoring runs in overlay
 chunks on reused buffers, and a trace stores bool spikes and derives its
-products and normalized drive instead of storing them."""
+products and normalized drive instead of storing them. A network that has
+not trained holds no Adam moments."""
 
+import copy
 import dataclasses
 import itertools
 import tracemalloc
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from spikeff import dataio, network, numerics, trainer
+from spikeff.checkpoint import load_checkpoint, save_checkpoint
 from spikeff.layer import EvalRollout, goodness, product
 from spikeff.network import build_network, forward_train, label_goodness
 from spikeff.neuron import NeuronConfig
@@ -411,3 +414,48 @@ def test_reset_rollout_replays_a_fresh_one():
     assert reused.counts.shape == (12, layer.n_out)
     assert np.array_equal(reused.membrane, fresh.membrane)
     assert np.array_equal(goodness(reused), goodness(fresh))
+
+
+def moment_arrays(net):
+    """Every moment array that the Adam states of net's layers hold."""
+    return [moment for layer in net.layers for state in layer.adam.values()
+            for moment in (state.first_moment, state.second_moment)
+            if moment is not None]
+
+
+def test_untrained_networks_hold_no_moments(tmp_path):
+    """A built network, its deep copy and a loaded checkpoint of a trained
+    one hold only their tensors, and an Adam state for each trainable one."""
+    ds = dataio.make_blob_dataset(32, seed=0)
+    cfg = NeuronConfig(threshold=1.0, decay=0.9, decay_learnable=True,
+                       reset_mode="zero")
+    net = build_network([8, 6], ds.input_dim, ds.class_count, 4, cfg,
+                        RngStream(1), recurrent=True)
+    built = copy.deepcopy(net)
+    train_step(net, dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim),
+               TrainConfig(epochs=1, batch_size=32), RngStream(2))
+    assert len(moment_arrays(net)) == 2 * 10  # 5 trainable tensors a layer
+    save_checkpoint(tmp_path / "net.sffc", net)
+    loaded, _ = load_checkpoint(tmp_path / "net.sffc")
+
+    for untrained in (built, copy.deepcopy(built), loaded):
+        assert moment_arrays(untrained) == []
+        for layer in untrained.layers:
+            assert set(layer.adam) == set(layer.trainable_tensors())
+            assert {state.step for state in layer.adam.values()} == {0}
+
+
+def test_building_a_network_peaks_near_its_tensors():
+    """At static-784's shape (784-500-500, T=10) building a network holds
+    its tensors and little more: two moment arrays per trainable tensor
+    would take it to about three times their bytes."""
+    cfg = NeuronConfig(threshold=1.0, decay=0.99, decay_learnable=True)
+    tracemalloc.start()
+    try:
+        net = build_network([500, 500], 784, 10, 10, cfg, RngStream(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = sum(tensor.nbytes for layer in net.layers
+                 for tensor in layer.stored_tensors().values())
+    assert peak < 1.25 * stored, peak / stored

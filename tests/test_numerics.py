@@ -17,14 +17,14 @@ from oracles import adam_scalar_sequence
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         param = np.array([[1.5, -2.0], [0.25, 3.0]])
-        state = AdamState.for_param(param, lr=1e-3)
+        state = AdamState(lr=1e-3)
         updated = adam_update(param, np.zeros_like(param), state)
         np.testing.assert_array_equal(updated, param)
         assert state.step == 1
 
     def test_zero_gradients_never_move_params(self):
         param = np.array([[0.5, -0.5, 2.0]])
-        state = AdamState.for_param(param, lr=0.01)
+        state = AdamState(lr=0.01)
         current = param
         for _ in range(7):
             current = adam_update(current, np.zeros_like(current), state)
@@ -35,7 +35,7 @@ class TestAdam:
         # m_hat = v_hat = 1 after one unit-gradient step:
         # p = 1 - lr * 1 / (1 + eps) ~ 0.999
         param = np.array([[1.0]])
-        state = AdamState.for_param(param, lr=1e-3)
+        state = AdamState(lr=1e-3)
         updated = adam_update(param, np.array([[1.0]]), state)
         expected = 1.0 - 1e-3 / (1.0 + 1e-8)
         assert updated[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -43,7 +43,7 @@ class TestAdam:
 
     def test_two_steps_match_scalar_oracle(self):
         param = np.array([[0.7]])
-        state = AdamState.for_param(param, lr=1e-3)
+        state = AdamState(lr=1e-3)
         grads = [0.3, 0.3]
         current = param
         for g in grads:
@@ -55,18 +55,24 @@ class TestAdam:
         rng = RngStream(3)
         grads = list(rng.normal(10))
         param = np.array([[2.0]])
-        state = AdamState.for_param(param, lr=0.05)
+        state = AdamState(lr=0.05)
         current = param
         for g in grads:
             current = adam_update(current, np.array([[g]]), state)
         expected = adam_scalar_sequence(2.0, grads, lr=0.05)[-1]
         assert current[0, 0] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
-    def test_matches_the_plain_expressions_bit_for_bit(self, shape):
+    @pytest.mark.parametrize("shape,given_moments", [
+        ((7,), True), ((5, 9), True), ((3, 4, 6), True), ((5, 9), False),
+    ], ids=["shape0", "shape1", "shape2", "first step from a state without moments"])
+    def test_matches_the_plain_expressions_bit_for_bit(self, shape, given_moments):
         rng = RngStream(8)
         param = rng.normal(shape)
-        state = AdamState.for_param(param, lr=0.02)
+        if given_moments:
+            state = AdamState(np.zeros(shape), np.zeros(shape), lr=0.02)
+        else:
+            state = AdamState(lr=0.02)
+            assert state.first_moment is None and state.second_moment is None
         m, v = np.zeros(shape), np.zeros(shape)
         b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
         current = want = param
@@ -89,16 +95,21 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         param = np.zeros((2, 2))
-        state = AdamState.for_param(param)
+        state = AdamState()
         with pytest.raises(ShapeError):
             adam_update(param, np.zeros((2, 3)), state)
+        assert state.first_moment is None and state.step == 0
+        given = AdamState(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"moments \(2, 3\)"):
+            adam_update(param, np.zeros((2, 2)), given)
 
     def test_nonfinite_gradient_names_tensor_and_step(self):
         param = np.zeros((1, 1))
-        state = AdamState.for_param(param)
+        state = AdamState()
         bad = np.array([[np.nan]])
         with pytest.raises(NumericError, match=r"layer0\.weights at step 1"):
             adam_update(param, bad, state, name="layer0.weights")
+        assert state.first_moment is None and state.second_moment is None
 
 
 class TestRngStream:

@@ -265,8 +265,28 @@ class TestTrainLoop:
             assert not np.array_equal(getattr(first, name), tensor), name
         assert second.batches_tracked == 0
         assert {state.step for state in second.adam.values()} == {0}
+        assert all(state.first_moment is None and state.second_moment is None
+                   for state in second.adam.values())
         for name, tensor in before[1].items():
             assert getattr(second, name).tobytes() == tensor.tobytes(), name
+
+    def test_first_step_makes_each_tensors_moments(self):
+        train_ds = dataio.make_blob_dataset(32, seed=1)
+        net = blob_network(train_ds, hidden=(8, 6))
+        batch = dataio.SampleBatch(train_ds.inputs, train_ds.labels,
+                                   train_ds.input_dim)
+        states = [state for layer in net.layers for state in layer.adam.values()]
+        assert all(state.first_moment is None for state in states)
+        train_step(net, batch, TrainConfig(epochs=1, batch_size=32),
+                   RngStream(0))
+        for layer in net.layers:
+            assert set(layer.adam) == set(layer.trainable_tensors())
+            for name, tensor in layer.trainable_tensors().items():
+                state = layer.adam[name]
+                assert state.step == 1, name
+                assert state.first_moment.shape == tensor.shape, name
+                assert state.second_moment.shape == tensor.shape, name
+                assert np.any(state.first_moment != 0), name
 
     def test_single_sample_final_batch_skipped(self):
         train_ds = dataio.make_blob_dataset(33, seed=2)
