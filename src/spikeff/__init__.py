@@ -29,7 +29,7 @@ from .layer import (
     layer_forward,
 )
 from .network import FFNetwork, build_network, forward_eval, forward_train
-from .neuron import NeuronConfig, smoothed_spike, surrogate_grad
+from .neuron import NeuronConfig, surrogate_grad
 from .numerics import AdamState, RngStream, adam_update
 from .predictor import LabelScores, evaluate, score_labels
 from .trainer import (

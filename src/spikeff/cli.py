@@ -471,22 +471,38 @@ def run_inspect(path: str) -> int:
     return 0
 
 
+def _load_scored(checkpoint_path: str, config: ExperimentConfig,
+                 root: Optional[str], split: str):
+    """The checkpoint's network and the split it scores.
+
+    A dataset of another class count is refused before any scoring: its
+    overlay would write labels into input channels or leave labels out.
+    """
+    net, _ = load_checkpoint(checkpoint_path)
+    ds = load_split(config, root, split)
+    if ds.class_count != net.class_count:
+        raise DataConsistencyError(
+            f"dataset {config.dataset!r} has {ds.class_count} classes, the "
+            f"checkpoint was trained on {net.class_count}"
+        )
+    return net, ds
+
+
 def run_eval(checkpoint_path: str, config: ExperimentConfig,
              root: Optional[str], split: str) -> int:
-    net, _ = load_checkpoint(checkpoint_path)
-    acc = predictor.evaluate(net, load_split(config, root, split))
+    net, ds = _load_scored(checkpoint_path, config, root, split)
+    acc = predictor.evaluate(net, ds)
     print(json.dumps({"dataset": config.dataset, "split": split, "accuracy": acc}))
     return 0
 
 
 def run_predict(checkpoint_path: str, config: ExperimentConfig,
                 root: Optional[str], split: str, out_path: Optional[str]) -> int:
-    net, _ = load_checkpoint(checkpoint_path)
+    net, ds = _load_scored(checkpoint_path, config, root, split)
     lines = ["sample,true_label,predicted," + ",".join(
         f"score_{y}" for y in range(net.class_count))]
     offset = 0
-    for batch in dataio.iter_batches(load_split(config, root, split), 256,
-                                     shuffle=False):
+    for batch in dataio.iter_batches(ds, 256, shuffle=False):
         result = predictor.score_labels(net, batch)
         for i in range(batch.size):
             scores = ",".join(repr(float(s)) for s in result.scores[i])
@@ -610,7 +626,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (FileNotFoundError, OSError, FormatError, DataConsistencyError,
-            ShapeError, UsageError, NumericError) as exc:
+            ShapeError, UsageError, NumericError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

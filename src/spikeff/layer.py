@@ -141,7 +141,7 @@ def norm_affine(mu, var, eps, gamma, shift):
     """Batch normalization as one affine map of the product z.
 
     gamma * (z - mu) / sqrt(var + eps) + shift == z * scale + offset, with
-    the returned (scale, offset). Every normalized drive, train or eval, is
+    the returned (scale, offset). Every drive, train or eval, is
     computed as `z * scale + offset` from these, so equal inputs give equal
     bits wherever it is computed.
     """
@@ -194,10 +194,10 @@ def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
     B-row GEMM and one add, the product of the overlaid rows without
     writing them out. Raises a NumericError naming timestep t unless the
     product is finite. Returns the rows the GEMM read. Every product of a
-    layer input is this call: the train pass's, `pre_norm`'s, the
-    backward's recompute and the eval rollout's, so all have the same
-    bits; label scoring adds a row range's correction to its rows of the
-    one B-row base product, the same two ops.
+    layer input is this call: the train pass's, the backward's recompute
+    and the eval rollout's, so all have the same bits; label scoring adds
+    a row range's correction to its rows of the one B-row base product,
+    the same two ops.
     """
     if cast is not None:
         np.copyto(cast, x)
@@ -235,26 +235,25 @@ class LayerForwardTrace:
 
     `spikes` and `membranes` are C-contiguous timestep-major (T, B, n)
     arrays; entry t is timestep t's (B, n) view. `spikes` are bool (1 byte
-    each; float64 only under `smooth_spikes`). `inputs` is the (T, B, n_in)
-    array the pass was given, as it is: a layer fed another's spikes holds
-    them as bool, and layer 0 of temporal data holds `time_frames`' view
-    of the batch's sample-major rows, no copy. For a static input (one
-    frame object repeated T times, `shared`), `inputs` is instead a
-    read-only broadcast of the one frame, and `shared_product` holds its
-    one (B, n_out) product.
+    each). `inputs` is the (T, B, n_in) array the pass was given, as it
+    is: a layer fed another's spikes holds them as bool, and layer 0 of
+    temporal data holds `time_frames`' view of the batch's sample-major
+    rows, no copy. For a static input (one frame object repeated T times,
+    `shared`), `inputs` is instead a read-only broadcast of the one frame,
+    and `shared_product` holds its one (B, n_out) product.
     `mu`/`var` are the statistics actually used: batch statistics in train
     mode (which `fold_running_stats` folds into the layer's running ones),
-    running statistics in eval mode. `weights`, `gamma` and `shift`
-    are the arrays the pass used; training replaces those tensors rather
-    than mutating them, so they keep the pass's values. For an overlaid
-    input (`OverlaidFrames`), `inputs` are the base frames and `overlay`
-    the overlay that every product adds (`product`).
+    running statistics in eval mode. `weights` is the array the pass used;
+    training replaces it rather than mutating it, so it keeps the pass's
+    values. For an overlaid input (`OverlaidFrames`), `inputs` are the base
+    frames and `overlay` the overlay that every product adds (`product`).
 
-    The products `pre_norm` and the drives `normalized` are derived, not
-    stored. `layer_backward` consumes a trace, shared or stacked: it
-    writes its gradients over `membranes` and `counts`, then drops them
-    and `inputs`, after which all five read None, so a trace is
-    backpropagated once; a caller that needs them reads them before.
+    A stacked input's products and the drives are not stored.
+    `layer_backward` consumes a trace, shared or stacked: it recomputes the
+    products from `inputs` and `weights`, writes its gradients over
+    `membranes` and `counts`, then drops them and `inputs`, after which all
+    three read None, so a trace is backpropagated once; a caller that needs
+    them reads them before.
     """
 
     mode: str
@@ -265,34 +264,9 @@ class LayerForwardTrace:
     inputs: Optional[np.ndarray] = None  # (T, B, n_in)
     membranes: Optional[np.ndarray] = None  # (T, B, n_out)
     weights: Optional[np.ndarray] = None  # (n_out, n_in)
-    gamma: Optional[np.ndarray] = None  # (T, n_out)
-    shift: Optional[np.ndarray] = None  # (T, n_out)
-    eps: float = 0.0
     shared: bool = False
     shared_product: Optional[np.ndarray] = None  # (B, n_out), static input only
     overlay: Optional[Overlay] = None  # an overlaid input's peak and labels
-
-    @property
-    def pre_norm(self) -> Optional[np.ndarray]:
-        """(T, B, n) products z = X W^T, as the pass computed them.
-
-        A static input's one stored product is broadcast over T. A stacked
-        input's products are recomputed with the pass's per-timestep GEMM
-        call (`product`), so they equal the pass's bit for bit.
-        """
-        if self.inputs is None:
-            return None
-        if self.shared:
-            t_steps = self.mu.shape[0]
-            return np.broadcast_to(
-                self.shared_product, (t_steps,) + self.shared_product.shape
-            )
-        z = np.empty(self.inputs.shape[:2] + (self.weights.shape[0],))
-        cast = _cast_buffer(self.inputs)
-        correction = self.correction()
-        for t, x in enumerate(self.inputs):
-            product(x, self.weights, t, z[t], cast, correction)
-        return z
 
     def correction(self) -> Optional[np.ndarray]:
         """The overlay's `overlay_correction` with the pass's weights, or
@@ -301,32 +275,17 @@ class LayerForwardTrace:
             return None
         return overlay_correction(self.weights, *self.overlay)
 
-    @property
-    def normalized(self) -> Optional[np.ndarray]:
-        """(T, B, n) drives z * scale + offset, recomputed from the products.
-
-        Derived with `norm_affine` and the pass's ufuncs in their order, so
-        it equals the normalized drive the pass used bit for bit.
-        """
-        z = self.pre_norm
-        if z is None:
-            return None
-        scale, offset = norm_affine(self.mu, self.var, self.eps, self.gamma, self.shift)
-        out = np.multiply(z, scale[:, None, :])
-        return np.add(out, offset[:, None, :], out=out)
-
 
 def layer_forward(
     layer: SpikingLayer,
     frames: Sequence[np.ndarray],
     mode: str = "train",
-    *,
-    smooth_spikes: bool = False,
 ) -> LayerForwardTrace:
     """Run the layer over T timesteps.
 
-    For each t: drive = frames[t] @ W^T, normalized per timestep (batch
-    statistics in train mode, running statistics in eval mode) as
+    For each t: drive = frames[t] @ W^T under the per-timestep batch
+    normalization (batch statistics in train mode, running statistics in
+    eval mode), computed as
     `z * scale + offset` (`norm_affine`), optionally augmented with
     recurrent drive from the previous spikes, then one LIF step. Spike
     counts accumulate across timesteps. The layer is not changed: a train
@@ -342,14 +301,10 @@ def layer_forward(
     (`product`), computed once for the pass.
     A stacked input keeps its dtype, and its products are taken one
     timestep at a time (`product`): z_t goes into `membranes[t]`, the slot
-    that timestep's membrane update overwrites once z_t is normalized, and
-    bool spikes are cast to float64 one timestep at a time, for the GEMM
-    only. Every pass records its spikes (bool) and membranes; the products
-    are derived on demand (`LayerForwardTrace.pre_norm`).
-
-    smooth_spikes replaces the hard threshold with its smooth primitive,
-    recorded as float64 spikes; this exists for gradient verification and
-    is never used in training.
+    that timestep's membrane update overwrites once z_t has made the
+    drive, and bool spikes are cast to float64 one timestep at a time, for
+    the GEMM only. Every pass records its spikes (bool, `neuron.fire`) and
+    membranes; the backward recomputes a stacked input's products.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -378,7 +333,7 @@ def layer_forward(
     n = layer.n_out
     cfg = layer.neuron
     beta = neuron.effective_decay(layer.decay_raw, cfg)
-    spikes = np.empty((t_steps, batch, n), np.float64 if smooth_spikes else bool)
+    spikes = np.empty((t_steps, batch, n), bool)
     membranes = np.empty((t_steps, batch, n))
     counts = np.zeros((batch, n))
     drive = np.empty((batch, n))
@@ -425,11 +380,7 @@ def layer_forward(
         u = neuron.membrane_update(
             u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
-        s = spikes[t]
-        if smooth_spikes:
-            s[...] = neuron.smoothed_spike(u, cfg)
-        else:
-            fire(u, cfg, out=s)
+        s = fire(u, cfg, out=spikes[t])
         counts += s
 
     return LayerForwardTrace(
@@ -441,9 +392,6 @@ def layer_forward(
         inputs=x,
         membranes=membranes,
         weights=layer.weights,
-        gamma=layer.gamma,
-        shift=layer.shift,
-        eps=layer.eps,
         shared=shared,
         shared_product=shared_product,
         overlay=overlay,

@@ -132,13 +132,3 @@ def surrogate_grad(membrane: np.ndarray, config: NeuronConfig,
     np.add(1.0, out, out=out)
     return np.divide(1.0 / math.pi, out, out=out)
 
-
-def smoothed_spike(membrane: np.ndarray, config: NeuronConfig) -> np.ndarray:
-    """Smooth primitive of `surrogate_grad`, 1/2 at threshold.
-
-    Replaces the hard step in gradient-check harnesses so that finite
-    differences of the forward agree with the surrogate-based backward.
-    """
-    k = math.pi * config.surrogate_slope / 2.0
-    shifted = membrane - config.threshold
-    return 0.5 + np.arctan(k * shifted) / (math.pi * k)

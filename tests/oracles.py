@@ -1,13 +1,17 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
-no shared code with the package) so tests compare two unrelated routes to
-the same numbers.
+or plain numpy where a test pins the package to it bit for bit), sharing no
+computation with the package, so tests compare two unrelated routes to the
+same numbers.
 """
 
 import math
 
 import numpy as np
+
+from spikeff.dataio import OverlaidFrames
+from spikeff.layer import LayerForwardTrace
 
 
 def adam_scalar_sequence(p0, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -107,6 +111,107 @@ def scalar_layer_forward(layer, frames):
     recorded["counts"] = counts
     recorded["goodness"] = goodness
     return recorded
+
+
+def smoothed_spike(membrane, config):
+    """Smooth primitive of `neuron.surrogate_grad`, 1/2 at threshold.
+
+    Replaces the hard step in gradient checks, so that finite differences
+    of the forward agree with the surrogate-based backward.
+    """
+    k = math.pi * config.surrogate_slope / 2.0
+    shifted = membrane - config.threshold
+    return 0.5 + np.arctan(k * shifted) / (math.pi * k)
+
+
+def reference_forward(layer, frames, smooth):
+    """A train-mode `layer_forward`, op for op in plain numpy.
+
+    The same ufuncs in the same order (product and overlay correction,
+    batch mean and biased variance, `z * scale + offset`, recurrent drive,
+    membrane recursion, threshold, counts), so with `smooth` False every
+    array of the returned trace equals `layer_forward`'s bit for bit. With
+    `smooth` True the threshold is `smoothed_spike` and the spikes are
+    recorded as float64: the forward whose gradients `layer_backward`
+    computes, and which it consumes like any train trace.
+    """
+    overlay = None
+    if isinstance(frames, OverlaidFrames):
+        frames, overlay = frames.base, frames.overlay
+    cfg = layer.neuron
+    t_steps, batch, n = len(frames), frames[0].shape[0], layer.n_out
+    if cfg.decay_learnable and layer.decay_raw is not None:
+        beta = 1.0 / (1.0 + np.exp(-layer.decay_raw))
+    else:
+        beta = cfg.decay
+    shared = all(f is frames[0] for f in frames)
+    if shared:
+        inputs = np.broadcast_to(frames[0], (t_steps,) + frames[0].shape)
+    else:
+        inputs = np.asarray(frames)
+        if inputs.dtype != np.bool_:
+            inputs = inputs.astype(np.float64, copy=False)
+    correction = None
+    if overlay is not None:
+        correction = layer.weights.T[overlay.labels] * overlay.peak[:, None]
+
+    spikes = np.empty((t_steps, batch, n), np.float64 if smooth else bool)
+    membranes = np.empty((t_steps, batch, n))
+    mu, var = np.empty((t_steps, n)), np.empty((t_steps, n))
+    counts = np.zeros((batch, n))
+    u = np.zeros((batch, n))
+    s = np.zeros((batch, n))
+    shared_product = None
+    for t in range(t_steps):
+        if t == 0 or not shared:
+            z = inputs[t].astype(np.float64, copy=False) @ layer.weights.T
+            if correction is not None:
+                z = z + correction
+            if shared:
+                shared_product = z
+        mu[t] = z.mean(axis=0)
+        var[t] = z.var(axis=0)
+        scale = layer.gamma[t] / np.sqrt(var[t] + layer.eps)
+        offset = layer.shift[t] - mu[t] * scale
+        drive = z * scale + offset
+        if layer.recurrent is not None:
+            drive = drive + s.astype(np.float64, copy=False) @ layer.recurrent
+        if cfg.reset_mode == "zero":
+            u = beta * u * (1.0 - s) + drive
+        else:
+            u = beta * u + drive - cfg.threshold * s
+        membranes[t] = u
+        spikes[t] = smoothed_spike(u, cfg) if smooth else u >= cfg.threshold
+        s = spikes[t]
+        counts += s
+    return LayerForwardTrace(
+        mode="train", counts=counts, mu=mu, var=var, spikes=spikes,
+        inputs=inputs, membranes=membranes, weights=layer.weights,
+        shared=shared, shared_product=shared_product, overlay=overlay,
+    )
+
+
+def products(trace):
+    """(T, B, n) products z = X W^T of a trace's pass, from its inputs and
+    weights (a static input's one product broadcast over T); read before
+    `layer_backward` consumes the inputs."""
+    if trace.shared:
+        return np.broadcast_to(trace.shared_product,
+                               trace.mu.shape[:1] + trace.shared_product.shape)
+    z = np.stack([x.astype(np.float64, copy=False) @ trace.weights.T
+                  for x in trace.inputs])
+    if trace.overlay is not None:
+        peak, labels = trace.overlay
+        z += trace.weights.T[labels] * peak[:, None]
+    return z
+
+
+def drives(trace, layer):
+    """(T, B, n) normalized drives z * scale + offset of a trace's pass,
+    with the layer's scale and shift (before any update replaces them)."""
+    scale = layer.gamma / np.sqrt(trace.var + layer.eps)
+    offset = layer.shift - trace.mu * scale
+    return products(trace) * scale[:, None, :] + offset[:, None, :]
 
 
 def smoothed_layer_objective(layer, frames, frozen_spikes, seed_weights):

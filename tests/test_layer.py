@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeff import dataio, trainer
+from spikeff import dataio
 from spikeff.errors import ShapeError, UsageError
 from spikeff.layer import (
     LayerForwardTrace,
@@ -23,7 +23,7 @@ from spikeff.neuron import (
 )
 from spikeff.numerics import RngStream
 
-from oracles import overlaid_rows, scalar_layer_forward
+from oracles import drives, overlaid_rows, products, scalar_layer_forward
 
 
 def make_layer(n_in=3, n_out=4, timesteps=3, seed=0, **cfg_kwargs):
@@ -51,7 +51,7 @@ class TestForward:
         trace = layer_forward(layer, frames, "train")
         # variance 0 + eps guard: xhat == 0, drive == shift == 0
         for t in range(2):
-            np.testing.assert_allclose(trace.normalized[t], 0.0, atol=1e-12)
+            np.testing.assert_allclose(drives(trace, layer)[t], 0.0, atol=1e-12)
         np.testing.assert_array_equal(trace.counts, np.zeros((2, 2)))
 
     def test_zero_weights_zero_goodness(self):
@@ -80,13 +80,14 @@ class TestForward:
             frames = [rng.normal((batch, layer.n_in)) for _ in range(t_steps)]
             trace = layer_forward(layer, frames, "train")
             oracle = scalar_layer_forward(layer, frames)
+            z, drive = products(trace), drives(trace, layer)
             for t in range(t_steps):
                 np.testing.assert_allclose(
-                    trace.pre_norm[t], oracle["pre_norm"][t], atol=1e-10)
+                    z[t], oracle["pre_norm"][t], atol=1e-10)
                 np.testing.assert_allclose(trace.mu[t], oracle["mu"][t], atol=1e-10)
                 np.testing.assert_allclose(trace.var[t], oracle["var"][t], atol=1e-10)
                 np.testing.assert_allclose(
-                    trace.normalized[t], oracle["normalized"][t], atol=1e-10)
+                    drive[t], oracle["normalized"][t], atol=1e-10)
                 np.testing.assert_allclose(
                     trace.membranes[t], oracle["membranes"][t], atol=1e-10)
                 np.testing.assert_array_equal(trace.spikes[t], oracle["spikes"][t])
@@ -120,9 +121,10 @@ class TestForward:
         layer = make_layer(n_in=8, n_out=6, timesteps=3)
         frames = [RngStream(3).normal((64, 8)) for _ in range(3)]
         trace = layer_forward(layer, frames, "train")
+        z = products(trace)
         for t in range(3):
             inv = 1.0 / np.sqrt(trace.var[t] + layer.eps)
-            xhat = (trace.pre_norm[t] - trace.mu[t]) * inv
+            xhat = (z[t] - trace.mu[t]) * inv
             assert np.abs(xhat.mean(axis=0)).max() <= 1e-6
             assert np.abs(xhat.var(axis=0) - 1.0).max() <= 1e-4
 
@@ -233,7 +235,7 @@ class TestBackward:
         trace = layer_forward(layer, [x], "train")
         seed = np.array([1.0, 0.5, -0.25, 2.0])
         # read before the backward, which consumes the trace
-        z = trace.pre_norm[0][:, 0].copy()
+        z = products(trace)[0][:, 0].copy()
         mu, var = trace.mu[0][0], trace.var[0][0]
         u = trace.membranes[0][:, 0].copy()
         counts = trace.counts[:, 0].copy()
@@ -344,7 +346,7 @@ class TestBackwardForm:
         assert trace.counts.max() > 0
         dgoodness = rng.normal(9)
         expected = per_timestep_backward(
-            layer, trace, [np.array(f) for f in frames], np.array(trace.pre_norm),
+            layer, trace, [np.array(f) for f in frames], np.array(products(trace)),
             dgoodness,
         )
         grads = layer_backward(layer, trace, dgoodness)
@@ -368,7 +370,6 @@ class TestBackwardForm:
         layer_backward(layer, trace, np.ones(batch))
         assert trace.membranes is None and trace.counts is None
         assert trace.inputs is None
-        assert trace.pre_norm is None and trace.normalized is None
         with pytest.raises(UsageError, match="consumed"):
             layer_backward(layer, trace, np.ones(batch))
 
@@ -383,15 +384,15 @@ class TestTraceLayout:
         frames = dataio.time_frames(rows, 8, t_steps if temporal else 1, t_steps)
         traces = forward_train(net.layers, frames)
         for trace, layer in zip(traces, net.layers):
-            for name in ("spikes", "membranes", "pre_norm", "inputs"):
+            for name in ("spikes", "membranes", "inputs"):
                 array = getattr(trace, name)
                 n = layer.n_in if name == "inputs" else layer.n_out
                 assert isinstance(array, np.ndarray), name
                 assert array.shape == (t_steps, batch, n), name
             assert trace.spikes.flags.c_contiguous
             assert trace.membranes.flags.c_contiguous
-            # only static layer-0 products are broadcasts
-            assert trace.pre_norm.flags.c_contiguous is not trace.shared
+            # only a static layer 0 stores its one product
+            assert (trace.shared_product is not None) is trace.shared
         # layer 0's inputs are the batch rows, not a copy: a broadcast of
         # the static frame, or a timestep-major view of the temporal rows
         first = traces[0].inputs
@@ -401,47 +402,14 @@ class TestTraceLayout:
         assert traces[1].inputs is traces[0].spikes
         assert traces[0].shared is not temporal and not traces[1].shared
 
-    @pytest.mark.parametrize("smooth", [False, True])
-    def test_spikes_are_bool_unless_smoothed(self, smooth):
+    def test_spikes_are_bool(self):
         layer = make_layer(n_in=5, n_out=4, timesteps=3, seed=5, threshold=0.6)
         frames = input_frames("stacked", 6, 5, 3, RngStream(6))
-        trace = layer_forward(layer, frames, "train", smooth_spikes=smooth)
-        assert trace.spikes.dtype == (np.float64 if smooth else np.bool_)
+        trace = layer_forward(layer, frames, "train")
+        assert trace.spikes.dtype == np.bool_
         assert trace.spikes.shape == (3, 6, 4)
         np.testing.assert_array_equal(trace.counts, trace.spikes.sum(axis=0))
-        if not smooth:
-            assert 0 < trace.counts.sum() < trace.spikes.size
-
-    @pytest.mark.parametrize("recurrent", [False, True])
-    def test_derived_products_are_the_pass_gemm_before_and_after_adam(
-            self, recurrent):
-        t_steps, batch = 4, 16
-        ds = dataio.make_temporal_dataset(batch, input_dim=8, timesteps=t_steps,
-                                          class_count=2, seed=1)
-        net = build_network([6, 4], 8, 2, t_steps,
-                            NeuronConfig(threshold=0.5, decay=0.9),
-                            RngStream(2), recurrent=recurrent)
-        sample = dataio.SampleBatch(ds.inputs, ds.labels, 8, t_steps)
-        frames = dataio.embed_label(sample, sample.labels, 2).frames(t_steps)
-        peak, labels = frames.overlay
-        traces = forward_train(net.layers, frames)
-        expected = []
-        for k, (trace, layer) in enumerate(zip(traces, net.layers)):
-            # one GEMM a timestep, as the pass; layer 0's input is the base
-            # frames, to which the pass adds peak * W[:, label] per row
-            # after the GEMM
-            z = [x.astype(np.float64) @ layer.weights.T for x in trace.inputs]
-            if k == 0:
-                z = [z_t + peak[:, None] * layer.weights[:, labels].T for z_t in z]
-            expected.append(np.stack(z).tobytes())
-            assert trace.pre_norm.tobytes() == expected[-1]
-        trainer.train_step(net, sample, trainer.TrainConfig(epochs=1),
-                           RngStream(3))
-        for trace, layer, want in zip(traces, net.layers, expected):
-            assert trace.weights is not layer.weights  # Adam replaced them
-            assert trace.pre_norm.tobytes() == want
-            # at t=0 the membrane starts from rest: it is exactly the drive
-            assert np.array_equal(trace.normalized[0], trace.membranes[0])
+        assert 0 < trace.counts.sum() < trace.spikes.size
 
     @pytest.mark.parametrize("recurrent", [False, True])
     def test_temporal_rows_and_frame_list_give_identical_traces(self, recurrent):
@@ -455,8 +423,8 @@ class TestTraceLayout:
                                threshold=0.6, recurrent=recurrent)
             trace = layer_forward(layer, frames, "train")
             arrays = {name: getattr(trace, name).copy() for name in
-                      ("inputs", "pre_norm", "membranes", "spikes", "counts",
-                       "mu", "var")}
+                      ("inputs", "membranes", "spikes", "counts", "mu", "var")}
+            arrays["products"] = products(trace)
             grads = layer_backward(layer, trace, np.linspace(-1.0, 1.0, batch))
             runs.append((arrays, grads))
         (arrays_a, grads_a), (arrays_b, grads_b) = runs
@@ -515,7 +483,7 @@ class TestFactoredOverlay:
     def test_product_matches_the_written_out_overlay(self, temporal, class_count):
         layer, factored, written = overlay_case(temporal, class_count)
         assert isinstance(factored, dataio.OverlaidFrames)
-        got = layer_forward(layer, factored, "train").pre_norm
+        got = products(layer_forward(layer, factored, "train"))
         want = np.stack([x @ layer.weights.T for x in written])
         bound = FACTORED_PRODUCT_EPS * np.finfo(np.float64).eps * np.abs(want).max()
         assert np.abs(got - want).max() <= bound

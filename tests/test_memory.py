@@ -1,11 +1,10 @@
 """What a training step keeps alive: one layer's traces at a time, all
 released before the next batch's scoring; label scoring runs in overlay
-chunks on reused buffers, and a trace stores bool spikes and derives its
-products and normalized drive instead of storing them. A network that has
-not trained holds no Adam moments."""
+chunks on reused buffers, and a trace stores bool spikes and neither its
+products nor its normalized drive. A network that has not trained holds no
+Adam moments."""
 
 import copy
-import dataclasses
 import itertools
 import tracemalloc
 import weakref
@@ -349,23 +348,6 @@ def test_scoring_writes_out_no_overlay_chunk():
         tracemalloc.stop()
 
     assert peak < 0.3 * overlay_chunk, (peak, overlay_chunk)
-
-
-def test_normalized_is_derived_and_matches_the_first_membrane():
-    ds = dataio.make_blob_dataset(32, seed=0)
-    net = build_network([7, 5], ds.input_dim, ds.class_count, 4,
-                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(3))
-    batch = dataio.SampleBatch(ds.inputs, ds.labels, ds.input_dim)
-    frames = dataio.embed_label(batch, batch.labels, ds.class_count).frames(4)
-    traces = forward_train(net.layers, frames)
-    # Adam replaces gamma and shift; the traces keep the pass's arrays.
-    train_step(net, batch, TrainConfig(epochs=1, batch_size=32), RngStream(4))
-    for trace, layer in zip(traces, net.layers):
-        assert trace.gamma is not layer.gamma and trace.shift is not layer.shift
-        assert "normalized" not in {f.name for f in dataclasses.fields(trace)}
-        # at t=0 the membrane starts from rest: it is exactly the drive
-        assert np.array_equal(trace.normalized[0], trace.membranes[0])
-        assert np.ptp(trace.membranes[0]) > 0
 
 
 CHUNK_GRID = list(itertools.product(("subtract", "zero"), (False, True),

@@ -1,6 +1,8 @@
 """Label scoring: the in-place rollout of `label_goodness` against the
-per-overlay `forward_eval` reference."""
+per-overlay `forward_eval` reference; the train pass against the plain
+numpy reference of the gradient tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +10,13 @@ import pytest
 
 from spikeff import dataio
 from spikeff.errors import NumericError, ShapeError, UsageError
-from spikeff.layer import EvalRollout, goodness, layer_forward, product
+from spikeff.layer import (
+    EvalRollout,
+    LayerForwardTrace,
+    goodness,
+    layer_forward,
+    product,
+)
 from spikeff.network import (
     build_network,
     forward_eval,
@@ -18,6 +26,8 @@ from spikeff.network import (
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
 from spikeff.trainer import TrainConfig, train_epoch
+
+from oracles import reference_forward
 
 TIMESTEPS = 5
 
@@ -78,15 +88,15 @@ def state_of(net):
 GRID = list(itertools.product(
     ("subtract", "zero"), (False, True), (False, True), (False, True), (2, 10)
 ))
+GRID_IDS = [
+    f"{r}-{'learnable' if l else 'fixed'}-{'rec' if rc else 'ff'}-"
+    f"{'temporal' if t else 'static'}-c{c}"
+    for r, l, rc, t, c in GRID
+]
 
 
 @pytest.mark.parametrize(
-    "reset_mode,learnable,recurrent,temporal,class_count", GRID,
-    ids=[
-        f"{r}-{'learnable' if l else 'fixed'}-{'rec' if rc else 'ff'}-"
-        f"{'temporal' if t else 'static'}-c{c}"
-        for r, l, rc, t, c in GRID
-    ],
+    "reset_mode,learnable,recurrent,temporal,class_count", GRID, ids=GRID_IDS
 )
 def test_scores_equal_per_overlay_reference(
     reset_mode, learnable, recurrent, temporal, class_count
@@ -114,6 +124,36 @@ def test_scores_equal_per_overlay_reference(
     assert scores.shape == (batch.size, class_count)
     assert np.array_equal(scores, reference)
     assert np.ptp(scores) > 0  # the network fires, so the check has teeth
+
+
+@pytest.mark.parametrize(
+    "reset_mode,learnable,recurrent,temporal,class_count", GRID, ids=GRID_IDS
+)
+def test_reference_forward_equals_the_train_pass_bit_for_bit(
+    reset_mode, learnable, recurrent, temporal, class_count
+):
+    """`reference_forward` (with the hard threshold) and `layer_forward`
+    record equal traces, field for field: the reference the gradient tests
+    differentiate is the train pass, on static, temporal and spike inputs,
+    plain and overlaid."""
+    net, _ = trained_network(reset_mode, learnable, recurrent, temporal,
+                             class_count)
+    batch = held_out_batch(dataset(temporal, class_count, n=11, seed=9))
+    overlaid = dataio.embed_label(batch, (batch.labels + 1) % class_count,
+                                  class_count)
+    for frames in (batch.frames(TIMESTEPS), overlaid.frames(TIMESTEPS)):
+        for layer in net.layers:
+            want = layer_forward(layer, frames, "train")
+            got = reference_forward(layer, frames, smooth=False)
+            for field in dataclasses.fields(LayerForwardTrace):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a is b or a == b, field.name
+            assert want.counts.any()  # the layer fires, so spikes are checked
+            frames = want.spikes
 
 
 @pytest.mark.parametrize("reset_mode", ["subtract", "zero"])

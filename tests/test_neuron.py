@@ -9,10 +9,11 @@ from spikeff.layer import SpikingLayer, layer_forward
 from spikeff.neuron import (
     NeuronConfig,
     membrane_update,
-    smoothed_spike,
     surrogate_grad,
 )
 from spikeff.numerics import RngStream
+
+from oracles import smoothed_spike
 
 
 def step(membrane, spikes, drive, cfg, decay_raw=None):
