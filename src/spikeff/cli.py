@@ -501,15 +501,10 @@ def run_predict(checkpoint_path: str, config: ExperimentConfig,
     net, ds = _load_scored(checkpoint_path, config, root, split)
     lines = ["sample,true_label,predicted," + ",".join(
         f"score_{y}" for y in range(net.class_count))]
-    offset = 0
-    for batch in dataio.iter_batches(ds, 256, shuffle=False):
-        result = predictor.score_labels(net, batch)
-        for i in range(batch.size):
-            scores = ",".join(repr(float(s)) for s in result.scores[i])
-            lines.append(
-                f"{offset + i},{batch.labels[i]},{result.predicted[i]},{scores}"
-            )
-        offset += batch.size
+    result = predictor.score_dataset(net, ds)
+    for i in range(ds.num_samples):
+        scores = ",".join(repr(float(s)) for s in result.scores[i])
+        lines.append(f"{i},{ds.labels[i]},{result.predicted[i]},{scores}")
     text = "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text)

@@ -237,6 +237,14 @@ def subset(dataset: Dataset, count: int) -> Dataset:
     )
 
 
+def batch_count(num_samples: int, batch_size: int) -> int:
+    """Batches of `batch_size` samples that `num_samples` samples make, the
+    last maybe short; a `batch_size` below 1 is refused."""
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
+    return -(-num_samples // batch_size)
+
+
 def iter_batches(
     dataset: Dataset,
     batch_size: int,
@@ -246,17 +254,18 @@ def iter_batches(
     """Yield mini-batches; the final batch may be smaller.
 
     Shuffling draws one permutation from `rng`, so a fixed seed replays the
-    same batch order every run.
+    same batch order every run. A `batch_size` below 1 is refused.
     """
     n = dataset.num_samples
+    count = batch_count(n, batch_size)
     if shuffle:
         if rng is None:
             raise UsageError("shuffling requires an RngStream")
         order = rng.permutation(n)
     else:
         order = np.arange(n)
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
+    for k in range(count):
+        idx = order[k * batch_size : (k + 1) * batch_size]
         yield SampleBatch(
             dataset.inputs[idx],
             dataset.labels[idx],

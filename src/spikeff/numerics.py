@@ -4,10 +4,11 @@ threads that independent calls run on.
 
 Parameters are plain numpy arrays; `adam_update` rejects non-finite
 gradients and makes a state's moments at its first step. `row_blocks` and
-`worker_ranges` are the one split of a pass's rows. `run_all` runs
-independent calls, inline or on every usable core, always with the loaded
-OpenBLAS on one thread: every GEMM of the package runs inside it, so its
-bits do not depend on the BLAS thread count.
+`worker_ranges` are the one split of a pass's rows, `worker_count` the
+calls that may run at once. `run_all` runs independent calls, inline or
+on every usable core, always with the loaded OpenBLAS on one thread:
+every GEMM of the package runs inside it, so its bits do not depend on
+the BLAS thread count.
 """
 
 import ctypes
@@ -202,17 +203,20 @@ def row_blocks(rows: int, width: int) -> List[slice]:
     return blocks or [slice(0, 0)]
 
 
+def worker_count() -> int:
+    """Calls a `run_all` may run at once: one per usable core, or one
+    where no OpenBLAS thread setter is found, since threads would then
+    share BLAS's own threads."""
+    return 1 if _openblas_thread_calls() is None else _usable_cores()
+
+
 def worker_ranges(rows: int, width: int) -> List[slice]:
     """`rows` rows split into contiguous runs of whole `row_blocks`, one
-    per worker of a `run_all`.
-
-    At most one range per usable core and per block; one range where no
-    OpenBLAS thread setter is found, since threads would then share BLAS's
-    own threads.
+    per worker of a `run_all`: at most `worker_count()` ranges and one per
+    block.
     """
     blocks = row_blocks(rows, width)
-    workers = 1 if _openblas_thread_calls() is None else _usable_cores()
-    per = -(-len(blocks) // min(workers, len(blocks)))  # blocks a range
+    per = -(-len(blocks) // min(worker_count(), len(blocks)))  # blocks a range
     runs = [blocks[i : i + per] for i in range(0, len(blocks), per)]
     return [slice(run[0].start, run[-1].stop) for run in runs]
 
@@ -269,7 +273,8 @@ def run_all(calls, workers: int, before=None):
     first call and a thread pool the others, so each core runs one call's
     GEMMs and elementwise work. Every call has finished before this
     returns or raises; the calling thread's error, else the first failed
-    call's, is raised here.
+    call's, is raised here. A call may itself call `run_all` only inline:
+    a pool thread waiting on the pool could wait for ever.
     """
     with blas_threads(1):
         if before is not None:

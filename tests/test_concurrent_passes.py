@@ -81,7 +81,8 @@ def test_train_step_bits_do_not_depend_on_the_blas_thread_count(b):
 def test_cli_runs_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     """`train` on a 500-unit net, whose train passes and scoring split;
     then `predict` with a recurrent 64-unit net, whose 2 x 256-row scoring
-    chunks are one block each and run inline."""
+    chunks are one block each: the dataset is scored in one share per
+    core."""
     src = str(Path(cli.__file__).parents[1])
 
     def spikeff(count, *args):

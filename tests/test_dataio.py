@@ -394,6 +394,13 @@ class TestBatching:
         with pytest.raises(UsageError):
             list(dataio.iter_batches(ds, 2))
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_batch_size_below_one_rejected(self, batch_size, shuffle):
+        ds = dataio.make_blob_dataset(4, seed=1)
+        with pytest.raises(UsageError, match="batch_size must be >= 1"):
+            list(dataio.iter_batches(ds, batch_size, RngStream(0), shuffle))
+
 
 class TestFrames:
     def test_static_broadcast_shares_object(self):

@@ -1,8 +1,8 @@
 """What a training step keeps alive: one layer's traces at a time, all
 released before the next batch's scoring; label scoring runs in overlay
-chunks on reused buffers, and a trace stores bool spikes and neither its
-products nor its normalized drive. A network that has not trained holds no
-Adam moments."""
+chunks on reused buffers, and a dataset's shares together hold one batch's.
+A trace stores bool spikes and neither its products nor its normalized
+drive. A network that has not trained holds no Adam moments."""
 
 import copy
 import itertools
@@ -18,6 +18,7 @@ from spikeff.layer import EvalRollout, goodness, product
 from spikeff.network import build_network, forward_train, label_goodness
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
+from spikeff.predictor import evaluate
 from spikeff.trainer import TrainConfig, train_epoch, train_step
 
 from test_network import (
@@ -325,6 +326,32 @@ def test_temporal_scoring_holds_one_overlay_beside_its_frames(monkeypatch):
     # the base rows, read in place (about 1.08 times them); one more copy
     # of them (about 2.08) fails
     assert peak < 1.5 * overlay_bytes, (peak, overlay_bytes)
+
+
+def test_a_two_share_eval_peaks_no_higher_than_one_share(monkeypatch):
+    """The temporal-recurrent benchmark's shape, 256-sample batches of a
+    64-64 recurrent net: two shares score batches of 128 at once, so
+    together they hold one batch's buffers, as a one-core pass does."""
+    if numerics._openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS thread-count setter: eval runs in one share")
+    ds = dataio.make_temporal_dataset(512, seed=1)
+    net = build_network([64, 64], ds.input_dim, 2, 10, NeuronConfig(),
+                        RngStream(1), recurrent=True)
+    for layer in net.layers:
+        layer.batches_tracked = 1
+    peaks = {}
+    for cores in (2, 1, 2):  # the first pass makes the pool
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            evaluate(net, ds)
+            _, peaks[cores] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    # 5.6 MiB either way; the two shares' peaks may coincide a little
+    # more or less than a one-share pass's buffers live at once
+    assert peaks[2] <= 1.02 * peaks[1], peaks
 
 
 def test_scoring_writes_out_no_overlay_chunk():

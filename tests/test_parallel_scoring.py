@@ -3,10 +3,13 @@ train step splits the same batch into: the calling thread rolls out the
 first range and a thread pool the others, with the loaded OpenBLAS on one
 thread for the call, as for inline scoring. Scores keep their bits, the
 BLAS thread count comes back, and each range scores its own samples under
-every overlay: overlay corrections, rollout and goodness sums."""
+every overlay: overlay corrections, rollout and goodness sums. Where a
+batch is one row block, a dataset is scored instead in one share of its
+samples per core, at once and with the same bits."""
 
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from spikeff import dataio, network, numerics, trainer
+from spikeff import dataio, network, numerics, predictor, trainer
 from spikeff.errors import NumericError
 from spikeff.network import build_network, label_goodness
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream, blas_threads
+from spikeff.predictor import evaluate, score_dataset
 from spikeff.trainer import TrainConfig, train_step
 
 from test_network import (
@@ -33,8 +37,8 @@ from test_network import (
 class RecordingPool:
     """Runs submitted ranges on a real pool, noting what ran there."""
 
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(2)
+    def __init__(self, threads=2):
+        self.pool = ThreadPoolExecutor(threads)
         self.submitted = 0
         self.blas_counts = []
 
@@ -336,3 +340,157 @@ def test_a_forked_child_scores_on_its_own_pool(monkeypatch):
             os._exit(status)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ---------------------------------------------------------------------------
+# a dataset scored in shares: `predictor.score_dataset`
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A pool of three threads in place of the package's; yields it and a
+    setter of the usable cores. The test nets' batches of 16 are one row
+    block, so `label_goodness` scores each inline and a dataset of more
+    than one batch is scored in shares."""
+    if numerics._openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS thread-count setter: scoring runs inline")
+    recording = RecordingPool(3)
+    monkeypatch.setattr(numerics, "_worker_pool", lambda: recording)
+    yield recording, lambda cores: monkeypatch.setattr(
+        numerics, "_usable_cores", lambda: cores)
+    recording.pool.shutdown()
+
+
+SHARE_GRID = [
+    # (recurrent, temporal, usable cores, samples, shares) at batch size 16
+    (False, False, 2, 50, 2),  # batches of 8, the last of 2
+    (True, True, 2, 50, 2),
+    (False, True, 2, 20, 2),  # fewer samples than workers x batch
+    (True, False, 3, 50, 3),  # batches of 6: shares of 18, 18 and 14
+    (True, True, 4, 40, 3),  # no more shares than the 3 batches
+    (False, False, 2, 10, 1),  # one batch: no share runs on the pool
+]
+
+
+@pytest.mark.parametrize(
+    "recurrent,temporal,cores,n,expected", SHARE_GRID,
+    ids=[f"{'rec' if rc else 'ff'}-{'temporal' if t else 'static'}-c{c}-n{n}"
+         for rc, t, c, n, _ in SHARE_GRID],
+)
+def test_shares_give_the_scores_of_batches_in_turn(
+    pool, recurrent, temporal, cores, n, expected
+):
+    recording, set_cores = pool
+    net, _ = trained_network("subtract", True, recurrent, temporal, 10)
+    ds = dataset(temporal, 10, n=n, seed=9)
+    results = {}
+    for count in (1, cores):
+        set_cores(count)
+        recording.clear()
+        rows_before = net.eval_rows
+        results[count] = score_dataset(net, ds, 16), evaluate(net, ds, 16)
+        assert net.eval_rows - rows_before == 2 * 10 * n
+        assert recording.submitted == (2 * (expected - 1) if count > 1 else 0)
+
+    (inline, inline_acc), (shared, shared_acc) = results[1], results[cores]
+    assert shared.scores.tobytes() == inline.scores.tobytes()
+    assert np.array_equal(shared.predicted, inline.predicted)
+    assert shared_acc == inline_acc
+    assert np.array_equal(shared.scores, reference_scores(net, held_out_batch(ds, n)))
+    assert np.ptp(shared.scores) > 0
+
+
+def noting_shares(monkeypatch, before=None):
+    """Note each finished `_score_share` call: (thread, samples, batch
+    size). `before(thread)` runs ahead of the call."""
+    calls = []
+    real = predictor._score_share
+
+    def score_share(net, share, batch_size, out):
+        if before is not None:
+            before(threading.get_ident())
+        real(net, share, batch_size, out)
+        calls.append((threading.get_ident(), share.num_samples, batch_size))
+
+    monkeypatch.setattr(predictor, "_score_share", score_share)
+    return calls
+
+
+def test_a_narrow_nets_shares_run_on_distinct_threads(pool, monkeypatch):
+    _, set_cores = pool
+    set_cores(2)
+    calls = noting_shares(monkeypatch)
+    net, _ = trained_network("subtract", False, True, True, 10)
+    ds = dataset(True, 10, n=40, seed=9)
+
+    score_dataset(net, ds, 16)
+
+    threads = [thread for thread, _, _ in calls]
+    assert len(set(threads)) == 2 and threading.get_ident() in threads
+    assert sorted((n, b) for _, n, b in calls) == [(16, 8), (24, 8)]
+
+
+def test_a_500_wide_net_scores_in_one_share(pool, monkeypatch):
+    """256 samples of a 500-unit layer are four row blocks, so
+    `label_goodness` splits each batch, and the batches run in turn."""
+    recording, set_cores = pool
+    set_cores(2)
+    calls = noting_shares(monkeypatch)
+    ds = dataio.make_blob_dataset(300, input_dim=16, class_count=3, seed=0)
+    net = build_network([500], ds.input_dim, 3, 4,
+                        NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+    net.layers[0].batches_tracked = 1
+
+    score_dataset(net, ds)
+
+    assert calls == [(threading.get_ident(), 300, 256)]
+    # the second range of the first batch; the last, of 44, is one block
+    assert recording.submitted == 1
+
+
+@pytest.mark.parametrize("failing", ["calling", "pool"])
+def test_an_error_in_either_share_is_raised_after_both_stop(
+    pool, monkeypatch, failing
+):
+    _, set_cores = pool
+    set_cores(2)
+    caller = threading.get_ident()
+
+    def fail_or_wait(thread):
+        if (thread == caller) == (failing == "calling"):
+            raise NumericError(f"the {failing} thread's share failed")
+        time.sleep(0.2)
+
+    calls = noting_shares(monkeypatch, fail_or_wait)
+    net, ds = trained_network("subtract", False, False, False, 2)
+    get = numerics._openblas_thread_calls()[0]
+    with blas_threads(2):  # a known count that is not the pinned one
+        with pytest.raises(NumericError, match=f"the {failing} thread's"):
+            evaluate(net, ds, 16)
+        assert get() == 2
+    assert len(calls) == 1 and (calls[0][0] == caller) == (failing == "pool")
+
+
+def test_shares_count_every_row_when_they_interleave(pool):
+    """Four shares on three pool threads and the calling one, more threads
+    than cores, switching as often as they can: every row is counted and
+    every score lands in its sample's row."""
+    recording, set_cores = pool
+    net, _ = trained_network("subtract", False, True, False, 10)
+    ds = dataset(False, 10, n=64, seed=9)
+    set_cores(1)
+    inline = score_dataset(net, ds, 16)
+    set_cores(4)
+    recording.clear()
+    rows_before = net.eval_rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = score_dataset(net, ds, 16)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert recording.submitted == 3
+    assert net.eval_rows - rows_before == 10 * 64
+    assert shared.scores.tobytes() == inline.scores.tobytes()

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spikeff import dataio
+from spikeff import dataio, numerics, predictor
 from spikeff.errors import UsageError
 from spikeff.layer import init_layer
 from spikeff.network import FFNetwork, build_network
 from spikeff.neuron import NeuronConfig
 from spikeff.numerics import RngStream
-from spikeff.predictor import evaluate, score_labels
+from spikeff.predictor import evaluate, score_dataset, score_labels
 from spikeff.trainer import TrainConfig, train
 
 
@@ -160,3 +160,31 @@ class TestEvaluate:
         empty = dataio.Dataset(np.zeros((0, 6)), np.zeros(0, np.int64), 3, 6)
         with pytest.raises(UsageError, match="empty"):
             evaluate(net, empty)
+
+    @pytest.mark.parametrize("score", [evaluate, score_dataset])
+    @pytest.mark.parametrize("refusal,batch_size,match", [
+        ("empty", 256, "empty"),
+        ("unpopulated", 256, "train"),
+        ("batch", 0, "batch_size must be >= 1"),
+        ("batch", -3, "batch_size must be >= 1"),
+    ])
+    def test_refused_before_any_share_starts(self, monkeypatch, score,
+                                             refusal, batch_size, match):
+        # a batch size of 0 ended in a bare ValueError, and one of -3
+        # scored nothing and read 0.0
+        train_ds = dataio.make_blob_dataset(600, seed=0)
+        net = build_network([16], train_ds.input_dim, train_ds.class_count, 4,
+                            NeuronConfig(threshold=1.0, decay=0.9), RngStream(1))
+        train(net, train_ds, TrainConfig(epochs=1, batch_size=32, eval_every=0))
+        if refusal == "empty":
+            train_ds = dataio.subset(train_ds, 0)
+        if refusal == "unpopulated":
+            net.layers[0].batches_tracked = 0
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
+
+        def no_share(*args):
+            raise AssertionError("a share started")
+
+        monkeypatch.setattr(predictor, "_score_share", no_share)
+        with pytest.raises(UsageError, match=match):
+            score(net, train_ds, batch_size)
