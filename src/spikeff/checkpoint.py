@@ -10,6 +10,9 @@ Layout (little-endian):
                  (name, shape) pairs in file order
     then         the tensors as contiguous float64 arrays, manifest order
 
+The header's dimensions imply every tensor's name and shape; a manifest
+that lists one twice, lacks one, adds one or misshapes one is refused.
+
 Optimizer moments are not stored: a tensor's moments are made by its first
 update, so a loaded network holds only its tensors, each read straight
 from the file into its own array, and trains on from fresh Adam states.
@@ -106,34 +109,10 @@ def read_meta(path) -> dict:
         return _read_header(f, str(path)).get("meta", {})
 
 
-def _check_shapes(header: dict, arrays: dict) -> None:
-    """Every tensor's shape must be the one the header's dimensions imply."""
-    t_steps, n_in = int(header["timesteps"]), int(header["input_dim"])
-    for i, lm in enumerate(header["layers"]):
-        if int(lm["n_in"]) != n_in:
-            raise ValueError(f"layer {i} n_in is {lm['n_in']}, expected {n_in}")
-        n_out = int(lm["n_out"])
-        for name, shape in tensor_shapes(n_in, n_out, t_steps).items():
-            key = f"layer{i}/{name}"
-            if key in arrays and arrays[key].shape != shape:
-                raise ValueError(
-                    f"{key} has shape {arrays[key].shape}, but the header's "
-                    f"timesteps/input_dim/n_in/n_out imply {shape}"
-                )
-        n_in = n_out
-
-
-def _has_tensor(name: str, layer_meta: dict, config: NeuronConfig) -> bool:
-    """Whether a layer with this header stores the tensor `name`."""
-    if name == "decay_raw":
-        return config.decay_learnable
-    if name == "recurrent":
-        return layer_meta["recurrent"] is True
-    return True
-
-
 def _network(header: dict, f, path: str) -> FFNetwork:
-    """Read the manifest's tensors from f and assemble the network."""
+    """Read the manifest's tensors from f, check them against the one
+    `{layer{i}/{name}: shape}` map the header implies, and assemble the
+    network."""
     try:  # a network needs a layer, units in each, a timestep and a class
         check_hidden_sizes([int(lm["n_out"]) for lm in header["layers"]])
     except ConfigError as exc:
@@ -141,19 +120,27 @@ def _network(header: dict, f, path: str) -> FFNetwork:
     for key in ("timesteps", "class_count"):
         if int(header[key]) < 1:
             raise ValueError(f"{key} is {header[key]}, need >= 1")
+    t_steps, n_in = int(header["timesteps"]), int(header["input_dim"])
+    configs = [NeuronConfig(**lm["neuron"]) for lm in header["layers"]]
+    expected = {}
+    for i, (lm, cfg) in enumerate(zip(header["layers"], configs)):
+        if int(lm["n_in"]) != n_in:
+            raise ValueError(f"layer {i} n_in is {lm['n_in']}, expected {n_in}")
+        shapes = tensor_shapes(n_in, int(lm["n_out"]), t_steps)
+        if not cfg.decay_learnable:
+            del shapes["decay_raw"]
+        if lm["recurrent"] is not True:
+            del shapes["recurrent"]
+        expected.update({f"layer{i}/{name}": shape for name, shape in shapes.items()})
+        n_in = int(lm["n_out"])
     arrays = {}
     for entry in header["tensors"]:
-        shape = tuple(int(n) for n in entry["shape"])
+        key, shape = entry["name"], tuple(int(n) for n in entry["shape"])
         if min(shape, default=0) < 0:
             raise ValueError(f"negative dimension in tensor shape {shape}")
-        arrays[entry["name"]] = read_array(f, shape, path)
-    _check_shapes(header, arrays)
-    configs = [NeuronConfig(**lm["neuron"]) for lm in header["layers"]]
-    names = [  # per layer, the tensors its header says it stores
-        [name for name in TENSORS if _has_tensor(name, lm, cfg)]
-        for lm, cfg in zip(header["layers"], configs)
-    ]
-    expected = [f"layer{i}/{name}" for i, layer in enumerate(names) for name in layer]
+        if key in arrays:
+            raise FormatError(f"{path}: the manifest lists {key} twice")
+        arrays[key] = read_array(f, shape, path)
     missing = [key for key in expected if key not in arrays]
     extra = [key for key in arrays if key not in expected]
     if missing or extra:
@@ -161,9 +148,16 @@ def _network(header: dict, f, path: str) -> FFNetwork:
             f"{path}: tensors disagree with the layer headers "
             f"(missing {missing}, not expected {extra})"
         )
+    for key, shape in expected.items():
+        if arrays[key].shape != shape:
+            raise ValueError(
+                f"{key} has shape {arrays[key].shape}, but the header's "
+                f"timesteps/input_dim/n_in/n_out imply {shape}"
+            )
     layers = []
     for i, (lm, cfg) in enumerate(zip(header["layers"], configs)):
-        stored = {name: arrays[f"layer{i}/{name}"] for name in names[i]}
+        stored = {name: arrays[f"layer{i}/{name}"] for name in TENSORS
+                  if f"layer{i}/{name}" in expected}
         layers.append(
             SpikingLayer(
                 **stored,

@@ -555,7 +555,12 @@ def _resolve_config(args) -> ExperimentConfig:
              for k, v in PRESETS[args.preset].items()}
         )
     if getattr(args, "config", None):
-        values.update(parse_config_values(Path(args.config).read_text()))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config: {args.config} is not UTF-8 text "
+                               f"({exc.reason} at byte {exc.start})"]) from None
+        values.update(parse_config_values(text))
     for f in dataclasses.fields(ExperimentConfig):  # flags named after keys
         value = getattr(args, f.name, None)
         if value is not None:

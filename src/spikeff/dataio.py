@@ -249,21 +249,16 @@ def iter_batches(
     dataset: Dataset,
     batch_size: int,
     rng: Optional[RngStream] = None,
-    shuffle: bool = True,
 ) -> Iterator[SampleBatch]:
     """Yield mini-batches; the final batch may be smaller.
 
-    Shuffling draws one permutation from `rng`, so a fixed seed replays the
-    same batch order every run. A `batch_size` below 1 is refused.
+    Given `rng`, the batches are shuffled by one permutation drawn from it,
+    so a fixed seed replays the same batch order every run; without, they
+    are in file order. A `batch_size` below 1 is refused.
     """
     n = dataset.num_samples
     count = batch_count(n, batch_size)
-    if shuffle:
-        if rng is None:
-            raise UsageError("shuffling requires an RngStream")
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.arange(n) if rng is None else rng.permutation(n)
     for k in range(count):
         idx = order[k * batch_size : (k + 1) * batch_size]
         yield SampleBatch(
@@ -279,6 +274,9 @@ def iter_batches(
 # ---------------------------------------------------------------------------
 
 
+READ_CHUNK = 1 << 24  # bytes
+
+
 def _open_maybe_gz(path: str):
     """Open raw or gzip-compressed files (MNIST ships as .gz)."""
     if str(path).endswith(".gz"):
@@ -287,11 +285,18 @@ def _open_maybe_gz(path: str):
 
 
 def read_exact(f, count: int, path: str) -> bytes:
-    """Read exactly `count` bytes or raise TruncatedFileError."""
-    data = f.read(count)
-    if len(data) != count:
-        raise TruncatedFileError(path, f.tell(), count - len(data))
-    return data
+    """Read exactly `count` bytes or raise TruncatedFileError, in chunks of
+    at most `READ_CHUNK`: a header that declares more than its file holds,
+    however much, allocates no more than the file backs. A longer read holds
+    its bytes twice while the chunks are joined."""
+    chunks, missing = [], count
+    while missing > 0:
+        chunk = f.read(min(missing, READ_CHUNK))
+        if not chunk:
+            raise TruncatedFileError(path, f.tell(), missing)
+        chunks.append(chunk)
+        missing -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_array(f, shape: tuple, path: str) -> np.ndarray:

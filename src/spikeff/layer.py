@@ -94,11 +94,6 @@ class SpikingLayer:
     def trainable_tensors(self) -> Dict[str, np.ndarray]:
         return {n: getattr(self, n) for n in TRAINABLE if getattr(self, n) is not None}
 
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        if name not in TRAINABLE:
-            raise KeyError(name)
-        setattr(self, name, value)
-
     def set_lr(self, lr: float) -> None:
         for state in self.adam.values():
             state.lr = lr
@@ -238,22 +233,23 @@ class LayerForwardTrace:
     each). `inputs` is the (T, B, n_in) array the pass was given, as it
     is: a layer fed another's spikes holds them as bool, and layer 0 of
     temporal data holds `time_frames`' view of the batch's sample-major
-    rows, no copy. For a static input (one frame object repeated T times,
-    `shared`), `inputs` is instead a read-only broadcast of the one frame,
-    and `shared_product` holds its one (B, n_out) product.
+    rows, no copy. For a static input (one frame object repeated T times),
+    `inputs` is instead a read-only broadcast of the one frame, and
+    `shared_product` holds its one (B, n_out) product (`shared`).
     `mu`/`var` are the statistics actually used: batch statistics in train
     mode (which `fold_running_stats` folds into the layer's running ones),
-    running statistics in eval mode. `weights` is the array the pass used;
-    training replaces it rather than mutating it, so it keeps the pass's
-    values. For an overlaid input (`OverlaidFrames`), `inputs` are the base
-    frames and `overlay` the overlay that every product adds (`product`).
+    running statistics in eval mode. For an overlaid input
+    (`OverlaidFrames`), `inputs` are the base frames and `overlay` the
+    overlay that every product adds (`product`). The weights are not kept:
+    they are the layer's, which its update changes in place, so a trace is
+    backpropagated before its layer is updated.
 
     A stacked input's products and the drives are not stored.
     `layer_backward` consumes a trace, shared or stacked: it recomputes the
-    products from `inputs` and `weights`, writes its gradients over
-    `membranes` and `counts`, then drops them and `inputs`, after which all
-    three read None, so a trace is backpropagated once; a caller that needs
-    them reads them before.
+    products from `inputs` and the layer's weights, writes its gradients
+    over `membranes` and `counts`, then drops them and `inputs`, after
+    which all three read None, so a trace is backpropagated once; a caller
+    that needs them reads them before.
     """
 
     mode: str
@@ -263,17 +259,13 @@ class LayerForwardTrace:
     spikes: np.ndarray  # (T, B, n_out)
     inputs: Optional[np.ndarray] = None  # (T, B, n_in)
     membranes: Optional[np.ndarray] = None  # (T, B, n_out)
-    weights: Optional[np.ndarray] = None  # (n_out, n_in)
-    shared: bool = False
     shared_product: Optional[np.ndarray] = None  # (B, n_out), static input only
     overlay: Optional[Overlay] = None  # an overlaid input's peak and labels
 
-    def correction(self) -> Optional[np.ndarray]:
-        """The overlay's `overlay_correction` with the pass's weights, or
-        None for an input without overlay."""
-        if self.overlay is None:
-            return None
-        return overlay_correction(self.weights, *self.overlay)
+    @property
+    def shared(self) -> bool:
+        """Whether the input was static: one frame object for every timestep."""
+        return self.shared_product is not None
 
 
 def layer_forward(
@@ -391,8 +383,6 @@ def layer_forward(
         spikes=spikes,
         inputs=x,
         membranes=membranes,
-        weights=layer.weights,
-        shared=shared,
         shared_product=shared_product,
         overlay=overlay,
     )
@@ -530,8 +520,11 @@ def layer_backward(
     its sum_t dz_t added into column labels[b]. The base frames are zero
     in the overlay channels, so those columns get only this term.
 
-    It reads the layer and writes only its own trace, so the two passes'
-    backward calls of a layer can run at once.
+    The pass's weights are read from the layer, like `gamma`, `shift`,
+    `decay_raw` and `recurrent`: a step updates a layer only after both of
+    its traces are backpropagated. It reads the layer and writes only its
+    own trace, so the two passes' backward calls of a layer can run at
+    once.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
@@ -568,7 +561,8 @@ def layer_backward(
     else:
         x = trace.inputs
         cast = _cast_buffer(x)
-        correction = trace.correction()
+        correction = None if overlay is None else overlay_correction(
+            layer.weights, *overlay)
         d_weights = np.zeros_like(layer.weights)
         term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
@@ -607,7 +601,7 @@ def layer_backward(
         if trace.shared:
             np.subtract(z, trace.mu[t], out=dz)
         else:
-            rows = product(x[t], trace.weights, t, dz, cast, correction)
+            rows = product(x[t], layer.weights, t, dz, cast, correction)
             np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = np.multiply(du, dz, out=scratch).sum(axis=0)

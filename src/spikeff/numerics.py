@@ -78,19 +78,16 @@ class AdamState:
 def adam_update(
     param: np.ndarray, grad: np.ndarray, state: AdamState, name: str = "param"
 ) -> np.ndarray:
-    """One Adam step; returns the updated parameters and mutates `state`.
+    """One Adam step, written into `param` (returned) and `state`.
 
     Standard recursion with bias correction, from m = v = 0:
         m <- b1*m + (1-b1)*g,  v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
     A state without moments gets both as `np.zeros_like(param)` once the
-    shapes and the gradient are checked; a refused update leaves it
-    without them. The ufuncs and their order are those of these
-    expressions, in two parameter-sized arrays beside the moments: one
-    scratch, and one that becomes the returned parameters. The parameters
-    are a new array, not `param` changed in place, since a trace keeps the
-    weights its pass used.
+    shapes and the gradient are checked; a refused update leaves it, and
+    `param`, as they were. The ufuncs and their order are those of these
+    expressions, in two parameter-sized scratch arrays beside the moments.
     """
     moments = state.first_moment
     if param.shape != grad.shape or (
@@ -121,7 +118,7 @@ def adam_update(
     np.sqrt(denom, out=denom)
     np.add(denom, state.eps, out=denom)
     np.divide(update, denom, out=update)
-    return np.subtract(param, update, out=denom)
+    return np.subtract(param, update, out=param)
 
 
 # (get, set) symbol pairs of the thread count, in the order they are tried:

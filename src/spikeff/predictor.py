@@ -53,7 +53,7 @@ def _score_share(
 ) -> None:
     """Score one share's samples in order, into its rows of `out`."""
     lo = 0
-    for batch in iter_batches(share, batch_size, shuffle=False):
+    for batch in iter_batches(share, batch_size):
         result = score_labels(net, batch)
         out.scores[lo : lo + batch.size] = result.scores
         out.predicted[lo : lo + batch.size] = result.predicted

@@ -247,10 +247,7 @@ def train_step(
         del pos, neg  # freed before Adam allocates
         for name, tensor in layer.trainable_tensors().items():
             grad = grads_pos[name] + grads_neg[name]
-            layer.set_tensor(
-                name,
-                adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}"),
-            )
+            adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}")
         del grads_pos, grads_neg, grad, tensor  # freed before the next forward
         losses[k] = loss
         gpos[k] = g_pos.sum()

@@ -186,32 +186,34 @@ def reference_forward(layer, frames, smooth):
         counts += s
     return LayerForwardTrace(
         mode="train", counts=counts, mu=mu, var=var, spikes=spikes,
-        inputs=inputs, membranes=membranes, weights=layer.weights,
-        shared=shared, shared_product=shared_product, overlay=overlay,
+        inputs=inputs, membranes=membranes, shared_product=shared_product,
+        overlay=overlay,
     )
 
 
-def products(trace):
+def products(trace, layer):
     """(T, B, n) products z = X W^T of a trace's pass, from its inputs and
-    weights (a static input's one product broadcast over T); read before
-    `layer_backward` consumes the inputs."""
+    the layer's weights (a static input's one product broadcast over T);
+    read before `layer_backward` consumes the inputs and before any update
+    changes the weights."""
     if trace.shared:
         return np.broadcast_to(trace.shared_product,
                                trace.mu.shape[:1] + trace.shared_product.shape)
-    z = np.stack([x.astype(np.float64, copy=False) @ trace.weights.T
+    z = np.stack([x.astype(np.float64, copy=False) @ layer.weights.T
                   for x in trace.inputs])
     if trace.overlay is not None:
         peak, labels = trace.overlay
-        z += trace.weights.T[labels] * peak[:, None]
+        z += layer.weights.T[labels] * peak[:, None]
     return z
 
 
 def drives(trace, layer):
     """(T, B, n) normalized drives z * scale + offset of a trace's pass,
-    with the layer's scale and shift (before any update replaces them)."""
+    with the layer's weights, scale and shift (before any update changes
+    them)."""
     scale = layer.gamma / np.sqrt(trace.var + layer.eps)
     offset = layer.shift - trace.mu * scale
-    return products(trace) * scale[:, None, :] + offset[:, None, :]
+    return products(trace, layer) * scale[:, None, :] + offset[:, None, :]
 
 
 def smoothed_layer_objective(layer, frames, frozen_spikes, seed_weights):

@@ -253,7 +253,7 @@ def test_criterion_04_equation_oracle():
         frames = [rng.normal((batch, layer.n_in)) for _ in range(t_steps)]
         trace = layer_forward(layer, frames, "train")
         oracle = scalar_layer_forward(layer, frames)
-        z, drive = products(trace), drives(trace, layer)
+        z, drive = products(trace, layer), drives(trace, layer)
         for t in range(t_steps):
             for mine, ref in (
                 (z[t], oracle["pre_norm"][t]),
@@ -330,7 +330,7 @@ def test_criterion_06_normalization_invariants():
     frames = [rng.normal((64, 12), scale=1.5) for _ in range(5)]
     trace = layer_forward(layer, frames, "train")
     worst_mean, worst_var = 0.0, 0.0
-    z = products(trace)
+    z = products(trace, layer)
     for t in range(5):
         xhat = (z[t] - trace.mu[t]) / np.sqrt(trace.var[t] + layer.eps)
         worst_mean = max(worst_mean, float(np.abs(xhat.mean(axis=0)).max()))

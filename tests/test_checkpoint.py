@@ -258,6 +258,26 @@ class TestFormatGuards:
         assert message.count(str(path)) == 1, message
         assert "FormatError(" not in message, message
 
+    def test_tensor_listed_twice_is_refused(self, tmp_path):
+        """A second `layer0/weights` entry, its bytes (all 7.0) written in, so
+        the file is whole: refused as a duplicate, not as a truncation."""
+        ds = dataio.make_blob_dataset(16, seed=0)
+        net = build_network([6], ds.input_dim, ds.class_count, 4,
+                            NeuronConfig(), RngStream(2))
+        path = tmp_path / "net.sffc"
+        save_checkpoint(path, net)
+        assert load_checkpoint(path)[0].layers[0].n_out == 6  # unedited: loads
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        shape = net.layers[0].weights.shape
+        header["tensors"].append({"name": "layer0/weights", "shape": list(shape)})
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:4] + struct.pack("<II", VERSION, len(text)) + text
+                         + blob[12 + length :] + np.full(shape, 7.0).tobytes())
+        with pytest.raises(FormatError, match="layer0/weights twice"):
+            load_checkpoint(path)
+
     def test_tensor_larger_than_its_file_refused_before_allocating(self, tmp_path):
         """A manifest entry of 80 GB in a file of a few kB: refused from the
         file's size, not by a failed allocation."""

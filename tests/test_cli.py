@@ -462,6 +462,24 @@ class TestCommands:
         assert echoed.epochs == 1  # flag beat the file
         assert echoed.hidden_sizes == [10]
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys,
+                                                 command):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"\xff")
+        args = ["--config", str(cfg_file)]
+        if command == "train":
+            args += ["--out", str(tmp_path / "x")]
+        else:
+            config = self.run_tiny(tmp_path)
+            args.insert(0, str(Path(config.out_dir) / "checkpoint.sffc"))
+        capsys.readouterr()
+        assert cli.main([command, *args]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert str(cfg_file) in record["violations"][0]
+        assert not (tmp_path / "x").exists()
+
     def test_preset_resolution_known_and_unknown(self, tmp_path):
         code = cli.main(["train", "--preset", "nosuch",
                          "--out", str(tmp_path / "x")])

@@ -94,6 +94,23 @@ class TestIdx:
         assert err.value.offset == 26
         assert err.value.wanted == 22
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_overflowing_declared_size_is_truncation(self, tmp_path, gz):
+        """A header declaring 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels (over
+        2**64 bytes) on a short file: a typed truncation, nothing allocated
+        at the declared size."""
+        header = struct.pack(">IIII", dataio.IDX_IMAGE_MAGIC, 0xFFFFFFFF,
+                             0xFFFF, 0xFFFF)
+        path = tmp_path / ("images.gz" if gz else "images")
+        with (gzip.open if gz else open)(path, "wb") as f:
+            f.write(header + b"\x01" * 10)
+        _, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8),
+                                np.array([0], np.uint8))
+        with pytest.raises(TruncatedFileError) as err:
+            dataio.load_idx(path, lbl)
+        assert err.value.offset == 26
+        assert err.value.wanted == 0xFFFFFFFF * 0xFFFF * 0xFFFF - 10
+
     @pytest.mark.skipif(
         bool(MNIST_TRAIN_MISSING),
         reason="MNIST train IDX files not present under the data root",
@@ -384,22 +401,23 @@ class TestBatching:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
+    def test_without_rng_batches_are_in_file_order(self):
+        ds = dataio.make_blob_dataset(10, seed=1)
+        labels = [b.labels for b in dataio.iter_batches(ds, 4)]
+        np.testing.assert_array_equal(np.concatenate(labels), ds.labels)
+
     def test_final_batch_may_be_short(self):
         ds = dataio.make_blob_dataset(10, seed=1)
         sizes = [b.size for b in dataio.iter_batches(ds, 4, RngStream(0))]
         assert sizes == [4, 4, 2]
-
-    def test_shuffle_without_rng_rejected(self):
-        ds = dataio.make_blob_dataset(4, seed=1)
-        with pytest.raises(UsageError):
-            list(dataio.iter_batches(ds, 2))
 
     @pytest.mark.parametrize("batch_size", [0, -3])
     @pytest.mark.parametrize("shuffle", [True, False])
     def test_batch_size_below_one_rejected(self, batch_size, shuffle):
         ds = dataio.make_blob_dataset(4, seed=1)
         with pytest.raises(UsageError, match="batch_size must be >= 1"):
-            list(dataio.iter_batches(ds, batch_size, RngStream(0), shuffle))
+            list(dataio.iter_batches(ds, batch_size,
+                                     RngStream(0) if shuffle else None))
 
 
 class TestFrames:

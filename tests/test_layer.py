@@ -80,7 +80,7 @@ class TestForward:
             frames = [rng.normal((batch, layer.n_in)) for _ in range(t_steps)]
             trace = layer_forward(layer, frames, "train")
             oracle = scalar_layer_forward(layer, frames)
-            z, drive = products(trace), drives(trace, layer)
+            z, drive = products(trace, layer), drives(trace, layer)
             for t in range(t_steps):
                 np.testing.assert_allclose(
                     z[t], oracle["pre_norm"][t], atol=1e-10)
@@ -121,7 +121,7 @@ class TestForward:
         layer = make_layer(n_in=8, n_out=6, timesteps=3)
         frames = [RngStream(3).normal((64, 8)) for _ in range(3)]
         trace = layer_forward(layer, frames, "train")
-        z = products(trace)
+        z = products(trace, layer)
         for t in range(3):
             inv = 1.0 / np.sqrt(trace.var[t] + layer.eps)
             xhat = (z[t] - trace.mu[t]) * inv
@@ -235,7 +235,7 @@ class TestBackward:
         trace = layer_forward(layer, [x], "train")
         seed = np.array([1.0, 0.5, -0.25, 2.0])
         # read before the backward, which consumes the trace
-        z = products(trace)[0][:, 0].copy()
+        z = products(trace, layer)[0][:, 0].copy()
         mu, var = trace.mu[0][0], trace.var[0][0]
         u = trace.membranes[0][:, 0].copy()
         counts = trace.counts[:, 0].copy()
@@ -346,8 +346,8 @@ class TestBackwardForm:
         assert trace.counts.max() > 0
         dgoodness = rng.normal(9)
         expected = per_timestep_backward(
-            layer, trace, [np.array(f) for f in frames], np.array(products(trace)),
-            dgoodness,
+            layer, trace, [np.array(f) for f in frames],
+            np.array(products(trace, layer)), dgoodness,
         )
         grads = layer_backward(layer, trace, dgoodness)
         assert grads.keys() == expected.keys()
@@ -424,7 +424,7 @@ class TestTraceLayout:
             trace = layer_forward(layer, frames, "train")
             arrays = {name: getattr(trace, name).copy() for name in
                       ("inputs", "membranes", "spikes", "counts", "mu", "var")}
-            arrays["products"] = products(trace)
+            arrays["products"] = products(trace, layer)
             grads = layer_backward(layer, trace, np.linspace(-1.0, 1.0, batch))
             runs.append((arrays, grads))
         (arrays_a, grads_a), (arrays_b, grads_b) = runs
@@ -483,7 +483,7 @@ class TestFactoredOverlay:
     def test_product_matches_the_written_out_overlay(self, temporal, class_count):
         layer, factored, written = overlay_case(temporal, class_count)
         assert isinstance(factored, dataio.OverlaidFrames)
-        got = products(layer_forward(layer, factored, "train"))
+        got = products(layer_forward(layer, factored, "train"), layer)
         want = np.stack([x @ layer.weights.T for x in written])
         bound = FACTORED_PRODUCT_EPS * np.finfo(np.float64).eps * np.abs(want).max()
         assert np.abs(got - want).max() <= bound

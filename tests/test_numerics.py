@@ -17,18 +17,20 @@ from oracles import adam_scalar_sequence
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         param = np.array([[1.5, -2.0], [0.25, 3.0]])
+        expected = param.copy()
         state = AdamState(lr=1e-3)
         updated = adam_update(param, np.zeros_like(param), state)
-        np.testing.assert_array_equal(updated, param)
+        np.testing.assert_array_equal(updated, expected)
         assert state.step == 1
 
     def test_zero_gradients_never_move_params(self):
         param = np.array([[0.5, -0.5, 2.0]])
+        expected = param.copy()
         state = AdamState(lr=0.01)
         current = param
         for _ in range(7):
             current = adam_update(current, np.zeros_like(current), state)
-        np.testing.assert_array_equal(current, param)
+        np.testing.assert_array_equal(current, expected)
         assert state.step == 7
 
     def test_single_step_hand_value(self):
@@ -82,11 +84,11 @@ class TestAdam:
             v = b2 * v + (1.0 - b2) * np.square(grad)
             m_hat, v_hat = m / (1.0 - b1**step), v / (1.0 - b2**step)
             want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
-            previous = current.copy()
             updated = adam_update(current, grad, state)
-            # a new array: the old parameters stay as they were
-            assert np.array_equal(current, previous)
-            for other in (current, grad, state.first_moment, state.second_moment):
+            # in place: the parameters themselves, apart from the gradient
+            # and the moments
+            assert updated is current
+            for other in (grad, state.first_moment, state.second_moment):
                 assert not np.shares_memory(updated, other)
             assert np.array_equal(updated, want), step
             assert np.array_equal(state.first_moment, m)
