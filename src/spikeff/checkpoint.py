@@ -167,9 +167,7 @@ def _network(header: dict, f, path: str) -> FFNetwork:
                 eps=lm["eps"],
             )
         )
-    return FFNetwork(
-        layers, header["class_count"], header["input_dim"], header["timesteps"]
-    )
+    return FFNetwork(layers, header["class_count"])
 
 
 def load_checkpoint(path):

@@ -49,9 +49,9 @@ def tensor_shapes(n_in: int, n_out: int, timesteps: int) -> Dict[str, Tuple[int,
 class SpikingLayer:
     """A layer's tensors (shapes in `TENSORS`) and its normalization state.
 
-    A layer built without Adam states gets a fresh one (learning rate 1e-3)
-    for each trainable tensor it has; a state holds no moments until the
-    tensor's first update (`adam_update`).
+    A layer builds a fresh Adam state for each trainable tensor it has; a
+    state holds no moments until the tensor's first update (`adam_update`),
+    which takes the network's learning rate (`FFNetwork.lr`).
     """
 
     weights: np.ndarray
@@ -65,11 +65,10 @@ class SpikingLayer:
     batches_tracked: int = 0
     momentum: float = 0.1
     eps: float = 1e-5
-    adam: Dict[str, AdamState] = field(default_factory=dict)
+    adam: Dict[str, AdamState] = field(init=False)
 
     def __post_init__(self):
-        if not self.adam:
-            self.adam = {name: AdamState() for name in self.trainable_tensors()}
+        self.adam = {name: AdamState() for name in self.trainable_tensors()}
 
     @property
     def n_out(self) -> int:
@@ -94,10 +93,6 @@ class SpikingLayer:
     def trainable_tensors(self) -> Dict[str, np.ndarray]:
         return {n: getattr(self, n) for n in TRAINABLE if getattr(self, n) is not None}
 
-    def set_lr(self, lr: float) -> None:
-        for state in self.adam.values():
-            state.lr = lr
-
 
 def init_layer(
     n_in: int,
@@ -106,7 +101,6 @@ def init_layer(
     config: NeuronConfig,
     rng: RngStream,
     recurrent: bool = False,
-    lr: float = 1e-3,
 ) -> SpikingLayer:
     """Kaiming-uniform weights, unit scale / zero shift, fresh running stats."""
     bound = math.sqrt(6.0 / n_in)
@@ -118,7 +112,7 @@ def init_layer(
     if recurrent:
         rec_bound = math.sqrt(6.0 / n_out)
         rec = rng.uniform((n_out, n_out), -rec_bound, rec_bound)
-    layer = SpikingLayer(
+    return SpikingLayer(
         weights=weights,
         gamma=np.ones((timesteps, n_out)),
         shift=np.zeros((timesteps, n_out)),
@@ -128,8 +122,6 @@ def init_layer(
         decay_raw=decay_raw,
         recurrent=rec,
     )
-    layer.set_lr(lr)
-    return layer
 
 
 def norm_affine(mu, var, eps, gamma, shift):
@@ -182,17 +174,17 @@ def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
             correction: Optional[np.ndarray] = None) -> np.ndarray:
     """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
-    Bool spikes are first cast (exactly: they are 0/1) into `cast`, a
-    reused float64 (B, n_in) buffer, when given. For an overlaid input,
-    x_t is the base frame and `correction` the overlay's
-    `overlay_correction`: z_t = x_base,t W^T + peak (x) W[:, labels], one
-    B-row GEMM and one add, the product of the overlaid rows without
-    writing them out. Raises a NumericError naming timestep t unless the
-    product is finite. Returns the rows the GEMM read. Every product of a
-    layer input is this call: the train pass's, the backward's recompute
-    and the eval rollout's, so all have the same bits; label scoring adds
-    a row range's correction to its rows of the one B-row base product,
-    the same two ops.
+    An input that is not float64 (bool spikes, narrower frames) is first
+    cast, exactly, into `cast`, a reused float64 (B, n_in) buffer, when
+    given. For an overlaid input, x_t is the base frame and `correction`
+    the overlay's `overlay_correction`: z_t = x_base,t W^T + peak (x)
+    W[:, labels], one B-row GEMM and one add, the product of the overlaid
+    rows without writing them out. Raises a NumericError naming timestep
+    t unless the product is finite. Returns the rows the GEMM read. Every
+    product of a layer input is this call: the train pass's, the
+    backward's recompute and the eval rollout's, so all have the same
+    bits; label scoring adds a row range's correction to its rows of the
+    one B-row base product, the same two ops.
     """
     if cast is not None:
         np.copyto(cast, x)
@@ -294,9 +286,10 @@ def layer_forward(
     A stacked input keeps its dtype, and its products are taken one
     timestep at a time (`product`): z_t goes into `membranes[t]`, the slot
     that timestep's membrane update overwrites once z_t has made the
-    drive, and bool spikes are cast to float64 one timestep at a time, for
-    the GEMM only. Every pass records its spikes (bool, `neuron.fire`) and
-    membranes; the backward recomputes a stacked input's products.
+    drive, and an input that is not float64 (bool spikes, narrower frames)
+    is cast to float64 one timestep at a time, for the GEMM only. Every
+    pass records its spikes (bool, `neuron.fire`) and membranes; the
+    backward recomputes a stacked input's products.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -350,8 +343,6 @@ def layer_forward(
             mu[:], var[:] = _batch_stats(z, drive)
     else:
         x = np.asarray(frames)
-        if x.dtype != np.bool_:
-            x = x.astype(np.float64, copy=False)
         shared_product = None
         cast = _cast_buffer(x)
 
@@ -499,8 +490,8 @@ def layer_backward(
     (`trace.shared`) every X_t is the same frame, so it is one GEMM,
     (sum_t dz_t)^T X, with the sum kept in one (B, n) array. For a stacked
     input, each timestep's product is recomputed with the pass's call
-    (`product`, bool spikes cast into one reused float64 (B, n_in)
-    buffer) into one (B, n) buffer, dz_t is written over it, and
+    (`product`, a non-float64 input cast into one reused float64
+    (B, n_in) buffer) into one (B, n) buffer, dz_t is written over it, and
     dz_t^T X_t is added to the weight gradient. Bool spikes enter every
     other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
     cast per timestep) as exact 0/1.

@@ -31,19 +31,30 @@ from .numerics import RngStream, run_all, worker_ranges
 
 @dataclass
 class FFNetwork:
+    """Layers, class count and the learning rate of every Adam update
+    (`trainer.train` sets it per epoch); input width and timesteps are
+    layer 0's."""
+
     layers: List[SpikingLayer]
     class_count: int
-    input_dim: int
-    timesteps: int
+    lr: float = 1e-3
     eval_rows: int = field(default=0, compare=False)  # instrumentation counter
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].n_in
+
+    @property
+    def timesteps(self) -> int:
+        return self.layers[0].timesteps
+
+    @property
+    def widest(self) -> int:
+        return max(layer.n_out for layer in self.layers)
 
     @property
     def stats_populated(self) -> bool:
         return all(layer.stats_populated for layer in self.layers)
-
-    def set_lr(self, lr: float) -> None:
-        for layer in self.layers:
-            layer.set_lr(lr)
 
 
 def check_hidden_sizes(hidden_sizes: Sequence[int]) -> None:
@@ -70,12 +81,10 @@ def build_network(
     n_in = input_dim
     for i, n_out in enumerate(hidden_sizes):
         layers.append(
-            init_layer(
-                n_in, n_out, timesteps, config, rng.substream(i), recurrent, lr
-            )
+            init_layer(n_in, n_out, timesteps, config, rng.substream(i), recurrent)
         )
         n_in = n_out
-    return FFNetwork(layers, class_count, input_dim, timesteps)
+    return FFNetwork(layers, class_count, lr)
 
 
 def forward_train(layers: Sequence[SpikingLayer], frames: Sequence[np.ndarray]):
@@ -89,12 +98,15 @@ def forward_train(layers: Sequence[SpikingLayer], frames: Sequence[np.ndarray]):
     previous one's spike train, its trace's stacked (T, B, n) bool
     `spikes` array, as its frames as it is.
     """
+    return _forward(layers, frames, "train")
+
+
+def _forward(layers: Sequence[SpikingLayer], frames, mode: str):
+    """`layer_forward` of each layer in `mode`, on the previous one's spikes."""
     traces = []
-    x = frames
     for layer in layers:
-        trace = layer_forward(layer, x, "train")
-        traces.append(trace)
-        x = trace.spikes
+        traces.append(layer_forward(layer, frames, mode))
+        frames = traces[-1].spikes
     return traces
 
 
@@ -120,13 +132,7 @@ def forward_eval(net: FFNetwork, frames: Sequence[np.ndarray]):
     bit.
     """
     _count_eval(net, frames)
-    traces = []
-    x = frames
-    for layer in net.layers:
-        trace = layer_forward(layer, x, "eval")
-        traces.append(trace)
-        x = trace.spikes
-    return traces
+    return _forward(net.layers, frames, "eval")
 
 
 def _roll_out(rollouts, shared, rows: slice, total: np.ndarray) -> None:
@@ -225,9 +231,8 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     if b == 0:
         return np.zeros((0, c))
     net.eval_rows += c * b
-    widest = max(layer.n_out for layer in net.layers)
-    per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * widest)))
-    ranges = worker_ranges(b, widest)
+    per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * net.widest)))
+    ranges = worker_ranges(b, net.widest)
     rollouts = [
         [EvalRollout(layer, per_chunk * (r.stop - r.start)) for layer in net.layers]
         for r in ranges

@@ -16,7 +16,7 @@ import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
@@ -59,26 +59,29 @@ class RngStream:
 
 @dataclass
 class AdamState:
-    """Optimizer state for one parameter tensor.
+    """What Adam keeps for one parameter tensor: its moments and step.
 
-    A state starts without moments: `adam_update` makes both, zeros of its
-    parameter's shape, at the state's first step, so a network that never
-    trains (built, copied or loaded for eval) holds only its tensors.
+    The decay rates and eps are the same for every tensor (class
+    constants); the learning rate is passed to each update. A state starts
+    without moments: `adam_update` makes both, zeros of its parameter's
+    shape, at the state's first step, so a network that never trains
+    (built, copied or loaded for eval) holds only its tensors.
     """
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     first_moment: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_update(
-    param: np.ndarray, grad: np.ndarray, state: AdamState, name: str = "param"
-) -> np.ndarray:
-    """One Adam step, written into `param` (returned) and `state`.
+    param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
+    name: str = "param",
+) -> None:
+    """One Adam step at learning rate `lr`, written into `param` and `state`.
 
     Standard recursion with bias correction, from m = v = 0:
         m <- b1*m + (1-b1)*g,  v <- b2*v + (1-b2)*g^2
@@ -113,12 +116,12 @@ def adam_update(
     np.square(grad, out=scratch)
     v += np.multiply(1.0 - state.beta2, scratch, out=scratch)
     m_hat = np.divide(m, 1.0 - state.beta1**state.step, out=scratch)
-    update = np.multiply(state.lr, m_hat, out=scratch)
+    update = np.multiply(lr, m_hat, out=scratch)
     denom = np.divide(v, 1.0 - state.beta2**state.step)  # v_hat
     np.sqrt(denom, out=denom)
     np.add(denom, state.eps, out=denom)
     np.divide(update, denom, out=update)
-    return np.subtract(param, update, out=param)
+    np.subtract(param, update, out=param)
 
 
 # (get, set) symbol pairs of the thread count, in the order they are tried:

@@ -87,9 +87,8 @@ def score_dataset(
         raise UsageError("cannot score an empty dataset")
     _check_stats(net)
     batches = batch_count(n, batch_size)
-    widest = max(layer.n_out for layer in net.layers)
     workers = 1
-    if len(worker_ranges(batch_size, widest)) == 1:
+    if len(worker_ranges(batch_size, net.widest)) == 1:
         workers = min(worker_count(), batches)
     size = -(-batch_size // workers)  # samples a scored batch
     per = size * -(-batch_count(n, size) // workers)  # samples a share

@@ -55,6 +55,8 @@ class TrainConfig:
             len(milestones or ()) != len(factors or ())
         ):
             bad.append("lr_milestones/lr_factors: must be given together, same length")
+        if not all(factor > 0 for factor in factors or ()):
+            bad.append(f"lr_factors: must be > 0, got {factors}")
         if not self.loss_sharpness > 0:
             bad.append(f"loss_sharpness: must be > 0, got {self.loss_sharpness}")
         if self.eval_every < 0:
@@ -186,11 +188,11 @@ def train_step(
     pass's batch statistics and then the negative pass's into the running
     ones, the goodness pair, `ff_loss` and its divergence check, both
     passes' `layer_backward`, the drop of layer k's traces (their bool
-    `spikes` stay, as layer k+1's input), the Adam update and the drop of
-    the gradients. Layer k+1 reads spikes made by layer k's pre-update
-    weights, and no layer's weights or statistics move before its own
-    update, so the result is that of both whole forwards followed by the
-    updates, bit for bit; a step holds one layer's traces, not every
+    `spikes` stay, as layer k+1's input), the Adam update at `net.lr` and
+    the drop of the gradients. Layer k+1 reads spikes made by layer k's
+    pre-update weights, and no layer's weights or statistics move before
+    its own update, so the result is that of both whole forwards followed
+    by the updates, bit for bit; a step holds one layer's traces, not every
     layer's. The base rows go with layer 0's traces.
 
     The positive and negative passes are independent until the Adam
@@ -216,8 +218,7 @@ def train_step(
     losses, gpos, gneg = np.zeros(n_layers), np.zeros(n_layers), np.zeros(n_layers)
     # Passes of one row block each run in turn: at that size two threads
     # would mostly wait on each other for the interpreter lock.
-    widest = max(layer.n_out for layer in net.layers)
-    workers = len(worker_ranges(batch.size, widest))
+    workers = len(worker_ranges(batch.size, net.widest))
     positive = embed_label(batch, batch.labels, net.class_count)
     negative = replace(positive, labels=sample_hard_labels(net, positive, neg_rng))
     inputs = [variant.frames(net.timesteps) for variant in (positive, negative)]
@@ -247,7 +248,7 @@ def train_step(
         del pos, neg  # freed before Adam allocates
         for name, tensor in layer.trainable_tensors().items():
             grad = grads_pos[name] + grads_neg[name]
-            adam_update(tensor, grad, layer.adam[name], f"layer{k}.{name}")
+            adam_update(tensor, grad, layer.adam[name], net.lr, f"layer{k}.{name}")
         del grads_pos, grads_neg, grad, tensor  # freed before the next forward
         losses[k] = loss
         gpos[k] = g_pos.sum()
@@ -320,11 +321,12 @@ def train(
     eval_dataset: Optional[Dataset] = None,
     on_epoch: Optional[Callable[[EpochMetrics], None]] = None,
 ) -> List[EpochMetrics]:
-    """Run the full schedule; returns one EpochMetrics per epoch."""
+    """Run the full schedule, each epoch's updates at its `lr_schedule`
+    rate (`net.lr`); returns one EpochMetrics per epoch."""
     rng = RngStream(config.seed)
     history: List[EpochMetrics] = []
     for epoch in range(config.epochs):
-        net.set_lr(lr_schedule(epoch, config))
+        net.lr = lr_schedule(epoch, config)
         metrics = train_epoch(
             net, dataset, config, rng, epoch=epoch, eval_dataset=eval_dataset
         )

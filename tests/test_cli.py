@@ -480,6 +480,20 @@ class TestCommands:
         assert str(cfg_file) in record["violations"][0]
         assert not (tmp_path / "x").exists()
 
+    def test_lr_factor_not_above_zero_is_config_error(self, tmp_path):
+        """Refused before any data is read, like every invalid train
+        config: exit 1 and a single error record."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dataset = synthetic:blobs\nepochs = 2\n"
+                            "lr_milestones = 1\nlr_factors = -1.0\n")
+        out = tmp_path / "x"
+        assert cli.main(["train", "--config", str(cfg_file),
+                         "--out", str(out)]) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert record["violations"] == ["lr_factors: must be > 0, got [-1.0]"]
+        assert list(out.iterdir()) == [out / "error.json"]
+
     def test_preset_resolution_known_and_unknown(self, tmp_path):
         code = cli.main(["train", "--preset", "nosuch",
                          "--out", str(tmp_path / "x")])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,43 @@ class TestTraceLayout:
         for name in grads_a:
             assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
         assert np.abs(grads_a["weights"]).max() > 0
+
+    @pytest.mark.parametrize("recurrent", [False, True])
+    def test_narrow_stacked_input_is_cast_one_timestep_at_a_time(self, recurrent):
+        """float32 frames give their float64 cast's trace and gradients bit
+        for bit, and neither the pass nor its backward makes a float64 copy
+        of the (T, B, n_in) stack."""
+        t_steps, batch, n_in = 8, 16, 256
+        narrow = RngStream(8).uniform((t_steps, batch, n_in)).astype(np.float32)
+        stack_bytes = 8 * narrow.size  # one float64 copy of the stack
+        runs = []
+        for frames in (narrow.astype(np.float64), narrow):
+            layer = make_layer(n_in=n_in, n_out=4, timesteps=t_steps, seed=23,
+                               threshold=0.6, recurrent=recurrent,
+                               decay_learnable=True)
+            tracemalloc.start()
+            try:
+                trace = layer_forward(layer, frames, "train")
+                pass_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                arrays = {name: getattr(trace, name).copy() for name in
+                          ("membranes", "spikes", "counts", "mu", "var")}
+                base = tracemalloc.get_traced_memory()[0]
+                grads = layer_backward(layer, trace, np.linspace(-1.0, 1.0, batch))
+                backward_peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert trace.inputs is None  # consumed
+            runs.append((arrays, grads, pass_peak, backward_peak))
+        (arrays_a, grads_a, _, _), (arrays_b, grads_b, pass_peak, back_peak) = runs
+        for name in arrays_a:
+            assert arrays_a[name].tobytes() == arrays_b[name].tobytes(), name
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+        assert np.abs(grads_a["weights"]).max() > 0
+        assert pass_peak < stack_bytes / 2, pass_peak
+        assert back_peak < stack_bytes / 2, back_peak
 
 
 class TestInit:

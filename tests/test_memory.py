@@ -77,11 +77,11 @@ def test_layer_traces_freed_before_its_adam_update(monkeypatch):
         refs.extend((layer_index(net, layers), weakref.ref(t)) for t in traces)
         return traces
 
-    def checking_adam(param, grad, state, name):
+    def checking_adam(param, grad, state, lr, name):
         k = int(name[len("layer")])
         live_at_adam.setdefault(
             k, sum(ref() is not None for j, ref in refs if j == k))
-        return real_adam(param, grad, state, name)
+        return real_adam(param, grad, state, lr, name)
 
     monkeypatch.setattr(trainer, "forward_train", recording_forward)
     monkeypatch.setattr(trainer, "adam_update", checking_adam)
@@ -148,9 +148,9 @@ def test_one_overlay_per_step_framed_without_a_copy(monkeypatch):
         views.append(np.shares_memory(traces[0].inputs, overlays[-1]()))
         return traces
 
-    def checking_adam(param, grad, state, name):
+    def checking_adam(param, grad, state, lr, name):
         live_at_adam.append(overlays[-1]() is not None)
-        return real_adam(param, grad, state, name)
+        return real_adam(param, grad, state, lr, name)
 
     for module in (trainer, network):
         monkeypatch.setattr(module, "embed_label", recording_embed)

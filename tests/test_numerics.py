@@ -18,51 +18,48 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         param = np.array([[1.5, -2.0], [0.25, 3.0]])
         expected = param.copy()
-        state = AdamState(lr=1e-3)
-        updated = adam_update(param, np.zeros_like(param), state)
-        np.testing.assert_array_equal(updated, expected)
+        state = AdamState()
+        assert adam_update(param, np.zeros_like(param), state, 1e-3) is None
+        np.testing.assert_array_equal(param, expected)
         assert state.step == 1
 
     def test_zero_gradients_never_move_params(self):
         param = np.array([[0.5, -0.5, 2.0]])
         expected = param.copy()
-        state = AdamState(lr=0.01)
-        current = param
+        state = AdamState()
         for _ in range(7):
-            current = adam_update(current, np.zeros_like(current), state)
-        np.testing.assert_array_equal(current, expected)
+            adam_update(param, np.zeros_like(param), state, 0.01)
+        np.testing.assert_array_equal(param, expected)
         assert state.step == 7
 
     def test_single_step_hand_value(self):
         # m_hat = v_hat = 1 after one unit-gradient step:
         # p = 1 - lr * 1 / (1 + eps) ~ 0.999
         param = np.array([[1.0]])
-        state = AdamState(lr=1e-3)
-        updated = adam_update(param, np.array([[1.0]]), state)
+        state = AdamState()
+        adam_update(param, np.array([[1.0]]), state, 1e-3)
         expected = 1.0 - 1e-3 / (1.0 + 1e-8)
-        assert updated[0, 0] == pytest.approx(expected, abs=1e-15)
-        assert updated[0, 0] == pytest.approx(0.999, abs=1e-8)
+        assert param[0, 0] == pytest.approx(expected, abs=1e-15)
+        assert param[0, 0] == pytest.approx(0.999, abs=1e-8)
 
     def test_two_steps_match_scalar_oracle(self):
         param = np.array([[0.7]])
-        state = AdamState(lr=1e-3)
+        state = AdamState()
         grads = [0.3, 0.3]
-        current = param
         for g in grads:
-            current = adam_update(current, np.array([[g]]), state)
+            adam_update(param, np.array([[g]]), state, 1e-3)
         expected = adam_scalar_sequence(0.7, grads, lr=1e-3)[-1]
-        assert current[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert param[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_longer_sequence_matches_scalar_oracle(self):
         rng = RngStream(3)
         grads = list(rng.normal(10))
         param = np.array([[2.0]])
-        state = AdamState(lr=0.05)
-        current = param
+        state = AdamState()
         for g in grads:
-            current = adam_update(current, np.array([[g]]), state)
+            adam_update(param, np.array([[g]]), state, 0.05)
         expected = adam_scalar_sequence(2.0, grads, lr=0.05)[-1]
-        assert current[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert param[0, 0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("shape,given_moments", [
         ((7,), True), ((5, 9), True), ((3, 4, 6), True), ((5, 9), False),
@@ -71,46 +68,44 @@ class TestAdam:
         rng = RngStream(8)
         param = rng.normal(shape)
         if given_moments:
-            state = AdamState(np.zeros(shape), np.zeros(shape), lr=0.02)
+            state = AdamState(np.zeros(shape), np.zeros(shape))
         else:
-            state = AdamState(lr=0.02)
+            state = AdamState()
             assert state.first_moment is None and state.second_moment is None
         m, v = np.zeros(shape), np.zeros(shape)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
-        current = want = param
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.02
+        want = param.copy()
         for step in range(1, 6):
             grad = rng.normal(shape) * 10.0 ** rng.integers(-4, 3, shape)
             m = b1 * m + (1.0 - b1) * grad
             v = b2 * v + (1.0 - b2) * np.square(grad)
             m_hat, v_hat = m / (1.0 - b1**step), v / (1.0 - b2**step)
             want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
-            updated = adam_update(current, grad, state)
+            adam_update(param, grad, state, lr)
             # in place: the parameters themselves, apart from the gradient
             # and the moments
-            assert updated is current
             for other in (grad, state.first_moment, state.second_moment):
-                assert not np.shares_memory(updated, other)
-            assert np.array_equal(updated, want), step
+                assert not np.shares_memory(param, other)
+            assert np.array_equal(param, want), step
             assert np.array_equal(state.first_moment, m)
             assert np.array_equal(state.second_moment, v)
-            current = updated
 
     def test_shape_mismatch(self):
         param = np.zeros((2, 2))
         state = AdamState()
         with pytest.raises(ShapeError):
-            adam_update(param, np.zeros((2, 3)), state)
+            adam_update(param, np.zeros((2, 3)), state, 1e-3)
         assert state.first_moment is None and state.step == 0
         given = AdamState(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ShapeError, match=r"moments \(2, 3\)"):
-            adam_update(param, np.zeros((2, 2)), given)
+            adam_update(param, np.zeros((2, 2)), given, 1e-3)
 
     def test_nonfinite_gradient_names_tensor_and_step(self):
         param = np.zeros((1, 1))
         state = AdamState()
         bad = np.array([[np.nan]])
         with pytest.raises(NumericError, match=r"layer0\.weights at step 1"):
-            adam_update(param, bad, state, name="layer0.weights")
+            adam_update(param, bad, state, 1e-3, name="layer0.weights")
         assert state.first_moment is None and state.second_moment is None
 
 

@@ -19,7 +19,7 @@ def zero_network(input_dim=6, class_count=3, n_out=2, timesteps=4):
     layer = init_layer(input_dim, n_out, timesteps, cfg, RngStream(0))
     layer.weights[:] = 0.0
     layer.batches_tracked = 1
-    return FFNetwork([layer], class_count, input_dim, timesteps)
+    return FFNetwork([layer], class_count)
 
 
 def crafted_network():
@@ -39,7 +39,7 @@ def crafted_network():
     layer.running_mean[:] = 0.0
     layer.running_var[:] = 1.0 - layer.eps
     layer.batches_tracked = 1
-    return FFNetwork([layer], class_count, input_dim, timesteps)
+    return FFNetwork([layer], class_count)
 
 
 def batch_of(rows, labels, timesteps=1):

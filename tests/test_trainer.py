@@ -201,6 +201,11 @@ class TestLrSchedule:
             with pytest.raises(ConfigError, match="lr_milestones/lr_factors"):
                 self.config(**schedule)
 
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, float("nan")])
+    def test_factor_not_above_zero_is_refused(self, factor):
+        with pytest.raises(ConfigError, match="lr_factors: must be > 0"):
+            self.config(lr_milestones=[2, 4], lr_factors=[0.5, factor])
+
 
 class TestTrainLoop:
     def test_zero_epochs_is_a_noop(self):
@@ -212,13 +217,35 @@ class TestTrainLoop:
         for layer, weights in zip(net.layers, before):
             assert layer.weights.tobytes() == weights.tobytes()
 
+    def test_train_updates_at_the_scheduled_rate_of_each_epoch(self):
+        """`train` with one milestone leaves the network bit-identical to
+        `train_epoch` calls made at the scheduled rates."""
+        train_ds = dataio.make_blob_dataset(32, seed=1)
+        cfg = TrainConfig(epochs=3, batch_size=16, eval_every=0,
+                          lr_milestones=[1], lr_factors=[0.25])
+        scheduled, by_hand, constant = (blob_network(train_ds) for _ in range(3))
+        train(scheduled, train_ds, cfg)
+        for net, rates in ((by_hand, [1e-3, 2.5e-4, 2.5e-4]),
+                           (constant, [1e-3] * 3)):
+            rng = RngStream(cfg.seed)
+            for epoch, rate in enumerate(rates):
+                net.lr = rate
+                train_epoch(net, train_ds, cfg, rng, epoch=epoch)
+
+        def tensor_bytes(net):
+            return [t.tobytes() for layer in net.layers
+                    for t in layer.stored_tensors().values()]
+
+        assert tensor_bytes(scheduled) == tensor_bytes(by_hand)
+        assert tensor_bytes(scheduled) != tensor_bytes(constant)
+
     def test_zero_lr_leaves_weights_bitwise_unchanged(self):
         """A zero Adam learning rate (`TrainConfig` takes only lr > 0, so
         it is set on the network) moves no weight bit."""
         train_ds = dataio.make_blob_dataset(32, seed=1)
         net = blob_network(train_ds)
         before = [layer.weights.copy() for layer in net.layers]
-        net.set_lr(0.0)
+        net.lr = 0.0
         cfg = TrainConfig(epochs=1, batch_size=32, eval_every=0)
         metrics = train_epoch(net, train_ds, cfg, RngStream(cfg.seed))
         assert math.isfinite(metrics.total_loss)
