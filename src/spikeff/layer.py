@@ -222,10 +222,11 @@ class LayerForwardTrace:
 
     `spikes` and `membranes` are C-contiguous timestep-major (T, B, n)
     arrays; entry t is timestep t's (B, n) view. `spikes` are bool (1 byte
-    each). `inputs` is the (T, B, n_in) array the pass was given, as it
-    is: a layer fed another's spikes holds them as bool, and layer 0 of
-    temporal data holds `time_frames`' view of the batch's sample-major
-    rows, no copy. For a static input (one frame object repeated T times),
+    each), and `counts` is their float64 (B, n) sum over time. `inputs` is
+    the (T, B, n_in) array the pass was given, as it is: a layer fed
+    another's spikes holds them as bool, and layer 0 of temporal data
+    holds `time_frames`' view of the batch's sample-major rows, no copy.
+    For a static input (one frame object repeated T times),
     `inputs` is instead a read-only broadcast of the one frame, and
     `shared_product` holds its one (B, n_out) product (`shared`).
     `mu`/`var` are the statistics actually used: batch statistics in train
@@ -267,13 +268,11 @@ def layer_forward(
 ) -> LayerForwardTrace:
     """Run the layer over T timesteps.
 
-    For each t: drive = frames[t] @ W^T under the per-timestep batch
-    normalization (batch statistics in train mode, running statistics in
-    eval mode), computed as
-    `z * scale + offset` (`norm_affine`), optionally augmented with
-    recurrent drive from the previous spikes, then one LIF step. Spike
-    counts accumulate across timesteps. The layer is not changed: a train
-    pass's batch statistics go into its trace, for `fold_running_stats`.
+    Each drive is frames[t] @ W^T under the per-timestep batch
+    normalization (batch statistics in train mode, running ones in eval
+    mode), plus, for a recurrent layer, the previous spikes' drive. The
+    layer is not changed: a train pass's batch statistics go into its
+    trace, for `fold_running_stats`.
 
     `frames` is either one (B, n_in) frame object repeated T times (a
     static input: one product serves every timestep) or T frames in one
@@ -283,13 +282,18 @@ def layer_forward(
     An overlaid batch's `OverlaidFrames` are its base frames, either way,
     and its overlay: each product adds the overlay's correction
     (`product`), computed once for the pass.
-    A stacked input keeps its dtype, and its products are taken one
-    timestep at a time (`product`): z_t goes into `membranes[t]`, the slot
-    that timestep's membrane update overwrites once z_t has made the
-    drive, and an input that is not float64 (bool spikes, narrower frames)
-    is cast to float64 one timestep at a time, for the GEMM only. Every
-    pass records its spikes (bool, `neuron.fire`) and membranes; the
-    backward recomputes a stacked input's products.
+
+    A pass takes three steps. First the products, each followed in train
+    mode by its batch statistics: a static input's one product goes into
+    `shared_product`, a stacked input's z_t (`product`, a non-float64
+    input cast to float64 for the GEMM only) into `membranes[t]`, the
+    slot timestep t's update overwrites once z_t has made the drive. Then
+    one affine map over (T, n_out) (`norm_affine`, as `EvalRollout` takes
+    it). Then a loop that only steps: drive `z_t * scale[t] + offset[t]`
+    plus the recurrent drive, one `neuron.membrane_update` and
+    `neuron.fire`. The trace records the bool spikes and the membranes;
+    the counts are the spikes summed over time (exact: integers <= T).
+    The backward recomputes a stacked input's products.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -320,11 +324,8 @@ def layer_forward(
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     spikes = np.empty((t_steps, batch, n), bool)
     membranes = np.empty((t_steps, batch, n))
-    counts = np.zeros((batch, n))
     drive = np.empty((batch, n))
     scratch = np.empty((batch, n))
-    u = np.zeros((batch, n))  # at rest
-    s = np.zeros((batch, n))
     train = mode == "train"
     if train:
         mu, var = np.empty((t_steps, n)), np.empty((t_steps, n))
@@ -337,35 +338,35 @@ def layer_forward(
         layer.weights, *overlay, out=drive if shared else None)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
-        z = shared_product = np.empty((batch, n))
-        product(frames[0], layer.weights, 0, z, correction=correction)
+        shared_product = np.empty((batch, n))
+        product(frames[0], layer.weights, 0, shared_product, correction=correction)
         if train:
-            mu[:], var[:] = _batch_stats(z, drive)
+            mu[:], var[:] = _batch_stats(shared_product, drive)
     else:
         x = np.asarray(frames)
         shared_product = None
         cast = _cast_buffer(x)
-
-    for t in range(t_steps):
-        if not shared:
-            # z_t goes to the membrane slot this timestep's update overwrites
-            z = membranes[t]
-            product(x[t], layer.weights, t, z, cast, correction)
+        for t in range(t_steps):
+            # z_t goes to the membrane slot timestep t's update overwrites
+            product(x[t], layer.weights, t, membranes[t], cast, correction)
             if train:
-                mu[t], var[t] = _batch_stats(z, drive)
-        scale, offset = norm_affine(
-            mu[t], var[t], layer.eps, layer.gamma[t], layer.shift[t]
-        )
-        np.multiply(z, scale, out=drive)
-        np.add(drive, offset, out=drive)
+                mu[t], var[t] = _batch_stats(membranes[t], drive)
+    scale, offset = norm_affine(mu, var, layer.eps, layer.gamma, layer.shift)
+
+    u = np.zeros((batch, n))  # at rest
+    s = np.zeros((batch, n))
+    for t in range(t_steps):
+        z = membranes[t] if shared_product is None else shared_product
+        np.multiply(z, scale[t], out=drive)
+        np.add(drive, offset[t], out=drive)
         if layer.recurrent is not None:
             drive += s.astype(np.float64, copy=False) @ layer.recurrent
         u = neuron.membrane_update(
             u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
         s = fire(u, cfg, out=spikes[t])
-        counts += s
 
+    counts = spikes.sum(axis=0, dtype=np.float64)  # integers <= T: exact
     return LayerForwardTrace(
         mode=mode,
         counts=counts,

@@ -102,15 +102,12 @@ def membrane_update(
     return advance_membrane(membrane, spikes, drive, beta, config, out, scratch)
 
 
-def fire(membrane, config: NeuronConfig, out=None) -> np.ndarray:
-    """Spikes where the membrane reaches the threshold.
+def fire(membrane, config: NeuronConfig, out: np.ndarray) -> np.ndarray:
+    """Spikes where the membrane reaches the threshold, written into `out`.
 
-    The threshold is inclusive. `out`, when given, is the array the spikes
-    are written into: bool (train traces, 1 byte a spike) or float (0.0/1.0,
-    the eval rollout's buffers). Otherwise a new float array is returned.
+    The threshold is inclusive. `out` is bool (a train trace's `spikes[t]`,
+    1 byte a spike) or float (0.0/1.0, the eval rollout's buffers).
     """
-    if out is None:
-        out = np.empty_like(membrane)
     return np.greater_equal(membrane, config.threshold, out=out)
 
 

@@ -156,7 +156,8 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     """Piecewise-constant learning rate; factor applied once per passed milestone."""
     milestones, factors = config.lr_milestones, config.lr_factors
     if milestones is None:  # and so are the factors (`TrainConfig`)
-        milestones = [int(round(0.5 * config.epochs)), int(round(0.75 * config.epochs))]
+        # never before epoch 1: a one-epoch run's 50% rounds (half to even) to 0
+        milestones = [max(1, int(round(f * config.epochs))) for f in (0.5, 0.75)]
         factors = [0.3, 0.3]
     lr = config.lr
     for milestone, factor in zip(milestones, factors):

@@ -1,3 +1,4 @@
+import base64
 import errno
 import json
 import math
@@ -77,6 +78,100 @@ class TestRoundTrip:
         original = score_labels(net, batch)
         reloaded = score_labels(loaded, batch)
         assert original.scores.tobytes() == reloaded.scores.tobytes()
+
+
+# A format-version-1 checkpoint, bytes as saved: a 12-5-4 net (T=2,
+# recurrent, zero reset, learnable decay) built as `trained_net(recurrent=True)`
+# builds one, but with hidden sizes [5, 4] and T=2, trained 4 epochs in
+# batches of 16, with meta {"dataset": "synthetic:blobs", "seed": 0}. The
+# bytes live here because fixture directories are not committed.
+V1_CHECKPOINT = base64.b64decode("""
+U0ZGQwEAAADCBAAAeyJjbGFzc19jb3VudCI6IDIsICJmb3JtYXRfdmVyc2lvbiI6IDEsICJp
+bnB1dF9kaW0iOiAxMiwgImxheWVycyI6IFt7ImJhdGNoZXNfdHJhY2tlZCI6IDMyLCAiZXBz
+IjogMWUtMDUsICJtb21lbnR1bSI6IDAuMSwgIm5faW4iOiAxMiwgIm5fb3V0IjogNSwgIm5l
+dXJvbiI6IHsiZGVjYXkiOiAwLjksICJkZWNheV9sZWFybmFibGUiOiB0cnVlLCAicmVzZXRf
+bW9kZSI6ICJ6ZXJvIiwgInN1cnJvZ2F0ZV9zbG9wZSI6IDIuMCwgInRocmVzaG9sZCI6IDEu
+MX0sICJyZWN1cnJlbnQiOiB0cnVlfSwgeyJiYXRjaGVzX3RyYWNrZWQiOiAzMiwgImVwcyI6
+IDFlLTA1LCAibW9tZW50dW0iOiAwLjEsICJuX2luIjogNSwgIm5fb3V0IjogNCwgIm5ldXJv
+biI6IHsiZGVjYXkiOiAwLjksICJkZWNheV9sZWFybmFibGUiOiB0cnVlLCAicmVzZXRfbW9k
+ZSI6ICJ6ZXJvIiwgInN1cnJvZ2F0ZV9zbG9wZSI6IDIuMCwgInRocmVzaG9sZCI6IDEuMX0s
+ICJyZWN1cnJlbnQiOiB0cnVlfV0sICJtZXRhIjogeyJkYXRhc2V0IjogInN5bnRoZXRpYzpi
+bG9icyIsICJzZWVkIjogMH0sICJ0ZW5zb3JzIjogW3sibmFtZSI6ICJsYXllcjAvd2VpZ2h0
+cyIsICJzaGFwZSI6IFs1LCAxMl19LCB7Im5hbWUiOiAibGF5ZXIwL2dhbW1hIiwgInNoYXBl
+IjogWzIsIDVdfSwgeyJuYW1lIjogImxheWVyMC9zaGlmdCIsICJzaGFwZSI6IFsyLCA1XX0s
+IHsibmFtZSI6ICJsYXllcjAvcnVubmluZ19tZWFuIiwgInNoYXBlIjogWzIsIDVdfSwgeyJu
+YW1lIjogImxheWVyMC9ydW5uaW5nX3ZhciIsICJzaGFwZSI6IFsyLCA1XX0sIHsibmFtZSI6
+ICJsYXllcjAvZGVjYXlfcmF3IiwgInNoYXBlIjogWzVdfSwgeyJuYW1lIjogImxheWVyMC9y
+ZWN1cnJlbnQiLCAic2hhcGUiOiBbNSwgNV19LCB7Im5hbWUiOiAibGF5ZXIxL3dlaWdodHMi
+LCAic2hhcGUiOiBbNCwgNV19LCB7Im5hbWUiOiAibGF5ZXIxL2dhbW1hIiwgInNoYXBlIjog
+WzIsIDRdfSwgeyJuYW1lIjogImxheWVyMS9zaGlmdCIsICJzaGFwZSI6IFsyLCA0XX0sIHsi
+bmFtZSI6ICJsYXllcjEvcnVubmluZ19tZWFuIiwgInNoYXBlIjogWzIsIDRdfSwgeyJuYW1l
+IjogImxheWVyMS9ydW5uaW5nX3ZhciIsICJzaGFwZSI6IFsyLCA0XX0sIHsibmFtZSI6ICJs
+YXllcjEvZGVjYXlfcmF3IiwgInNoYXBlIjogWzRdfSwgeyJuYW1lIjogImxheWVyMS9yZWN1
+cnJlbnQiLCAic2hhcGUiOiBbNCwgNF19XSwgInRpbWVzdGVwcyI6IDJ9AbMotZi+5T/fDqNN
+Q7/KP9Fnqe2na7e/ZMm3+NSu4r99RwQVC77lPxywoDlDDdQ/F6PR427/oz/rq5rP9KTYvwEt
+BSYAM9+/qODhTEbp0T9HzqjqxzfhP9OMUTVmbcc/pciMDSXPvr/f7PfwnwflvwFtvasc8KU/
+C83GUlw/vT/ggWLYoxKtP9jzSaWbgeA/ICGuI/Ix1z/j2vUC7Nqhv2CGe4jA9sG/0RrCdqrJ
+1T8nPhsmqbrgP+CtIMqVa9I/OhnG99MLvL9ac6ZclC7jPy9/neglfc0/tu4jK0wny7/7L0kx
+l2LTv/D4mTvvWNA/dDvwPobgwj8qfIqZ9B55v0iqgXD+rqq/Hd6M6bK45D+UhmDZV/vaPya9
+9MSvE8M/GQEb9rA5zb/LlhLpa7q2v8FTr2s1guS/TcOw0uc3xr/X5iU5k37Cv5alrzCcjMG/
+wHKN6I8tyb8FMwrYlvrHv7IYZGgez+G/UfCtE2l7xL+lhNI+hw3CP5P7D+XVWeY/BJCD/I1R
+2L9blotzgUXiv514MVzdxbq/hF06PIi12L9MBFtlkiLBP7whyLhHuc6/bVaTuAVSxb9yH7a+
+Mm/Ev1u1BeGWFuQ/8XjZKLuD17+vO2UkUzTAv+Qgm3IuE9s/5qmP4mfE7z+K2ILotgTwP3tF
+VcUUFPA/a7AruvgV8D/pqEx+BhzwP3v/7mYP/O8/1dypMUQA8D+I8CBVV9XvP/Ciec+dI/A/
+pitTaPnj7z//KooUbbR4v1HAB6zi2HM/6Xnldc7MUT9EF0kCMrByP88xSSGC7Xk/1voWgI+A
+ST/vKlOZOw95P5IA2QYehni/VhjI5uEvgT8Ph860Jf1eP2GCmKzqmeI/dusibQfn6j/hNY0F
+4yjrP/ZcJOeLG+m/8qY8QL7u579hgpis6pniP3brIm0H5+o/4TWNBeMo6z/2XCTnixvpv/Km
+PEC+7ue/FySrtfTdtz/oJ3M5qrm4P1oGY8Pxw8E/3OtwSEWSvT+xGLNDzyKwPxckq7X03bc/
+6CdzOaq5uD9aBmPD8cPBP9zrcEhFkr0/sRizQ88isD/rYlIC5ZEBQFy6pgbzoQFAaHR7kbyK
+AUAMdHBYXZ8BQAsict7DmwFAchXjwkqkxT8MG+zcrpXwv7bekwkqz+E/kIBX/zwUwj97PIGV
+yk/nP9WntW6Uedq/LNm81RhH7b/y65FcLAHiP8y095kafOc/kVtbwgihyT+FU1mU2QDcP7zz
+O/4YneG/vKNL3U9j7z/tRMYGCTK1vxL3pNdvRcq/Dr0TQq1U5j/7C5+l2NbYPzpdOjgik+o/
+h4atSotfwD9G16ISGay5P9ljmpV3mOE/YVfZj7J93j/eVY45tGnEv0FU1LHKzOE/mmC8iCrh
+3L+EMzPFR6LvPyyTcZGAo+g/bEZhINzVzL+YdpTAjv/Yv+fKDppS8Os/4UZdEN/J4T+AsIfB
+SMzIvwg26elh1Nu/ZlWdVsWj5b/rldxIvifoP6NtbGXcX9U/rD5x27oItr9VbM4R8XizPyi4
+tIJGK+w/pco/Ynox3T98Ns1mxrG8P2RqjuPR6dg/EMLEeV754T8ytQIYgMjjP4d2ihmcIes/
+AwiIlRjg7z/1YGpJYhfwP8HymHiv1e8/grFE8J/E7z+C41AtItXvP9KcJZ9pw+8/6PYqpjcN
+8D/1Gyp/Zh/wP5BtxtOk9Xq/JZ1R2dE1cz9gA7wmW09+v6zbs7W2GX+/GXyYznXOgb8SQo+6
+DKt3v5bvzLg8kW4//X1cMirGgT8hMmcSO73RP0wIVYSxI7a/wyslbBNM0z/btRGEJh/bP+wm
+an8KIN0/nuJpGhJaqb+iXY9LM8fhP5dvU2xdFOg/qhNbmRRW2z+dNmLBM8vPP+k5gK15tcg/
+Vdg5Iasjyz9ocj6mu8rjP8yvluUZNd0//HSF4x0H0T/OQv6ssxDLP7vH+aV8jgFAvAyZGTyh
+AUDNDBOoFIgBQEe45VxnjAFA3dDw7eY567/zdarOnArpPylhWx/05e2/UdpUAPM+77/rlAMa
+B2XyP7yre4AX+Oa/JWhjmCU27j/ibiQK3qPyv5Bc5LyBfNK/LJcAn7rR3r/HUs4lIQbOP6Yx
+1jDFHOC/7XE9nXNV5D/wRxc05brrP8/FzJuxt+i/se+sareM5T8=
+""")
+# A fixed batch (blob rows rounded to 2 decimals) and the labels the
+# checkpoint predicts for it, which are also the rows' true labels.
+V1_ROWS = np.array([
+    [0.46, 0.86, 0.19, 0.59, 0.36, 0.75, 0.68, 0.76, 0.10, 0.82, 0.74, 0.58],
+    [0.44, 0.74, 0.30, 0.61, 0.30, 0.48, 0.75, 0.71, 0.19, 0.88, 0.63, 0.55],
+    [0.47, 0.49, 0.54, 0.57, 0.76, 0.63, 0.77, 0.53, 0.56, 0.59, 0.40, 0.45],
+    [0.45, 0.77, 0.27, 0.69, 0.21, 0.51, 0.70, 0.82, 0.13, 0.72, 0.69, 0.76],
+    [0.43, 0.81, 0.25, 0.63, 0.33, 0.57, 0.64, 0.74, 0.21, 0.54, 0.83, 0.63],
+    [0.62, 0.49, 0.61, 0.64, 0.65, 0.42, 0.65, 0.42, 0.45, 0.38, 0.49, 0.37],
+    [0.61, 0.68, 0.18, 0.75, 0.41, 0.39, 0.62, 0.66, 0.17, 0.76, 0.56, 0.63],
+    [0.54, 0.36, 0.65, 0.65, 0.64, 0.48, 0.81, 0.56, 0.60, 0.42, 0.41, 0.39],
+])
+V1_PREDICTED = [1, 1, 0, 1, 1, 0, 1, 0]
+
+class TestVersion1File:
+    """A reader of a later format version must still read these bytes."""
+
+    def test_load_and_save_again_gives_the_same_bytes(self, tmp_path):
+        assert struct.unpack("<4sI", V1_CHECKPOINT[:8]) == (MAGIC, 1)
+        path = tmp_path / "v1.sffc"
+        path.write_bytes(V1_CHECKPOINT)
+        net, meta = load_checkpoint(path)
+        assert meta == {"dataset": "synthetic:blobs", "seed": 0}
+        save_checkpoint(tmp_path / "again.sffc", net, meta=meta)
+        assert (tmp_path / "again.sffc").read_bytes() == V1_CHECKPOINT
+
+    def test_predicts_the_committed_labels(self, tmp_path):
+        path = tmp_path / "v1.sffc"
+        path.write_bytes(V1_CHECKPOINT)
+        net, _ = load_checkpoint(path)
+        batch = dataio.SampleBatch(V1_ROWS, np.zeros(len(V1_ROWS), int), 12)
+        assert score_labels(net, batch).predicted.tolist() == V1_PREDICTED
 
 
 def save_edited_header(path, edit):

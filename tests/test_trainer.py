@@ -188,6 +188,14 @@ class TestLrSchedule:
         assert lr_schedule(224, cfg) == pytest.approx(3e-4)
         assert lr_schedule(225, cfg) == pytest.approx(9e-5)
 
+    def test_default_milestones_leave_the_first_epoch_at_the_full_rate(self):
+        """A one-epoch run's 50% milestone rounds (half to even) to 0; it is
+        clamped to 1, so the only epoch trains at the configured rate."""
+        cfg = self.config(epochs=1)
+        assert lr_schedule(0, cfg) == 0.001
+        cfg = self.config(epochs=2)
+        assert [lr_schedule(e, cfg) for e in range(2)] == [0.001, pytest.approx(3e-4)]
+
     def test_custom_milestones(self):
         cfg = self.config(lr_milestones=[2, 4, 6], lr_factors=[0.5, 0.5, 0.1])
         assert lr_schedule(1, cfg) == pytest.approx(0.001)
