@@ -16,7 +16,6 @@ from .dataio import (
     load_idx,
     make_blob_dataset,
     make_temporal_dataset,
-    scale_to_unit,
     write_binned_events,
 )
 from .checkpoint import load_checkpoint, save_checkpoint

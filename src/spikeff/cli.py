@@ -167,10 +167,6 @@ def parse_config_values(text: str) -> dict:
     return values
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    return ExperimentConfig(**parse_config_values(text))
-
-
 def _section(cls, config: ExperimentConfig):
     """`cls` (NeuronConfig or TrainConfig) from the config's same-named fields.
 

@@ -18,7 +18,6 @@ import math
 import os
 import pickle
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -203,25 +202,6 @@ def embed_label(batch: SampleBatch, overlay_labels, class_count: int) -> SampleB
     width = batch.timesteps * batch.input_dim
     return SampleBatch(
         base.reshape(b, width), overlay, batch.input_dim, batch.timesteps, m
-    )
-
-
-def scale_to_unit(dataset: Dataset) -> Dataset:
-    """Global min-max scaling into [0, 1]; idempotent on already-scaled data."""
-    lo = float(dataset.inputs.min()) if dataset.num_samples else 0.0
-    hi = float(dataset.inputs.max()) if dataset.num_samples else 0.0
-    if hi == lo:
-        warnings.warn("constant dataset: min == max, scaling to all zeros")
-        scaled = np.zeros_like(dataset.inputs)
-    else:
-        scaled = (dataset.inputs - lo) / (hi - lo)
-    return Dataset(
-        scaled,
-        dataset.labels,
-        dataset.class_count,
-        dataset.input_dim,
-        dataset.temporal,
-        dataset.timesteps,
     )
 
 

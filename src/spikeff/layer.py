@@ -102,22 +102,24 @@ def init_layer(
     rng: RngStream,
     recurrent: bool = False,
 ) -> SpikingLayer:
-    """Kaiming-uniform weights, unit scale / zero shift, fresh running stats."""
+    """Kaiming-uniform float64 weights, unit scale / zero shift, fresh
+    running stats, every tensor in the weights' dtype."""
     bound = math.sqrt(6.0 / n_in)
     weights = rng.uniform((n_out, n_in), -bound, bound)
+    dtype = weights.dtype
     decay_raw = None
     if config.decay_learnable:
-        decay_raw = np.full(n_out, neuron.raw_decay_for(config.decay))
+        decay_raw = np.full(n_out, neuron.raw_decay_for(config.decay), dtype)
     rec = None
     if recurrent:
         rec_bound = math.sqrt(6.0 / n_out)
         rec = rng.uniform((n_out, n_out), -rec_bound, rec_bound)
     return SpikingLayer(
         weights=weights,
-        gamma=np.ones((timesteps, n_out)),
-        shift=np.zeros((timesteps, n_out)),
-        running_mean=np.zeros((timesteps, n_out)),
-        running_var=np.ones((timesteps, n_out)),
+        gamma=np.ones((timesteps, n_out), dtype),
+        shift=np.zeros((timesteps, n_out), dtype),
+        running_mean=np.zeros((timesteps, n_out), dtype),
+        running_var=np.ones((timesteps, n_out), dtype),
         neuron=config,
         decay_raw=decay_raw,
         recurrent=rec,
@@ -158,8 +160,10 @@ def overlay_correction(weights: np.ndarray, peak: np.ndarray, labels,
 
     `labels` is one label per row (a pass's `Overlay`), or one int label
     for all R rows (a run of one overlay's rows in label scoring); the
-    same multiply either way, so equal values give equal bits.
+    same multiply either way, so equal values give equal bits, in the
+    weights' dtype.
     """
+    peak = peak.astype(weights.dtype, copy=False)
     return np.multiply(weights.T[labels], peak[:, None], out=out)
 
 
@@ -174,21 +178,23 @@ def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
             correction: Optional[np.ndarray] = None) -> np.ndarray:
     """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
-    An input that is not float64 (bool spikes, narrower frames) is first
-    cast, exactly, into `cast`, a reused float64 (B, n_in) buffer, when
-    given. For an overlaid input, x_t is the base frame and `correction`
-    the overlay's `overlay_correction`: z_t = x_base,t W^T + peak (x)
-    W[:, labels], one B-row GEMM and one add, the product of the overlaid
-    rows without writing them out. Raises a NumericError naming timestep
-    t unless the product is finite. Returns the rows the GEMM read. Every
-    product of a layer input is this call: the train pass's, the
-    backward's recompute and the eval rollout's, so all have the same
-    bits; label scoring adds a row range's correction to its rows of the
-    one B-row base product, the same two ops.
+    The GEMM runs in the weights' dtype, the layer's compute dtype: an
+    input of another dtype (bool spikes, narrower frames, float64 rows of
+    a float32 layer) is cast into `cast` (`_cast_buffer`), when given,
+    else into a new array. For an overlaid input, x_t is the base frame
+    and `correction` the overlay's `overlay_correction`: z_t = x_base,t
+    W^T + peak (x) W[:, labels], one B-row GEMM and one add, the product
+    of the overlaid rows without writing them out. Raises a NumericError
+    naming timestep t unless the product is finite. Returns the rows the
+    GEMM read. Every product of a layer input is this call: the train
+    pass's, the backward's recompute and the eval rollout's, so all have
+    the same bits; label scoring adds a row range's correction to its
+    rows of the one B-row base product, the same two ops.
     """
     if cast is not None:
         np.copyto(cast, x)
         x = cast
+    x = x.astype(weights.dtype, copy=False)
     np.matmul(x, weights.T, out=out)
     if correction is not None:
         np.add(out, correction, out=out)
@@ -196,10 +202,10 @@ def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
     return x
 
 
-def _cast_buffer(x: np.ndarray):
-    """The (B, n_in) float64 buffer `product` casts a stacked input's
-    timesteps into, or None for a float64 input (used as it is)."""
-    return None if x.dtype == np.float64 else np.empty(x.shape[1:])
+def _cast_buffer(x: np.ndarray, dtype: np.dtype):
+    """The (B, n_in) buffer of `dtype`, the weights', that `product` casts a
+    stacked input's timesteps into, or None for an input of that dtype."""
+    return None if x.dtype == dtype else np.empty(x.shape[1:], dtype)
 
 
 def fold_running_stats(layer: SpikingLayer, trace: "LayerForwardTrace") -> None:
@@ -222,13 +228,14 @@ class LayerForwardTrace:
 
     `spikes` and `membranes` are C-contiguous timestep-major (T, B, n)
     arrays; entry t is timestep t's (B, n) view. `spikes` are bool (1 byte
-    each), and `counts` is their float64 (B, n) sum over time. `inputs` is
-    the (T, B, n_in) array the pass was given, as it is: a layer fed
-    another's spikes holds them as bool, and layer 0 of temporal data
-    holds `time_frames`' view of the batch's sample-major rows, no copy.
-    For a static input (one frame object repeated T times),
-    `inputs` is instead a read-only broadcast of the one frame, and
-    `shared_product` holds its one (B, n_out) product (`shared`).
+    each), and `counts` is their (B, n) sum over time. Every floating array
+    is in the compute dtype (`dtype`). `inputs` is the (T, B, n_in) array
+    the pass was given, as it is: a layer fed another's spikes holds them
+    as bool, and layer 0 of temporal data holds `time_frames`' view of the
+    batch's sample-major rows, no copy. For a static input (one frame
+    object repeated T times), `inputs` is instead a read-only broadcast of
+    the one frame, and `shared_product` holds its one (B, n_out) product
+    (`shared`).
     `mu`/`var` are the statistics actually used: batch statistics in train
     mode (which `fold_running_stats` folds into the layer's running ones),
     running statistics in eval mode. For an overlaid input
@@ -260,6 +267,10 @@ class LayerForwardTrace:
         """Whether the input was static: one frame object for every timestep."""
         return self.shared_product is not None
 
+    @property
+    def dtype(self) -> np.dtype:  # the compute dtype: the layer's weights'
+        return self.mu.dtype
+
 
 def layer_forward(
     layer: SpikingLayer,
@@ -285,15 +296,16 @@ def layer_forward(
 
     A pass takes three steps. First the products, each followed in train
     mode by its batch statistics: a static input's one product goes into
-    `shared_product`, a stacked input's z_t (`product`, a non-float64
-    input cast to float64 for the GEMM only) into `membranes[t]`, the
-    slot timestep t's update overwrites once z_t has made the drive. Then
+    `shared_product`, a stacked input's z_t (`product`) into
+    `membranes[t]`, the slot timestep t's update overwrites once z_t has
+    made the drive. Then
     one affine map over (T, n_out) (`norm_affine`, as `EvalRollout` takes
     it). Then a loop that only steps: drive `z_t * scale[t] + offset[t]`
     plus the recurrent drive, one `neuron.membrane_update` and
     `neuron.fire`. The trace records the bool spikes and the membranes;
     the counts are the spikes summed over time (exact: integers <= T).
-    The backward recomputes a stacked input's products.
+    The backward recomputes a stacked input's products. Every buffer is
+    in the weights' dtype.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -321,14 +333,15 @@ def layer_forward(
 
     n = layer.n_out
     cfg = layer.neuron
+    dtype = layer.weights.dtype
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     spikes = np.empty((t_steps, batch, n), bool)
-    membranes = np.empty((t_steps, batch, n))
-    drive = np.empty((batch, n))
-    scratch = np.empty((batch, n))
+    membranes = np.empty((t_steps, batch, n), dtype)
+    drive = np.empty((batch, n), dtype)
+    scratch = np.empty((batch, n), dtype)
     train = mode == "train"
     if train:
-        mu, var = np.empty((t_steps, n)), np.empty((t_steps, n))
+        mu, var = np.empty((t_steps, n), dtype), np.empty((t_steps, n), dtype)
     else:
         mu, var = layer.running_mean.copy(), layer.running_var.copy()
 
@@ -338,14 +351,14 @@ def layer_forward(
         layer.weights, *overlay, out=drive if shared else None)
     if shared:
         x = np.broadcast_to(frames[0], (t_steps, batch, layer.n_in))
-        shared_product = np.empty((batch, n))
+        shared_product = np.empty((batch, n), dtype)
         product(frames[0], layer.weights, 0, shared_product, correction=correction)
         if train:
             mu[:], var[:] = _batch_stats(shared_product, drive)
     else:
         x = np.asarray(frames)
         shared_product = None
-        cast = _cast_buffer(x)
+        cast = _cast_buffer(x, dtype)
         for t in range(t_steps):
             # z_t goes to the membrane slot timestep t's update overwrites
             product(x[t], layer.weights, t, membranes[t], cast, correction)
@@ -353,20 +366,20 @@ def layer_forward(
                 mu[t], var[t] = _batch_stats(membranes[t], drive)
     scale, offset = norm_affine(mu, var, layer.eps, layer.gamma, layer.shift)
 
-    u = np.zeros((batch, n))  # at rest
-    s = np.zeros((batch, n))
+    u = np.zeros((batch, n), dtype)  # at rest
+    s = np.zeros((batch, n), bool)
     for t in range(t_steps):
         z = membranes[t] if shared_product is None else shared_product
         np.multiply(z, scale[t], out=drive)
         np.add(drive, offset[t], out=drive)
         if layer.recurrent is not None:
-            drive += s.astype(np.float64, copy=False) @ layer.recurrent
+            drive += s.astype(dtype) @ layer.recurrent
         u = neuron.membrane_update(
             u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
         s = fire(u, cfg, out=spikes[t])
 
-    counts = spikes.sum(axis=0, dtype=np.float64)  # integers <= T: exact
+    counts = spikes.sum(axis=0, dtype=dtype)  # integers <= T: exact
     return LayerForwardTrace(
         mode=mode,
         counts=counts,
@@ -391,35 +404,40 @@ class EvalRollout:
 
     Preallocated buffers of up to `rows` rows hold the drive, membrane,
     spikes, recurrent drive and spike counts of the current timestep only,
-    plus one row block (`numerics.row_blocks`) of scratch; nothing is
-    recorded. A timestep's product (`product`) is written into `drive`,
-    and `step` allocates no buffer. `reset` starts a new rollout on the
-    same buffers. Every step applies the ufuncs of
+    plus one row block (`numerics.row_blocks`) of scratch and one of bools
+    that a block fires into; nothing is recorded. Floating buffers are in
+    the weights' dtype (`dtype`), and the counts are unsigned integers
+    wide enough for T. A timestep's product (`product`) is written into
+    `drive`, and `step` allocates no buffer. `reset` starts a new rollout
+    on the same buffers. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (`z * scale + offset` from
     `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
-    then `neuron.fire`), so
-    membranes, spikes and counts equal the reference's bit for bit.
+    then `neuron.fire`), so membranes, spikes and counts equal the
+    reference's bit for bit.
     """
 
     def __init__(self, layer: SpikingLayer, rows: int):
         self.layer = layer
+        self.dtype = dtype = layer.weights.dtype
         self.scale, self.offset = norm_affine(  # (T, n_out) each
             layer.running_mean, layer.running_var, layer.eps, layer.gamma, layer.shift
         )
         shape = (rows, layer.n_out)
-        self._drive = np.empty(shape)
-        self._membrane = np.empty(shape)
-        self._spikes = np.empty(shape)
-        self._counts = np.empty(shape)
-        self._recurrent_drive = None if layer.recurrent is None else np.empty(shape)
+        self._drive = np.empty(shape, dtype)
+        self._membrane = np.empty(shape, dtype)
+        self._spikes = np.empty(shape, dtype)
+        self._counts = np.empty(shape, np.min_scalar_type(layer.timesteps))
+        recurrent = layer.recurrent is not None
+        self._recurrent_drive = np.empty(shape, dtype) if recurrent else None
         # the first block is the largest of any rollout of up to `rows` rows
-        block = row_blocks(rows, layer.n_out)[0]
-        self.scratch = np.empty((block.stop, layer.n_out))
+        block = (row_blocks(rows, layer.n_out)[0].stop, layer.n_out)
+        self.scratch = np.empty(block, dtype)
+        self.fired = np.empty(block, bool)
         # A learnable decay, tiled to a block: the decay multiply then runs
         # over same-shape operands instead of an (n,) broadcast (same bits).
         self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
         self.beta_tile = (
-            None if np.isscalar(self.beta) else np.tile(self.beta, (block.stop, 1))
+            None if np.isscalar(self.beta) else np.tile(self.beta, (block[0], 1))
         )
         self.reset(rows)
 
@@ -433,14 +451,15 @@ class EvalRollout:
             None if self._recurrent_drive is None else self._recurrent_drive[:rows]
         )
         for buf in (self.membrane, self.spikes, self.counts):
-            buf.fill(0.0)
+            buf.fill(0)
         self.blocks = row_blocks(rows, self.layer.n_out)
 
     def step(self, t: int, z: np.ndarray) -> np.ndarray:
         """Advance one timestep from the product z; returns the spike buffer.
 
         z may be `self.drive` itself (it is then overwritten) or a product
-        shared across timesteps (it is only read).
+        shared across timesteps (it is only read). The bools a block fires
+        are copied into the spike buffer and added, as bytes, to the counts.
         """
         layer, cfg = self.layer, self.layer.neuron
         if self.recurrent_drive is not None:  # from the previous spikes
@@ -452,21 +471,22 @@ class EvalRollout:
                 self.counts[rows],
             )
             size = rows.stop - rows.start
-            tmp = self.scratch[:size]
+            tmp, fired = self.scratch[:size], self.fired[:size]
             beta = self.beta if self.beta_tile is None else self.beta_tile[:size]
             np.multiply(z[rows], scale, out=drive)
             np.add(drive, offset, out=drive)
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
             advance_membrane(u, s, drive, beta, cfg, out=u, scratch=tmp)
-            fire(u, cfg, out=s)
-            np.add(counts, s, out=counts)
+            fire(u, cfg, out=fired)
+            np.copyto(s, fired)
+            np.add(counts, fired.view(np.uint8), out=counts)
         return self.spikes
 
 
 def goodness(trace: Union[LayerForwardTrace, EvalRollout]) -> np.ndarray:
     """Per-sample goodness: mean over neurons of the squared spike count."""
-    return np.square(trace.counts).mean(axis=1)
+    return np.square(trace.counts, dtype=trace.dtype).mean(axis=1)
 
 
 def layer_backward(
@@ -491,8 +511,8 @@ def layer_backward(
     (`trace.shared`) every X_t is the same frame, so it is one GEMM,
     (sum_t dz_t)^T X, with the sum kept in one (B, n) array. For a stacked
     input, each timestep's product is recomputed with the pass's call
-    (`product`, a non-float64 input cast into one reused float64
-    (B, n_in) buffer) into one (B, n) buffer, dz_t is written over it, and
+    (`product`, an input of another dtype cast into one reused (B, n_in)
+    buffer) into one (B, n) buffer, dz_t is written over it, and
     dz_t^T X_t is added to the weight gradient. Bool spikes enter every
     other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
     cast per timestep) as exact 0/1.
@@ -516,7 +536,8 @@ def layer_backward(
     `decay_raw` and `recurrent`: a step updates a layer only after both of
     its traces are backpropagated. It reads the layer and writes only its
     own trace, so the two passes' backward calls of a layer can run at
-    once.
+    once. Every buffer and gradient, and `dgoodness`, is in the weights'
+    dtype.
     """
     if trace.mode != "train":
         raise UsageError("layer_backward needs a train-mode trace")
@@ -524,7 +545,8 @@ def layer_backward(
         raise UsageError("layer_backward already consumed this trace")
     batch, n = trace.counts.shape
     t_steps = layer.timesteps
-    dgoodness = np.asarray(dgoodness, dtype=np.float64)
+    dtype = layer.weights.dtype
+    dgoodness = np.asarray(dgoodness, dtype=dtype)
     if dgoodness.shape != (batch,):
         raise ShapeError(
             f"dgoodness has shape {dgoodness.shape}, expected ({batch},)"
@@ -539,26 +561,26 @@ def layer_backward(
     np.multiply(d_counts, dgoodness[:, None], out=d_counts)
     d_gamma = np.empty_like(layer.gamma)
     d_shift = np.empty_like(layer.shift)
-    d_beta = np.zeros(n) if layer.decay_raw is not None else None
+    d_beta = np.zeros_like(layer.decay_raw) if layer.decay_raw is not None else None
     d_rec = np.zeros_like(layer.recurrent) if layer.recurrent is not None else None
     inv_std = 1.0 / np.sqrt(trace.var + layer.eps)  # (T, n)
     dz_scale = layer.gamma * inv_std
-    dz = np.empty((batch, n))  # z_t, then dz_t over it
+    dz = np.empty((batch, n), dtype)  # z_t, then dz_t over it
     overlay = trace.overlay
     # sum_t dz_t: the whole weight gradient of a static input, the overlay
     # term's of an overlaid one
-    dz_sum = np.zeros((batch, n)) if trace.shared or overlay is not None else None
+    dz_sum = np.zeros_like(dz) if trace.shared or overlay is not None else None
     if trace.shared:
         z = trace.shared_product
     else:
         x = trace.inputs
-        cast = _cast_buffer(x)
+        cast = _cast_buffer(x, dtype)
         correction = None if overlay is None else overlay_correction(
             layer.weights, *overlay)
         d_weights = np.zeros_like(layer.weights)
         term = np.empty_like(d_weights)  # one timestep's dz_t^T X_t
 
-    scratch = np.empty((batch, n))
+    scratch = np.empty((batch, n), dtype)
     du_next = None  # dL/dU[t+1]
     for t in reversed(range(t_steps)):
         # dL/dU[t] over U[t], read for the last time here (it was step
@@ -612,10 +634,10 @@ def layer_backward(
     del u, du, du_next, dz, scratch, d_counts
     trace.membranes = trace.counts = None
     if trace.shared:
-        d_weights = dz_sum.T @ trace.inputs[0]
+        d_weights = dz_sum.T @ trace.inputs[0].astype(dtype, copy=False)
     trace.inputs = None
     if overlay is not None:  # column labels[b] += peak[b] * sum_t dz_t[b]
-        peaks = np.zeros((batch, overlay.labels.max() + 1))
+        peaks = np.zeros((batch, overlay.labels.max() + 1), dtype)
         peaks[np.arange(batch), overlay.labels] = overlay.peak
         d_weights[:, : peaks.shape[1]] += dz_sum.T @ peaks
     grads = {"weights": d_weights, "gamma": d_gamma, "shift": d_shift}

@@ -155,7 +155,7 @@ def _roll_out(rollouts, shared, rows: slice, total: np.ndarray) -> None:
     weights = first_roll.layer.weights
     static = len(z_base) == 1
     size = rows.stop - rows.start
-    corrections = np.empty((per_chunk, size, len(weights)))
+    corrections = np.empty((per_chunk, size, len(weights)), weights.dtype)
     peak = peak[rows]
     for lo in range(0, len(total), per_chunk):
         labels = range(lo, min(lo + per_chunk, len(total)))
@@ -220,16 +220,19 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
     range GEMMs. A score is a sum of squared integer spike counts, so such
     a difference moves it only where it moves a membrane across the
     threshold. The tests require split scores to equal the per-overlay
-    `forward_eval` reference exactly; perfbench's gate allows 1e-9.
+    `forward_eval` reference exactly; perfbench's gate allows 1e-9. Every
+    buffer, the scores included, is in the weights' dtype.
     """
     c, b = net.class_count, batch.size
+    first = net.layers[0]
+    dtype = first.weights.dtype
     _check_width(net, batch.input_dim)
     if batch.overlay_max is None:
         batch = embed_label(batch, batch.labels, c)  # the batch's one base copy
     # timestep t's base frame, a view of the sample-major base rows
     frames = time_frames(batch.inputs, batch.input_dim, batch.timesteps, net.timesteps)
     if b == 0:
-        return np.zeros((0, c))
+        return np.zeros((0, c), dtype)
     net.eval_rows += c * b
     per_chunk = min(c, max(1, CHUNK_ELEMENTS // (b * net.widest)))
     ranges = worker_ranges(b, net.widest)
@@ -237,15 +240,14 @@ def label_goodness(net: FFNetwork, batch: SampleBatch) -> np.ndarray:
         [EvalRollout(layer, per_chunk * (r.stop - r.start)) for layer in net.layers]
         for r in ranges
     ]
-    first = net.layers[0]
-    z_base = np.empty((batch.timesteps, b, first.n_out))
+    z_base = np.empty((batch.timesteps, b, first.n_out), dtype)
 
     def base_products():
         for t in range(batch.timesteps):
             product(frames[t], first.weights, t, z_base[t])
 
     shared = z_base, batch.overlay_max, per_chunk
-    total = np.zeros((c, b))
+    total = np.zeros((c, b), dtype)
     run_all(
         [functools.partial(_roll_out, rolls, shared, r, total)
          for r, rolls in zip(ranges, rollouts)],

@@ -52,7 +52,8 @@ class NeuronConfig:
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    """1 / (1 + exp(-x)), in x's floating dtype (float64 for a Python number)."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x)))
 
 
 def raw_decay_for(decay: float) -> float:
@@ -105,8 +106,8 @@ def membrane_update(
 def fire(membrane, config: NeuronConfig, out: np.ndarray) -> np.ndarray:
     """Spikes where the membrane reaches the threshold, written into `out`.
 
-    The threshold is inclusive. `out` is bool (a train trace's `spikes[t]`,
-    1 byte a spike) or float (0.0/1.0, the eval rollout's buffers).
+    The threshold is inclusive. `out` is bool, 1 byte a spike: a train
+    trace's `spikes[t]` or an eval rollout block's `fired`.
     """
     return np.greater_equal(membrane, config.threshold, out=out)
 
@@ -117,12 +118,11 @@ def surrogate_grad(membrane: np.ndarray, config: NeuronConfig,
 
     (1/pi) / (1 + (pi * slope/2 * (U - thr))^2): maximal (1/pi) at threshold,
     even in (U - thr), strictly positive everywhere. One array holds every
-    intermediate: `out` when given (a float64 buffer of the membrane's
-    shape, which may be the membrane itself), else a new one.
+    intermediate: `out` when given (a buffer of the membrane's shape and
+    dtype, which may be the membrane itself), else a new one of the
+    membrane's floating dtype.
     """
     k = math.pi * config.surrogate_slope / 2.0
-    if out is None:
-        out = np.empty(np.shape(membrane))
     out = np.subtract(membrane, config.threshold, out=out)
     np.multiply(k, out, out=out)
     np.square(out, out=out)

@@ -1,9 +1,10 @@
-"""Dense float64 substrate: Adam updates, seeded RNG streams, the row
-blocks and per-core row ranges of a pass, the BLAS thread count and the
-threads that independent calls run on.
+"""Adam updates, seeded RNG streams, the row blocks and per-core row
+ranges of a pass, the BLAS thread count and the threads that independent
+calls run on.
 
 Parameters are plain numpy arrays; `adam_update` rejects non-finite
-gradients and makes a state's moments at its first step. `row_blocks` and
+gradients, makes a state's moments at its first step and computes in its
+parameter's dtype. `row_blocks` and
 `worker_ranges` are the one split of a pass's rows, `worker_count` the
 calls that may run at once. `run_all` runs independent calls, inline or
 on every usable core, always with the loaded OpenBLAS on one thread:

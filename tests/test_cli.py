@@ -15,7 +15,7 @@ from spikeff.cli import (
     ExperimentConfig,
     PRESETS,
     load_datasets,
-    parse_config,
+    parse_config_values,
     run_train,
     serialize_config,
     validate_config,
@@ -57,11 +57,13 @@ def everything_set():
 class TestConfigFormat:
     def test_round_trip_default(self):
         config = ExperimentConfig()
-        assert parse_config(serialize_config(config)) == config
+        values = parse_config_values(serialize_config(config))
+        assert ExperimentConfig(**values) == config
 
     def test_round_trip_everything_set(self):
         config = everything_set()
-        assert parse_config(serialize_config(config)) == config
+        values = parse_config_values(serialize_config(config))
+        assert ExperimentConfig(**values) == config
 
     def test_file_bytes_pinned(self):
         # a round trip alone accepts any format change that still round-trips
@@ -90,12 +92,12 @@ class TestConfigFormat:
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\nepochs = 7\nseed = 1\n"
-        config = parse_config(text)
+        config = ExperimentConfig(**parse_config_values(text))
         assert config.epochs == 7 and config.seed == 1
 
     def test_unknown_key_and_bad_value_both_reported(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("nonsense = 5\nepochs = banana\n")
+            ExperimentConfig(**parse_config_values("nonsense = 5\nepochs = banana\n"))
         text = "\n".join(err.value.violations)
         assert "nonsense" in text and "banana" in text
 
@@ -208,7 +210,8 @@ class TestRunTrain:
         }
         rows = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 epochs
-        echoed = parse_config((out / "config.txt").read_text())
+        echoed_text = (out / "config.txt").read_text()
+        echoed = ExperimentConfig(**parse_config_values(echoed_text))
         assert echoed == config
 
     def test_zero_epochs_noop_run(self, tmp_path):
@@ -458,7 +461,8 @@ class TestCommands:
         code = cli.main(["train", "--config", str(cfg_file),
                          "--epochs", "1", "--out", str(out)])
         assert code == 0
-        echoed = parse_config((out / "config.txt").read_text())
+        echoed_text = (out / "config.txt").read_text()
+        echoed = ExperimentConfig(**parse_config_values(echoed_text))
         assert echoed.epochs == 1  # flag beat the file
         assert echoed.hidden_sizes == [10]
 
@@ -801,4 +805,5 @@ class TestConfigRoundTripProperty:
                 eval_every=int(rng.integers(0, 10)),
                 out_dir=f"runs/r{rng.integers(0, 100)}",
             )
-            assert parse_config(serialize_config(config)) == config
+            values = parse_config_values(serialize_config(config))
+            assert ExperimentConfig(**values) == config

@@ -371,28 +371,6 @@ class TestEmbedding:
             dataio.embed_label(out, [0], class_count=2)
 
 
-class TestScaling:
-    def test_byte_range_maps_to_unit(self):
-        ds = dataio.Dataset(np.array([[0.0, 128.0, 255.0]]), np.array([0]), 1, 3)
-        scaled = dataio.scale_to_unit(ds)
-        assert scaled.inputs.min() == 0.0 and scaled.inputs.max() == 1.0
-        np.testing.assert_allclose(scaled.inputs, [[0.0, 128 / 255, 1.0]])
-
-    def test_idempotent(self):
-        rng = RngStream(15)
-        raw = rng.uniform((4, 6), -3.0, 9.0)
-        ds = dataio.Dataset(raw, np.zeros(4, np.int64), 1, 6)
-        once = dataio.scale_to_unit(ds)
-        twice = dataio.scale_to_unit(once)
-        np.testing.assert_allclose(twice.inputs, once.inputs, atol=1e-12)
-
-    def test_constant_dataset_warns_and_zeroes(self):
-        ds = dataio.Dataset(np.full((2, 3), 5.0), np.zeros(2, np.int64), 1, 3)
-        with pytest.warns(UserWarning, match="constant"):
-            scaled = dataio.scale_to_unit(ds)
-        np.testing.assert_array_equal(scaled.inputs, np.zeros((2, 3)))
-
-
 class TestBatching:
     def test_fixed_seed_same_permutation(self):
         ds = dataio.make_blob_dataset(40, seed=1)
