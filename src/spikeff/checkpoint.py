@@ -17,19 +17,17 @@ Optimizer moments are not stored: a tensor's moments are made by its first
 update, so a loaded network holds only its tensors, each read straight
 from the file into its own array, and trains on from fresh Adam states.
 A checkpoint is written to a temporary file in the same directory and
-then renamed over the target, so a failed write leaves any previous file
-whole.
+then renamed over the target (`dataio.replacing`, which BSE1 files share),
+so a failed write leaves any previous file whole.
 """
 
 import dataclasses
 import json
-import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_array, read_exact
+from .dataio import read_array, read_exact, replacing
 from .errors import CheckpointVersionError, ConfigError, FormatError
 from .layer import TENSORS, SpikingLayer, tensor_shapes
 from .network import FFNetwork, check_hidden_sizes
@@ -40,6 +38,11 @@ VERSION = 1
 
 
 def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
+    """Write `net` and `meta` as a checkpoint, every tensor as float64.
+
+    The file is written beside `path` and renamed over it
+    (`dataio.replacing`), so a failed save leaves any previous file whole.
+    """
     tensors = []
     layer_meta = []
     for i, layer in enumerate(net.layers):
@@ -67,19 +70,12 @@ def save_checkpoint(path, net: FFNetwork, meta: dict = None) -> None:
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", VERSION, len(blob)))
-            f.write(blob)
-            for _, tensor in tensors:
-                f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as tmp, open(tmp, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<II", VERSION, len(blob)))
+        f.write(blob)
+        for _, tensor in tensors:
+            f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
 def _read_header(f, path: str) -> dict:

@@ -36,7 +36,6 @@ from .neuron import NeuronConfig
 from .numerics import RngStream, thread_setup
 
 DATA_ROOT_ENV = "SPIKEFF_DATA_ROOT"
-KEY_INIT = 100  # rng substream for weight init
 
 
 def _preset(dataset: str, **departures) -> dict:
@@ -283,7 +282,7 @@ def build_from_config(config: ExperimentConfig, train_ds: dataio.Dataset):
         train_ds.class_count,
         config.timesteps,
         _section(NeuronConfig, config),
-        RngStream(config.seed).substream(KEY_INIT),
+        RngStream(config.seed).substream(trainer.KEY_INIT),
         recurrent=config.recurrent,
         lr=config.lr,
     )

@@ -1,9 +1,12 @@
-"""Dataset ingestion, scaling and label-overlay machinery.
+"""Dataset ingestion and label-overlay machinery.
 
 Supported sources: IDX image/label pairs (the canonical MNIST distribution),
 BSE1 binned spike-event containers, and seeded synthetic generators. Inputs
-are stored batch-major as (num_samples, timesteps * input_dim) float64 rows;
-static datasets have timesteps == 1.
+are stored batch-major as (num_samples, timesteps * input_dim) rows, in the
+floating dtype they are made in: float64 for IDX pixels (/255), CIFAR-10 and
+synthetic rows, float32 for BSE1 bins, which stay memory-mapped in their
+file. A layer's product casts them into its compute dtype. Static datasets
+have timesteps == 1.
 
 Label overlay replaces the first `class_count` channels of a sample with
 zeros and writes the sample's own maximum value m at the overlay label's
@@ -18,7 +21,9 @@ import math
 import os
 import pickle
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,7 +49,12 @@ BSE_MAGIC = b"BSE1"
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention dataset; safe for concurrent reads."""
+    """Immutable-by-convention dataset; safe for concurrent reads.
+
+    Floating-point inputs are kept as given, in their dtype and strides (a
+    loaded BSE1 file's are a read-only float32 view of its mapped records);
+    inputs of any other dtype are converted to float64.
+    """
 
     inputs: np.ndarray  # (n, timesteps * input_dim)
     labels: np.ndarray  # (n,) int64
@@ -54,7 +64,9 @@ class Dataset:
     timesteps: int = 1
 
     def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        self.inputs = np.asarray(self.inputs)
+        if self.inputs.dtype.kind != "f":
+            self.inputs = self.inputs.astype(np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         n = self.inputs.shape[0]
         if self.labels.shape != (n,):
@@ -298,6 +310,25 @@ def read_array(f, shape: tuple, path: str) -> np.ndarray:
     return out
 
 
+@contextmanager
+def replacing(path):
+    """The path of a temporary file beside `path` for the block to write;
+    when the block ends without an error, it replaces `path` (`os.replace`).
+
+    Until then the target is untouched; on any error the temporary file is
+    removed, so a failed write leaves any previous file whole. A process
+    that maps the old file keeps its inode, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _read_be_u32(f, path: str) -> int:
     return struct.unpack(">I", read_exact(f, 4, path))[0]
 
@@ -392,6 +423,10 @@ def _bse_record(path: str, n: int, t: int, d: int, c: int) -> np.dtype:
 def write_binned_events(path, dataset: Dataset) -> None:
     """Write a dataset as a BSE1 container (values stored as float32).
 
+    The file is written beside `path` and then renamed over it
+    (`replacing`), so a dataset that maps the old file keeps reading the
+    old bytes, and a failed write leaves any previous file whole.
+
     Raises FormatError, before the file is opened, when a label does not
     fit the format's u8 label field, and DataConsistencyError when a
     sample's record would be too long to read back (`_bse_record`).
@@ -408,14 +443,22 @@ def write_binned_events(path, dataset: Dataset) -> None:
     records = np.empty(n, dtype=_bse_record(path, n, t, d, c))
     records["label"] = dataset.labels
     records["bins"] = dataset.inputs
-    with open(path, "wb") as f:
+    with replacing(path) as tmp, open(tmp, "wb") as f:
         f.write(BSE_MAGIC)
         f.write(struct.pack("<IIII", n, t, d, c))
         f.write(records.tobytes())
 
 
 def load_binned_events(path) -> Dataset:
-    """Read a BSE1 container as a temporal dataset."""
+    """A BSE1 container as a temporal dataset whose inputs are its file.
+
+    The payload is mapped read-only, not read: `inputs` is the strided
+    float32 `bins` view of the mapped records, so a load allocates only the
+    labels. A payload size other than the header's raises
+    DataConsistencyError before anything is mapped. The mapping reads the
+    file as it is on disk, so the file must not be modified in place while
+    the dataset is alive; `write_binned_events` replaces a file instead.
+    """
     path = str(path)
     with open(path, "rb") as f:
         magic = read_exact(f, 4, path)
@@ -427,13 +470,13 @@ def load_binned_events(path) -> Dataset:
                 f"{path}: inconsistent header (num_samples={n}, T={t}, d={d}, c={c})"
             )
         record = _bse_record(path, n, t, d, c)
-        payload = f.read()
-    if len(payload) != n * record.itemsize:
-        raise DataConsistencyError(
-            f"{path}: header declares {n} samples ({n * record.itemsize} payload "
-            f"bytes) but file carries {len(payload)}"
-        )
-    records = np.frombuffer(payload, dtype=record, count=n)
+        carried = os.fstat(f.fileno()).st_size - f.tell()
+        if carried != n * record.itemsize:
+            raise DataConsistencyError(
+                f"{path}: header declares {n} samples ({n * record.itemsize} "
+                f"payload bytes) but file carries {carried}"
+            )
+        records = np.memmap(f, record, "r", offset=f.tell(), shape=n)
     return Dataset(records["bins"], records["label"], c, d, temporal=True, timesteps=t)
 
 
@@ -580,8 +623,6 @@ def load_cifar10(directory, split: str = "train") -> Dataset:
     Batches are unpickled with only numpy's array globals allowed; a file
     that is not a CIFAR-10 batch raises FormatError.
     """
-    from pathlib import Path
-
     directory = Path(directory)
     names = (
         [f"data_batch_{i}" for i in range(1, 6)] if split == "train" else ["test_batch"]

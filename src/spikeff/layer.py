@@ -555,6 +555,7 @@ def layer_backward(
     cfg = layer.neuron
     beta = neuron.effective_decay(layer.decay_raw, cfg)
     zero_reset = cfg.reset_mode == "zero"
+    one = dtype.type(1.0)  # 1 - S of bool spikes in the compute dtype's loop
 
     # dL/dC over the counts: (2/n) * counts * dgoodness, in that order
     d_counts = np.multiply(2.0 / n, trace.counts, out=trace.counts)
@@ -596,7 +597,7 @@ def layer_backward(
         if du_next is not None:  # du += du_next * carry; du_next dies here
             carry = beta
             if zero_reset:  # beta * (1 - S[t])
-                carry = np.subtract(1.0, trace.spikes[t], out=scratch)
+                carry = np.subtract(one, trace.spikes[t], out=scratch)
                 np.multiply(beta, carry, out=carry)
             du += np.multiply(du_next, carry, out=du_next)
         if t > 0:
@@ -605,7 +606,7 @@ def layer_backward(
             if d_beta is not None:
                 path = prev_mem
                 if zero_reset:  # prev_mem * (1 - S[t-1])
-                    path = np.subtract(1.0, prev_spk, out=scratch)
+                    path = np.subtract(one, prev_spk, out=scratch)
                     np.multiply(prev_mem, path, out=path)
                 d_beta += np.multiply(du, path, out=scratch).sum(axis=0)
             if d_rec is not None:

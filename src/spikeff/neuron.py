@@ -77,17 +77,21 @@ def advance_membrane(
     store them) or float: the reset term casts bool to exact 0.0/1.0, so both
     give the same bits. `out` may be `membrane` itself (an in-place step);
     `scratch`, when given, is a float buffer that holds the reset term (a
-    unit threshold subtracts the spikes directly: thr * S == S). The
-    ufuncs and their order are fixed, so every caller gets the same bits.
+    unit threshold subtracts the spikes directly: thr * S == S). Its
+    scalar is of the output's dtype, so bool spikes run that dtype's loop,
+    not float64's (1 - S and thr * S are exact in either). The ufuncs and
+    their order are fixed, so every caller gets the same bits.
     """
     out = np.multiply(beta, membrane, out=out)
+    scalar = out.dtype.type
     if config.reset_mode == "zero":
-        np.multiply(out, np.subtract(1.0, spikes, out=scratch), out=out)
+        np.multiply(out, np.subtract(scalar(1.0), spikes, out=scratch), out=out)
         return np.add(out, drive, out=out)
     np.add(out, drive, out=out)
     if config.threshold == 1.0:  # 1.0 * s == s exactly: no reset-term pass
         return np.subtract(out, spikes, out=out)
-    return np.subtract(out, np.multiply(config.threshold, spikes, out=scratch), out=out)
+    reset = np.multiply(scalar(config.threshold), spikes, out=scratch)
+    return np.subtract(out, reset, out=out)
 
 
 def membrane_update(

@@ -26,7 +26,9 @@ from .numerics import RngStream, adam_update, run_all, worker_ranges
 
 LOSS_DIVERGENCE_LIMIT = 1e6
 
-# rng substream keys (weight init uses the bare root stream)
+# rng substream keys of a run's root stream: weight init (drawn by
+# `cli.build_from_config`), then each epoch's shuffle and negative labels
+KEY_INIT = 100
 KEY_SHUFFLE = 101
 KEY_NEGATIVES = 102
 

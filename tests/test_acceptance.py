@@ -97,7 +97,7 @@ def mnist_run():
     net = build_network(
         [100, 100], 784, 10, 10,
         NeuronConfig(threshold=1.0, decay=0.99, decay_learnable=True),
-        RngStream(0).substream(cli.KEY_INIT),
+        RngStream(0).substream(trainer_mod.KEY_INIT),
     )
     config = TrainConfig(epochs=15, batch_size=256, lr=1e-3, seed=0,
                          eval_every=0)
@@ -440,7 +440,7 @@ def test_criterion_10_temporal_pathway(tmp_path):
     for recurrent in (True, False):
         net = build_network(
             [64], 20, 2, 10, NeuronConfig(threshold=1.0, decay=0.9),
-            RngStream(3).substream(cli.KEY_INIT), recurrent=recurrent,
+            RngStream(3).substream(trainer_mod.KEY_INIT), recurrent=recurrent,
         )
         config = TrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=3,
                              eval_every=0)

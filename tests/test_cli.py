@@ -555,6 +555,26 @@ class TestCommands:
         assert record["error"] == "FileNotFoundError"
         assert "train.bse" in record["message"]
 
+    def test_a_bse_copy_of_a_dataset_trains_and_predicts_as_it(self, tmp_path):
+        """BSE1 bins are float32 and stay so in memory; the layer's product
+        casts them, exactly, into the float64 rows the generator makes."""
+        config = tiny_config(tmp_path, dataset="synthetic:temporal", timesteps=10)
+        data_dir = tmp_path / "temporal-bse"
+        data_dir.mkdir()
+        for split in ("train", "test"):
+            dataio.write_binned_events(data_dir / f"{split}.bse",
+                                       cli.load_split(config, None, split))
+        written = {}
+        for name in ("synthetic:temporal", f"bse:{data_dir}"):
+            out = tmp_path / str(len(written))
+            assert run_train(dataclasses.replace(
+                config, dataset=name, out_dir=str(out))) == 0
+            assert cli.main(["predict", str(out / "checkpoint.sffc"),
+                             "--out", str(out / "predict.csv")]) == 0
+            written[name] = [(out / f).read_bytes()
+                             for f in ("metrics.csv", "predict.csv")]
+        assert written["synthetic:temporal"] == written[f"bse:{data_dir}"]
+
     def write_mnist_with_label(self, root, label):
         folder = root / "mnist"
         folder.mkdir(parents=True)

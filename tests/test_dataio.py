@@ -1,6 +1,10 @@
 import gzip
 import pickle
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,12 +209,75 @@ class TestBse:
         with pytest.raises(FormatError, match="magic"):
             dataio.load_binned_events(path)
 
-    def test_payload_size_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("payload", [10, 2 * 33 + 1, 0])
+    def test_payload_size_mismatch(self, tmp_path, payload):
+        """Two declared 33-byte records: a short payload, one byte over,
+        and a header with no records."""
         path = tmp_path / "short.bse"
         path.write_bytes(dataio.BSE_MAGIC + struct.pack("<IIII", 2, 2, 4, 2)
-                         + b"\x00" * 10)
+                         + b"\x00" * payload)
         with pytest.raises(DataConsistencyError, match="declares 2 samples"):
             dataio.load_binned_events(path)
+
+    def test_no_samples_load_as_an_empty_dataset(self, tmp_path):
+        path = tmp_path / "none.bse"
+        path.write_bytes(dataio.BSE_MAGIC + struct.pack("<IIII", 0, 2, 4, 2))
+        back = dataio.load_binned_events(path)
+        assert back.inputs.shape == (0, 8)
+        assert back.labels.shape == (0,)
+        assert (back.class_count, back.input_dim, back.timesteps) == (2, 4, 2)
+
+    def test_load_maps_the_payload(self, tmp_path):
+        """A load allocates the labels, not the bins: its tracemalloc peak
+        stays under a twentieth of the file."""
+        rng = RngStream(6)
+        ds = dataio.Dataset(rng.integers(0, 9, (540, 10 * 400)) / 4.0,
+                            rng.integers(0, 10, 540), 10, 400,
+                            temporal=True, timesteps=10)
+        path = tmp_path / "mapped.bse"
+        dataio.write_binned_events(path, ds)
+        size = path.stat().st_size
+        assert size >= 8 << 20
+        tracemalloc.start()
+        try:
+            back = dataio.load_binned_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 20, (peak, size)
+        assert back.inputs.dtype == np.float32
+        np.testing.assert_array_equal(back.inputs, ds.inputs.astype(np.float32))
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_rewriting_a_mapped_file_keeps_the_loaded_rows(self, tmp_path):
+        """A dataset maps its file, so the file is replaced, never cut short
+        under it. In a subprocess, a SIGBUS fails this test alone."""
+        script = f"""
+import numpy as np
+from spikeff import dataio
+from spikeff.numerics import RngStream
+
+def counts(n, seed):
+    rng = RngStream(seed)
+    return dataio.Dataset(rng.integers(0, 9, (n, 3 * 2048)) / 4.0,
+                          rng.integers(0, 10, n), 10, 2048,
+                          temporal=True, timesteps=3)
+
+path = {str(tmp_path / "rewritten.bse")!r}
+first = counts(64, 1)
+dataio.write_binned_events(path, first)
+loaded = dataio.load_binned_events(path)
+dataio.write_binned_events(path, counts(2, 2))
+rows = np.array([loaded.inputs[i] for i in range(loaded.num_samples)])
+assert np.array_equal(rows, first.inputs), "the loaded rows changed"
+assert dataio.load_binned_events(path).num_samples == 2
+"""
+        src = str(Path(dataio.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert [p.name for p in tmp_path.iterdir()] == ["rewritten.bse"]
 
     @pytest.mark.parametrize("samples", [0, 3])
     def test_records_too_large_to_read(self, tmp_path, samples):
