@@ -621,7 +621,9 @@ def load_cifar10(directory, split: str = "train") -> Dataset:
     """Load CIFAR-10 from a cifar-10-batches-py directory, flattened, /255.
 
     Batches are unpickled with only numpy's array globals allowed; a file
-    that is not a CIFAR-10 batch raises FormatError.
+    that is not a CIFAR-10 batch raises FormatError. The pixels stay as
+    unpickled (bytes, as shipped) until they are cast into the one float64
+    result, which is divided in place.
     """
     directory = Path(directory)
     names = (
@@ -635,7 +637,9 @@ def load_cifar10(directory, split: str = "train") -> Dataset:
         with open(path, "rb") as f:
             try:
                 batch = _ArrayUnpickler(f, encoding="bytes").load()
-                data = np.asarray(_unpickled(batch[b"data"]), dtype=np.float64)
+                data = _unpickled(batch[b"data"])
+                if not isinstance(data, np.ndarray):  # an `_array` is numeric
+                    data = np.asarray(data, dtype=np.float64)
                 label = np.asarray(_unpickled(batch[b"labels"]), dtype=np.int64)
             except Exception as exc:  # malformed pickles raise almost any type
                 raise FormatError(f"{path}: not a CIFAR-10 batch ({exc!r})") from exc
@@ -644,6 +648,8 @@ def load_cifar10(directory, split: str = "train") -> Dataset:
                 f"{path}: data has shape {data.shape} and labels {label.shape}, "
                 "expected (n, 3072) and (n,)"
             )
-        chunks.append(data / 255.0)
+        chunks.append(data)
         labels.append(label)
-    return Dataset(np.vstack(chunks), np.concatenate(labels), 10, 3072)
+    inputs = np.concatenate(chunks, dtype=np.float64)  # the one float64 copy
+    inputs /= 255.0
+    return Dataset(inputs, np.concatenate(labels), 10, 3072)

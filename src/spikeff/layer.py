@@ -163,8 +163,8 @@ def overlay_correction(weights: np.ndarray, peak: np.ndarray, labels,
     same multiply either way, so equal values give equal bits, in the
     weights' dtype.
     """
-    peak = peak.astype(weights.dtype, copy=False)
-    return np.multiply(weights.T[labels], peak[:, None], out=out)
+    return np.multiply(weights.T[labels], peak[:, None], out=out,
+                       dtype=weights.dtype)
 
 
 def check_finite(z: np.ndarray, t: int) -> None:
@@ -174,38 +174,25 @@ def check_finite(z: np.ndarray, t: int) -> None:
 
 
 def product(x: np.ndarray, weights: np.ndarray, t: int, out: np.ndarray,
-            cast: Optional[np.ndarray] = None,
-            correction: Optional[np.ndarray] = None) -> np.ndarray:
+            correction: Optional[np.ndarray] = None) -> None:
     """z_t = x_t W^T of one timestep's (B, n_in) input, written to `out`.
 
-    The GEMM runs in the weights' dtype, the layer's compute dtype: an
-    input of another dtype (bool spikes, narrower frames, float64 rows of
-    a float32 layer) is cast into `cast` (`_cast_buffer`), when given,
-    else into a new array. For an overlaid input, x_t is the base frame
-    and `correction` the overlay's `overlay_correction`: z_t = x_base,t
-    W^T + peak (x) W[:, labels], one B-row GEMM and one add, the product
-    of the overlaid rows without writing them out. Raises a NumericError
-    naming timestep t unless the product is finite. Returns the rows the
-    GEMM read. Every product of a layer input is this call: the train
-    pass's, the backward's recompute and the eval rollout's, so all have
-    the same bits; label scoring adds a row range's correction to its
+    The GEMM runs in the weights' dtype, the layer's compute dtype, and
+    casts an input of another dtype (bool spikes, narrower frames, float64
+    rows of a float32 layer) itself, as every GEMM here does. For an
+    overlaid input, x_t is the base frame and `correction` the overlay's
+    `overlay_correction`: z_t = x_base,t W^T + peak (x) W[:, labels], one
+    B-row GEMM and one add, the product of the overlaid rows without
+    writing them out. Raises a NumericError naming timestep t unless the
+    product is finite. Every product of a layer input is this call: the
+    train pass's, the backward's recompute and the eval rollout's, so all
+    have the same bits; label scoring adds a row range's correction to its
     rows of the one B-row base product, the same two ops.
     """
-    if cast is not None:
-        np.copyto(cast, x)
-        x = cast
-    x = x.astype(weights.dtype, copy=False)
-    np.matmul(x, weights.T, out=out)
+    np.matmul(x, weights.T, out=out, dtype=weights.dtype)
     if correction is not None:
         np.add(out, correction, out=out)
     check_finite(out, t)
-    return x
-
-
-def _cast_buffer(x: np.ndarray, dtype: np.dtype):
-    """The (B, n_in) buffer of `dtype`, the weights', that `product` casts a
-    stacked input's timesteps into, or None for an input of that dtype."""
-    return None if x.dtype == dtype else np.empty(x.shape[1:], dtype)
 
 
 def fold_running_stats(layer: SpikingLayer, trace: "LayerForwardTrace") -> None:
@@ -304,8 +291,8 @@ def layer_forward(
     plus the recurrent drive, one `neuron.membrane_update` and
     `neuron.fire`. The trace records the bool spikes and the membranes;
     the counts are the spikes summed over time (exact: integers <= T).
-    The backward recomputes a stacked input's products. Every buffer is
-    in the weights' dtype.
+    The backward recomputes a stacked input's products. Every floating
+    buffer is in the weights' dtype, which each GEMM casts its input into.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -358,10 +345,9 @@ def layer_forward(
     else:
         x = np.asarray(frames)
         shared_product = None
-        cast = _cast_buffer(x, dtype)
         for t in range(t_steps):
             # z_t goes to the membrane slot timestep t's update overwrites
-            product(x[t], layer.weights, t, membranes[t], cast, correction)
+            product(x[t], layer.weights, t, membranes[t], correction)
             if train:
                 mu[t], var[t] = _batch_stats(membranes[t], drive)
     scale, offset = norm_affine(mu, var, layer.eps, layer.gamma, layer.shift)
@@ -373,7 +359,7 @@ def layer_forward(
         np.multiply(z, scale[t], out=drive)
         np.add(drive, offset[t], out=drive)
         if layer.recurrent is not None:
-            drive += s.astype(dtype) @ layer.recurrent
+            drive += np.matmul(s, layer.recurrent, dtype=dtype)
         u = neuron.membrane_update(
             u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
         )
@@ -403,13 +389,14 @@ class EvalRollout:
     """One layer's eval-mode state for a timestep-major rollout, kept in place.
 
     Preallocated buffers of up to `rows` rows hold the drive, membrane,
-    spikes, recurrent drive and spike counts of the current timestep only,
-    plus one row block (`numerics.row_blocks`) of scratch and one of bools
-    that a block fires into; nothing is recorded. Floating buffers are in
-    the weights' dtype (`dtype`), and the counts are unsigned integers
-    wide enough for T. A timestep's product (`product`) is written into
-    `drive`, and `step` allocates no buffer. `reset` starts a new rollout
-    on the same buffers. Every step applies the ufuncs of
+    bool spikes, recurrent drive and spike counts of the current timestep
+    only, plus one row block (`numerics.row_blocks`) of scratch; nothing is
+    recorded. Floating buffers are in the weights' dtype (`dtype`), and the
+    counts are unsigned integers wide enough for T. A timestep's product
+    (`product`) is written into `drive`. A GEMM that reads bool spikes
+    casts them into one temporary per call: the next layer's product and,
+    in `step`, the recurrent drive, which is all `step` allocates. `reset`
+    starts a new rollout on the same buffers. Every step applies the ufuncs of
     `layer_forward(mode="eval")` in its order (`z * scale + offset` from
     `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
     then `neuron.fire`), so membranes, spikes and counts equal the
@@ -425,14 +412,13 @@ class EvalRollout:
         shape = (rows, layer.n_out)
         self._drive = np.empty(shape, dtype)
         self._membrane = np.empty(shape, dtype)
-        self._spikes = np.empty(shape, dtype)
+        self._spikes = np.empty(shape, bool)
         self._counts = np.empty(shape, np.min_scalar_type(layer.timesteps))
         recurrent = layer.recurrent is not None
         self._recurrent_drive = np.empty(shape, dtype) if recurrent else None
         # the first block is the largest of any rollout of up to `rows` rows
         block = (row_blocks(rows, layer.n_out)[0].stop, layer.n_out)
         self.scratch = np.empty(block, dtype)
-        self.fired = np.empty(block, bool)
         # A learnable decay, tiled to a block: the decay multiply then runs
         # over same-shape operands instead of an (n,) broadcast (same bits).
         self.beta = neuron.effective_decay(layer.decay_raw, layer.neuron)
@@ -458,12 +444,13 @@ class EvalRollout:
         """Advance one timestep from the product z; returns the spike buffer.
 
         z may be `self.drive` itself (it is then overwritten) or a product
-        shared across timesteps (it is only read). The bools a block fires
-        are copied into the spike buffer and added, as bytes, to the counts.
+        shared across timesteps (it is only read). A block's spikes are
+        added, as bytes, to the counts.
         """
         layer, cfg = self.layer, self.layer.neuron
         if self.recurrent_drive is not None:  # from the previous spikes
-            np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive)
+            np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive,
+                      dtype=self.dtype)
         scale, offset = self.scale[t], self.offset[t]
         for rows in self.blocks:
             drive, u, s, counts = (
@@ -471,16 +458,15 @@ class EvalRollout:
                 self.counts[rows],
             )
             size = rows.stop - rows.start
-            tmp, fired = self.scratch[:size], self.fired[:size]
+            tmp = self.scratch[:size]
             beta = self.beta if self.beta_tile is None else self.beta_tile[:size]
             np.multiply(z[rows], scale, out=drive)
             np.add(drive, offset, out=drive)
             if self.recurrent_drive is not None:
                 np.add(drive, self.recurrent_drive[rows], out=drive)
             advance_membrane(u, s, drive, beta, cfg, out=u, scratch=tmp)
-            fire(u, cfg, out=fired)
-            np.copyto(s, fired)
-            np.add(counts, fired.view(np.uint8), out=counts)
+            fire(u, cfg, out=s)
+            np.add(counts, s.view(np.uint8), out=counts)
         return self.spikes
 
 
@@ -511,11 +497,10 @@ def layer_backward(
     (`trace.shared`) every X_t is the same frame, so it is one GEMM,
     (sum_t dz_t)^T X, with the sum kept in one (B, n) array. For a stacked
     input, each timestep's product is recomputed with the pass's call
-    (`product`, an input of another dtype cast into one reused (B, n_in)
-    buffer) into one (B, n) buffer, dz_t is written over it, and
-    dz_t^T X_t is added to the weight gradient. Bool spikes enter every
-    other use (the zero-reset carry, the decay path, `prev_spk^T @ du`
-    cast per timestep) as exact 0/1.
+    (`product`) into one (B, n) buffer, dz_t is written over it, and
+    dz_t^T X_t (cast in the GEMM) is added to the weight gradient. Bool
+    spikes enter every other use (the zero-reset carry, the decay path,
+    `prev_spk^T @ du` via scratch) as exact 0/1.
 
     The trace is consumed in place: dL/dC is written over `counts`, and
     dL/dU[t] over `membranes[t]`, which in descending t has served as
@@ -575,7 +560,6 @@ def layer_backward(
         z = trace.shared_product
     else:
         x = trace.inputs
-        cast = _cast_buffer(x, dtype)
         correction = None if overlay is None else overlay_correction(
             layer.weights, *overlay)
         d_weights = np.zeros_like(layer.weights)
@@ -610,13 +594,16 @@ def layer_backward(
                     np.multiply(prev_mem, path, out=path)
                 d_beta += np.multiply(du, path, out=scratch).sum(axis=0)
             if d_rec is not None:
-                np.copyto(scratch, prev_spk)  # bool spikes as exact 0/1
+                # bool spikes as exact 0/1, copied rather than cast inside
+                # the GEMM: numpy's cast of the transposed operand gives
+                # other bits at some shapes and is slower
+                np.copyto(scratch, prev_spk)
                 d_rec += scratch.T @ du
         # normalization backward: xhat, then dz over it in place
         if trace.shared:
             np.subtract(z, trace.mu[t], out=dz)
         else:
-            rows = product(x[t], layer.weights, t, dz, cast, correction)
+            product(x[t], layer.weights, t, dz, correction)
             np.subtract(dz, trace.mu[t], out=dz)
         np.multiply(dz, inv_std[t], out=dz)
         d_gamma[t] = np.multiply(du, dz, out=scratch).sum(axis=0)
@@ -628,14 +615,14 @@ def layer_backward(
         if dz_sum is not None:
             dz_sum += dz
         if not trace.shared:
-            d_weights += np.matmul(dz.T, rows, out=term)
+            d_weights += np.matmul(dz.T, x[t], out=term, dtype=dtype)
         du_next = du
 
     # freed before the weight gradient is made
     del u, du, du_next, dz, scratch, d_counts
     trace.membranes = trace.counts = None
     if trace.shared:
-        d_weights = dz_sum.T @ trace.inputs[0].astype(dtype, copy=False)
+        d_weights = np.matmul(dz_sum.T, trace.inputs[0], dtype=dtype)
     trace.inputs = None
     if overlay is not None:  # column labels[b] += peak[b] * sum_t dz_t[b]
         peaks = np.zeros((batch, overlay.labels.max() + 1), dtype)

@@ -73,9 +73,9 @@ def advance_membrane(
 ) -> np.ndarray:
     """The membrane recursion: one step from the prior membrane and spikes.
 
-    beta is `effective_decay`'s value. `spikes` may be bool (as train traces
-    store them) or float: the reset term casts bool to exact 0.0/1.0, so both
-    give the same bits. `out` may be `membrane` itself (an in-place step);
+    beta is `effective_decay`'s value. `spikes` are bool, as traces and
+    rollouts store them: the reset term casts them to exact 0.0/1.0.
+    `out` may be `membrane` itself (an in-place step);
     `scratch`, when given, is a float buffer that holds the reset term (a
     unit threshold subtracts the spikes directly: thr * S == S). Its
     scalar is of the output's dtype, so bool spikes run that dtype's loop,
@@ -111,7 +111,7 @@ def fire(membrane, config: NeuronConfig, out: np.ndarray) -> np.ndarray:
     """Spikes where the membrane reaches the threshold, written into `out`.
 
     The threshold is inclusive. `out` is bool, 1 byte a spike: a train
-    trace's `spikes[t]` or an eval rollout block's `fired`.
+    trace's `spikes[t]` or an eval rollout block's rows of its spikes.
     """
     return np.greater_equal(membrane, config.threshold, out=out)
 

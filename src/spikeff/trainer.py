@@ -101,10 +101,11 @@ def ff_loss(g_pos: np.ndarray, g_neg: np.ndarray, alpha: float):
         loss = -x / (1 + exp(x)) = -x * sigmoid(-x)
     grows linearly for very negative margins and decays to zero for large
     positive ones. Returns the batch-mean loss and analytic gradients with
-    respect to both goodness vectors (dL/dg_neg = -dL/dg_pos per sample).
+    respect to both goodness vectors (dL/dg_neg = -dL/dg_pos per sample),
+    in the goodness' dtype, the network's compute dtype.
     """
-    g_pos = np.asarray(g_pos, dtype=np.float64)
-    g_neg = np.asarray(g_neg, dtype=np.float64)
+    g_pos = np.asarray(g_pos)
+    g_neg = np.asarray(g_neg)
     if g_pos.shape != g_neg.shape:
         raise ValueError(f"goodness shapes differ: {g_pos.shape} vs {g_neg.shape}")
     if not alpha > 0:

@@ -85,8 +85,9 @@ class LiveArraySizes:
 @pytest.mark.parametrize("temporal", [False, True])
 def test_a_float32_network_scores_and_steps_in_float32(monkeypatch, temporal):
     net, batch = float32_case(temporal)
-    traces, rollouts, updates = [], [], []
+    traces, rollouts, updates, losses = [], [], [], []
     real_forward, real_adam = trainer.forward_train, trainer.adam_update
+    real_loss = trainer.ff_loss
 
     def recording_forward(layers, frames):
         result = real_forward(layers, frames)
@@ -102,7 +103,13 @@ def test_a_float32_network_scores_and_steps_in_float32(monkeypatch, temporal):
         real_adam(param, grad, state, lr, name)
         updates.append((name, param, grad, state.first_moment, state.second_moment))
 
+    def recording_loss(g_pos, g_neg, alpha):
+        result = real_loss(g_pos, g_neg, alpha)
+        losses.append(result)
+        return result
+
     monkeypatch.setattr(trainer, "forward_train", recording_forward)
+    monkeypatch.setattr(trainer, "ff_loss", recording_loss)
     monkeypatch.setattr(network, "EvalRollout", RecordingRollout)
     monkeypatch.setattr(trainer, "adam_update", recording_adam)
     float64_sizes = {8 * BATCH * n for n in WIDTHS}
@@ -122,8 +129,12 @@ def test_a_float32_network_scores_and_steps_in_float32(monkeypatch, temporal):
     for roll in rollouts:
         assert roll.counts.dtype == np.uint8  # counts of at most T spikes
         arrays = floating_arrays(roll)
-        assert {"_drive", "_membrane", "_spikes", "scratch", "scale"} <= arrays.keys()
+        assert {"_drive", "_membrane", "scratch", "scale"} <= arrays.keys()
         assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        assert roll._spikes.dtype == np.bool_  # one byte a spike, as a trace's
+    assert len(losses) == len(WIDTHS)
+    for _, d_pos, d_neg in losses:
+        assert d_pos.dtype == d_neg.dtype == np.float32
     trained = set(net.layers[0].trainable_tensors())
     assert {name.split(".")[1] for name, *_ in updates} == trained
     for name, *arrays in updates:

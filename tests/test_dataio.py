@@ -564,6 +564,26 @@ class TestCifar:
         with pytest.raises(FileNotFoundError):
             dataio.load_cifar10(tmp_path, "test")
 
+    def test_float64_rows_are_made_once(self, tmp_path):
+        """Five 1,000-sample batches load at a tracemalloc peak of at most
+        1.5x their float64 result: the pixels stay bytes until they are
+        cast into that result, with no float64 copy per batch and none
+        stacked."""
+        rng = np.random.default_rng(1)
+        data = [rng.integers(0, 256, (1000, 3072), dtype=np.uint8) for _ in range(5)]
+        for i, pixels in enumerate(data, 1):
+            (tmp_path / f"data_batch_{i}").write_bytes(pickle.dumps(
+                {b"data": pixels, b"labels": [i] * 1000}, protocol=4))
+        tracemalloc.start()
+        try:
+            ds = dataio.load_cifar10(tmp_path, "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.dtype == np.float64
+        assert ds.inputs.tobytes() == (np.vstack(data) / 255.0).tobytes()
+        assert peak <= 1.5 * ds.inputs.nbytes, peak / ds.inputs.nbytes
+
     @pytest.mark.parametrize("protocol", [3, 4, 5])
     def test_two_sample_batches_load(self, tmp_path, protocol):
         data = (np.arange(2 * 3072) % 256).astype(np.uint8).reshape(2, 3072)

@@ -14,6 +14,7 @@ from spikeff.layer import (
     layer_forward,
     overlay_correction,
     parameter_counts,
+    product,
 )
 from spikeff.network import build_network, forward_train
 from spikeff.neuron import (
@@ -438,12 +439,27 @@ class TestTraceLayout:
         assert np.abs(grads_a["weights"]).max() > 0
 
     @pytest.mark.parametrize("recurrent", [False, True])
-    def test_narrow_stacked_input_is_cast_one_timestep_at_a_time(self, recurrent):
-        """float32 frames give their float64 cast's trace and gradients bit
-        for bit, and neither the pass nor its backward makes a float64 copy
-        of the (T, B, n_in) stack."""
-        t_steps, batch, n_in = 8, 16, 256
-        narrow = RngStream(8).uniform((t_steps, batch, n_in)).astype(np.float32)
+    @pytest.mark.parametrize("kind", ["float32", "strided float32", "bool"])
+    @pytest.mark.parametrize("batch, n_in", [(16, 256), (2, 7), (37, 11)])
+    def test_narrow_stacked_input_is_cast_one_timestep_at_a_time(
+        self, recurrent, kind, batch, n_in
+    ):
+        """float32 frames, stacked or `time_frames`' strided view of
+        sample-major rows, and bool spikes give their explicit float64
+        cast's products, trace and gradients bit for bit: each GEMM casts
+        its operand itself. Neither the pass nor its backward makes a
+        float64 copy of the (T, B, n_in) stack."""
+        t_steps = 8
+        values = RngStream(8).uniform((batch, t_steps * n_in))
+        if kind == "bool":  # a layer's spikes
+            narrow = (values < 0.3).reshape(batch, t_steps, n_in).transpose(1, 0, 2)
+            narrow = np.ascontiguousarray(narrow)
+        else:
+            narrow = dataio.time_frames(values.astype(np.float32), n_in, t_steps,
+                                        t_steps)
+            if kind == "float32":
+                narrow = np.ascontiguousarray(narrow)
+        assert narrow.flags.c_contiguous == (kind != "strided float32")
         stack_bytes = 8 * narrow.size  # one float64 copy of the stack
         runs = []
         for frames in (narrow.astype(np.float64), narrow):
@@ -463,6 +479,9 @@ class TestTraceLayout:
             finally:
                 tracemalloc.stop()
             assert trace.inputs is None  # consumed
+            arrays["products"] = np.empty((t_steps, batch, 4))
+            for t in range(t_steps):
+                product(frames[t], layer.weights, t, arrays["products"][t])
             runs.append((arrays, grads, pass_peak, backward_peak))
         (arrays_a, grads_a, _, _), (arrays_b, grads_b, pass_peak, back_peak) = runs
         for name in arrays_a:
@@ -471,8 +490,9 @@ class TestTraceLayout:
         for name in grads_a:
             assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
         assert np.abs(grads_a["weights"]).max() > 0
-        assert pass_peak < stack_bytes / 2, pass_peak
-        assert back_peak < stack_bytes / 2, back_peak
+        if n_in == 256:  # a stack that outweighs the pass's own buffers
+            assert pass_peak < stack_bytes / 2, pass_peak
+            assert back_peak < stack_bytes / 2, back_peak
 
 
 class TestInit:

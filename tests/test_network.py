@@ -173,6 +173,7 @@ def test_rollout_steps_match_layer_forward_bit_for_bit(
     for t in range(TIMESTEPS):
         product(frames[t], layer.weights, t, roll.drive)
         spikes = roll.step(t, roll.drive)
+        assert spikes.dtype == np.bool_  # as a trace's: no float copy
         assert np.array_equal(roll.membrane, trace.membranes[t]), t
         assert np.array_equal(spikes, trace.spikes[t]), t
     assert np.array_equal(roll.counts, trace.counts)
