@@ -309,6 +309,20 @@ def _check_dataset_matches(config: ExperimentConfig, train_ds: dataio.Dataset):
         raise ConfigError(bad)
 
 
+def _check_splits_match(train_ds: dataio.Dataset, test_ds: dataio.Dataset):
+    """Refuse a test split that a network trained on `train_ds` cannot
+    score: another input width, class count or timestep count. Each
+    differing field is named with both values."""
+    bad = [
+        f"{name}: train split has {getattr(train_ds, name)}, test split has "
+        f"{getattr(test_ds, name)}"
+        for name in ("input_dim", "class_count", "timesteps")
+        if getattr(train_ds, name) != getattr(test_ds, name)
+    ]
+    if bad:
+        raise DataConsistencyError("; ".join(bad))
+
+
 def _runs(pid: int) -> bool:
     """Whether a process with this id runs (one we may not signal counts)."""
     try:
@@ -347,6 +361,11 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
     fails, what it wrote is deleted and the previous files are moved back
     unchanged; if it succeeds, they are deleted. A killed run can do
     neither, so every run first moves back what killed runs left aside.
+
+    Before anything is built, the training split is checked against the
+    config, and the test split against the training split: a test split of
+    another input width, class count or timestep count is a
+    DataConsistencyError, with no epoch trained.
     """
     out = Path(config.out_dir)
     artifacts = {
@@ -375,6 +394,7 @@ def run_train(config: ExperimentConfig, root: Optional[str] = None) -> int:
         validate_config(config)
         train_ds, test_ds = load_datasets(config, root)
         _check_dataset_matches(config, train_ds)
+        _check_splits_match(train_ds, test_ds)
         net = build_from_config(config, train_ds)
         writing("config").write_text(serialize_config(config))
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import neuron
 from .dataio import OverlaidFrames, Overlay
 from .errors import NumericError, ShapeError, UsageError
-from .neuron import NeuronConfig, advance_membrane, fire
+from .neuron import NeuronConfig, timestep
 from .numerics import AdamState, RngStream, row_blocks
 
 # Every tensor a layer stores, in checkpoint order: its shape in the layer's
@@ -285,12 +285,14 @@ def layer_forward(
     mode by its batch statistics: a static input's one product goes into
     `shared_product`, a stacked input's z_t (`product`) into
     `membranes[t]`, the slot timestep t's update overwrites once z_t has
-    made the drive. Then
-    one affine map over (T, n_out) (`norm_affine`, as `EvalRollout` takes
-    it). Then a loop that only steps: drive `z_t * scale[t] + offset[t]`
-    plus the recurrent drive, one `neuron.membrane_update` and
-    `neuron.fire`. The trace records the bool spikes and the membranes;
-    the counts are the spikes summed over time (exact: integers <= T).
+    made the drive. Then one affine map over (T, n_out) (`norm_affine`,
+    as `EvalRollout` takes it). Then a loop that only steps: per timestep,
+    a recurrent layer's recurrent drive of the prior spikes, then one
+    whole-batch call of the LIF kernel `neuron.timestep`, under its traced
+    name `neuron.membrane_update`, which writes the membrane into
+    `membranes[t]` and the spikes into `spikes[t]`. The trace records the
+    bool spikes and the membranes; the counts are the spikes summed over
+    time (exact: integers <= T).
     The backward recomputes a stacked input's products. Every floating
     buffer is in the weights' dtype, which each GEMM casts its input into.
     """
@@ -356,14 +358,11 @@ def layer_forward(
     s = np.zeros((batch, n), bool)
     for t in range(t_steps):
         z = membranes[t] if shared_product is None else shared_product
-        np.multiply(z, scale[t], out=drive)
-        np.add(drive, offset[t], out=drive)
-        if layer.recurrent is not None:
-            drive += np.matmul(s, layer.recurrent, dtype=dtype)
-        u = neuron.membrane_update(
-            u, s, drive, beta, cfg, out=membranes[t], scratch=scratch
-        )
-        s = fire(u, cfg, out=spikes[t])
+        rec = None if layer.recurrent is None else np.matmul(
+            s, layer.recurrent, dtype=dtype)
+        neuron.membrane_update(z, scale[t], offset[t], rec, u, s, beta, cfg,
+                               membranes[t], spikes[t], drive, scratch)
+        u, s = membranes[t], spikes[t]
 
     counts = spikes.sum(axis=0, dtype=dtype)  # integers <= T: exact
     return LayerForwardTrace(
@@ -396,10 +395,9 @@ class EvalRollout:
     (`product`) is written into `drive`. A GEMM that reads bool spikes
     casts them into one temporary per call: the next layer's product and,
     in `step`, the recurrent drive, which is all `step` allocates. `reset`
-    starts a new rollout on the same buffers. Every step applies the ufuncs of
-    `layer_forward(mode="eval")` in its order (`z * scale + offset` from
-    `norm_affine`, then recurrent drive, then `neuron.advance_membrane`,
-    then `neuron.fire`), so membranes, spikes and counts equal the
+    starts a new rollout on the same buffers. Every step runs the kernel of
+    `layer_forward(mode="eval")`, `neuron.timestep`, on the same
+    `norm_affine` map, so membranes, spikes and counts equal the
     reference's bit for bit.
     """
 
@@ -443,29 +441,22 @@ class EvalRollout:
     def step(self, t: int, z: np.ndarray) -> np.ndarray:
         """Advance one timestep from the product z; returns the spike buffer.
 
-        z may be `self.drive` itself (it is then overwritten) or a product
-        shared across timesteps (it is only read). A block's spikes are
-        added, as bytes, to the counts.
+        Each row block (`numerics.row_blocks`) is one `neuron.timestep`
+        call, in place: its membrane and spikes are both the prior state
+        and the output. z may be `self.drive` itself (it is then
+        overwritten) or a product shared across timesteps (it is only
+        read). A block's spikes are then added, as bytes, to the counts.
         """
-        layer, cfg = self.layer, self.layer.neuron
-        if self.recurrent_drive is not None:  # from the previous spikes
-            np.matmul(self.spikes, layer.recurrent, out=self.recurrent_drive,
-                      dtype=self.dtype)
+        layer, cfg, rec = self.layer, self.layer.neuron, self.recurrent_drive
+        if rec is not None:  # from the previous spikes
+            np.matmul(self.spikes, layer.recurrent, out=rec, dtype=self.dtype)
         scale, offset = self.scale[t], self.offset[t]
         for rows in self.blocks:
-            drive, u, s, counts = (
-                self.drive[rows], self.membrane[rows], self.spikes[rows],
-                self.counts[rows],
-            )
+            u, s, counts = self.membrane[rows], self.spikes[rows], self.counts[rows]
             size = rows.stop - rows.start
-            tmp = self.scratch[:size]
             beta = self.beta if self.beta_tile is None else self.beta_tile[:size]
-            np.multiply(z[rows], scale, out=drive)
-            np.add(drive, offset, out=drive)
-            if self.recurrent_drive is not None:
-                np.add(drive, self.recurrent_drive[rows], out=drive)
-            advance_membrane(u, s, drive, beta, cfg, out=u, scratch=tmp)
-            fire(u, cfg, out=s)
+            timestep(z[rows], scale, offset, None if rec is None else rec[rows],
+                     u, s, beta, cfg, u, s, self.drive[rows], self.scratch[:size])
             np.add(counts, s.view(np.uint8), out=counts)
         return self.spikes
 

@@ -8,6 +8,9 @@ Membrane recursion (reset by subtraction is the default):
 Spikes are emitted where U >= thr (inclusive). The decay can be a learnable
 per-neuron parameter stored as an unconstrained raw value and mapped through
 a sigmoid so it always stays in (0, 1).
+
+A timestep is one kernel, `timestep`, which the train pass and the eval
+rollout both step through.
 """
 
 import math
@@ -71,7 +74,9 @@ def effective_decay(decay_raw: Optional[np.ndarray], config: NeuronConfig):
 def advance_membrane(
     membrane, spikes, drive, beta, config: NeuronConfig, out=None, scratch=None
 ) -> np.ndarray:
-    """The membrane recursion: one step from the prior membrane and spikes.
+    """The membrane recursion: one step from the prior membrane and spikes,
+    given the step's drive; `timestep` runs it between the drive and the
+    threshold.
 
     beta is `effective_decay`'s value. `spikes` are bool, as traces and
     rollouts store them: the reset term casts them to exact 0.0/1.0.
@@ -79,8 +84,7 @@ def advance_membrane(
     `scratch`, when given, is a float buffer that holds the reset term (a
     unit threshold subtracts the spikes directly: thr * S == S). Its
     scalar is of the output's dtype, so bool spikes run that dtype's loop,
-    not float64's (1 - S and thr * S are exact in either). The ufuncs and
-    their order are fixed, so every caller gets the same bits.
+    not float64's (1 - S and thr * S are exact in either).
     """
     out = np.multiply(beta, membrane, out=out)
     scalar = out.dtype.type
@@ -94,17 +98,33 @@ def advance_membrane(
     return np.subtract(out, reset, out=out)
 
 
-def membrane_update(
-    membrane, spikes, drive, beta, config: NeuronConfig, out=None, scratch=None
-) -> np.ndarray:
-    """Next membrane, written to `out` (a new array when None); the reset is
-    driven by the prior spikes.
+def timestep(z, scale, offset, recurrent_drive, membrane, spikes, beta,
+             config: NeuronConfig, out, fired, drive, scratch) -> None:
+    """One LIF timestep of a block of rows: the one definition of a step.
 
-    `layer_forward`'s entry to `advance_membrane`, looked up on this module
-    so that profilers can wrap it; the in-place scoring step calls the
-    kernel directly.
+    The drive is the product z under the normalization's affine row,
+    `z * scale + offset` (`layer.norm_affine`), plus `recurrent_drive`
+    (the prior spikes' recurrent product) when not None; it is written to
+    `drive`, which may be z itself. Then `advance_membrane` steps
+    `membrane` with the prior `spikes` into `out` (which may be `membrane`,
+    an in-place step; `scratch` holds its reset term), and `fire` writes
+    the new spikes into `fired` (bool, which may be `spikes`). The train
+    pass (`layer_forward`, through `membrane_update`) steps its whole
+    batch in one call per timestep; the eval rollout (`EvalRollout.step`)
+    one row block per call. The ufuncs and their order are fixed, so both
+    get the same bits.
     """
-    return advance_membrane(membrane, spikes, drive, beta, config, out, scratch)
+    np.multiply(z, scale, out=drive)
+    np.add(drive, offset, out=drive)
+    if recurrent_drive is not None:
+        np.add(drive, recurrent_drive, out=drive)
+    advance_membrane(membrane, spikes, drive, beta, config, out=out, scratch=scratch)
+    fire(out, config, out=fired)
+
+
+# The train pass's name for the kernel, looked up on this module on each
+# call so that profilers can wrap it; the eval rollout calls `timestep`.
+membrane_update = timestep
 
 
 def fire(membrane, config: NeuronConfig, out: np.ndarray) -> np.ndarray:

@@ -101,6 +101,17 @@ class TestConfigFormat:
         text = "\n".join(err.value.violations)
         assert "nonsense" in text and "banana" in text
 
+    @pytest.mark.parametrize("text,problem", [
+        ("epochs = 3\njust words\n",
+         "line 2: expected 'key = value', got 'just words'"),
+        ("epochs = 3\nrecurrent = maybe\n",
+         "line 2: recurrent: cannot parse 'maybe' as bool"),
+    ], ids=["no-equals", "non-boolean"])
+    def test_malformed_line_is_named(self, text, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config_values(text)
+        assert err.value.violations == [problem]
+
     def test_validation_lists_every_violation(self):
         config = ExperimentConfig(
             dataset="", hidden_sizes=[], threshold=-1.0, decay=2.0,
@@ -372,6 +383,51 @@ class TestRunTrain:
         assert run_train(config) == 1
         record = json.loads((Path(config.out_dir) / "error.json").read_text())
         assert any("timesteps" in v for v in record["violations"])
+
+    def test_class_count_mismatch_reported(self, tmp_path):
+        config = tiny_config(tmp_path, class_count=3)
+        assert run_train(config) == 1
+        record = json.loads((Path(config.out_dir) / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert record["violations"] == [
+            "class_count: config says 3, dataset has 2"]
+
+    @pytest.mark.parametrize("field,test_split", [
+        ("input_dim", dict(input_dim=24)),
+        ("class_count", dict(class_count=3)),
+        # labels all below 2: a run would train and score with no error
+        ("class_count", dict(declared_classes=3)),
+        ("timesteps", dict(timesteps=8)),
+    ], ids=["wider", "more-classes", "more-classes-declared", "fewer-timesteps"])
+    def test_test_split_unlike_the_training_split_is_refused(
+            self, tmp_path, monkeypatch, field, test_split):
+        """Refused before the network is built: the run trains nothing and
+        leaves only its error record."""
+        data = tmp_path / "data"
+        data.mkdir()
+        train_ds = dataio.make_temporal_dataset(40, seed=1)
+        dataio.write_binned_events(data / "train.bse", train_ds)
+        generated = dict(test_split)
+        declared = generated.pop("declared_classes", None)
+        test_ds = dataio.make_temporal_dataset(20, seed=2, **generated)
+        if declared is not None:
+            test_ds = dataio.Dataset(test_ds.inputs, test_ds.labels, declared,
+                                     test_ds.input_dim, temporal=True,
+                                     timesteps=test_ds.timesteps)
+        dataio.write_binned_events(data / "test.bse", test_ds)
+        trained = []
+        monkeypatch.setattr(cli.trainer, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        config = tiny_config(tmp_path, dataset=f"bse:{data}", timesteps=10)
+        assert run_train(config) == 1
+        out = Path(config.out_dir)
+        assert list(out.iterdir()) == [out / "error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DataConsistencyError"
+        assert record["message"] == (
+            f"{field}: train split has {getattr(train_ds, field)}, test split "
+            f"has {getattr(test_ds, field)}")
+        assert trained == []
 
 
 class TestDatasets:

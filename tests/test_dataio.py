@@ -219,6 +219,15 @@ class TestBse:
         with pytest.raises(DataConsistencyError, match="declares 2 samples"):
             dataio.load_binned_events(path)
 
+    @pytest.mark.parametrize("t,d,c", [(0, 4, 2), (2, 0, 0), (2, 3, 4)],
+                             ids=["no-timesteps", "no-channels",
+                                  "fewer-channels-than-classes"])
+    def test_inconsistent_header(self, tmp_path, t, d, c):
+        path = tmp_path / "header.bse"
+        path.write_bytes(dataio.BSE_MAGIC + struct.pack("<IIII", 1, t, d, c))
+        with pytest.raises(DataConsistencyError, match="inconsistent header"):
+            dataio.load_binned_events(path)
+
     def test_no_samples_load_as_an_empty_dataset(self, tmp_path):
         path = tmp_path / "none.bse"
         path.write_bytes(dataio.BSE_MAGIC + struct.pack("<IIII", 0, 2, 4, 2))
@@ -312,6 +321,15 @@ class TestDatasetChecks:
         with pytest.raises(ShapeError, match="timesteps == 1"):
             dataio.Dataset(np.zeros((2, 8)), np.array([0, 1]), 2, 4, timesteps=2)
 
+    def test_label_count_unlike_row_count_is_shape_error(self):
+        with pytest.raises(ShapeError, match="3 samples but 2 labels"):
+            dataio.Dataset(np.zeros((3, 4)), np.array([0, 1]), 2, 4)
+
+    def test_columns_unlike_timesteps_times_channels_is_shape_error(self):
+        with pytest.raises(ShapeError, match="7 columns, expected"):
+            dataio.Dataset(np.zeros((2, 7)), np.array([0, 1]), 2, 4,
+                           temporal=True, timesteps=2)
+
 
 class TestEmbedding:
     def batch(self, rows, labels, timesteps=1):
@@ -375,6 +393,12 @@ class TestEmbedding:
             dataio.embed_label(batch, [2], class_count=2)
         with pytest.raises(DataConsistencyError, match=r"\[0, 2\)"):
             dataio.embed_label(batch, [-1], class_count=2)
+
+    def test_overlay_labels_of_another_length(self):
+        batch = self.batch([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]], [0, 1])
+        for labels in ([0], [0, 1, 1]):
+            with pytest.raises(ShapeError, match=r"!= batch size \(2,\)"):
+                dataio.embed_label(batch, labels, class_count=2)
 
     def test_overlay_needs_class_count_channels(self):
         batch = self.batch([[0.5, 0.5, 0.5]], [0])

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spikeff import dataio
+from spikeff import dataio, neuron, predictor
 from spikeff.errors import NumericError, ShapeError, UsageError
 from spikeff.layer import (
     EvalRollout,
@@ -178,6 +178,43 @@ def test_rollout_steps_match_layer_forward_bit_for_bit(
         assert np.array_equal(spikes, trace.spikes[t]), t
     assert np.array_equal(roll.counts, trace.counts)
     assert np.array_equal(goodness(roll), goodness(trace))
+
+
+@pytest.mark.parametrize("recurrent,temporal", [(False, False), (True, True)])
+def test_only_the_train_pass_steps_under_the_traced_name(monkeypatch, recurrent,
+                                                        temporal):
+    """Profilers wrap `neuron.membrane_update` on its module and count its
+    calls: one layer's train pass looks it up once per timestep, whole
+    batch, and scoring never runs under it. The wrapped runs' results equal
+    the plain runs' bit for bit."""
+    net, ds = trained_network("subtract", True, recurrent, temporal, 3)
+    batch = held_out_batch(ds)
+    frames = dataio.embed_label(batch, batch.labels, 3).frames(TIMESTEPS)
+
+    def train_pass():
+        (trace,) = forward_train(net.layers[:1], frames)
+        return trace.spikes, trace.membranes, trace.counts, trace.mu, trace.var
+
+    runs = (train_pass, lambda: label_goodness(net, batch),
+            lambda: predictor.evaluate(net, ds))
+    plain = [run() for run in runs]
+    calls = []
+    kernel = neuron.membrane_update
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))  # the rows of one call
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(neuron, "membrane_update", counting)
+    wrapped = []
+    for run, expected in zip(runs, ([batch.size] * TIMESTEPS, [], [])):
+        calls.clear()
+        wrapped.append(run())
+        assert calls == expected
+    for a, b in zip(plain[0], wrapped[0]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(plain[1], wrapped[1])
+    assert plain[2] == wrapped[2]
 
 
 @pytest.mark.parametrize("layer_index", [0, 1])

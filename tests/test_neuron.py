@@ -8,7 +8,7 @@ from spikeff.errors import ConfigError, NumericError, ShapeError
 from spikeff.layer import SpikingLayer, layer_forward
 from spikeff.neuron import (
     NeuronConfig,
-    membrane_update,
+    advance_membrane,
     surrogate_grad,
 )
 from spikeff.numerics import RngStream
@@ -17,10 +17,10 @@ from oracles import smoothed_spike
 
 
 def step(membrane, spikes, drive, cfg, decay_raw=None):
-    """One membrane step from a hand-set state, as `layer_forward` takes it."""
+    """One membrane step from a hand-set state, as `neuron.timestep` takes it."""
     beta = neuron.effective_decay(decay_raw, cfg)
-    return membrane_update(np.asarray(membrane, float), np.asarray(spikes, float),
-                           np.asarray(drive, float), beta, cfg)
+    return advance_membrane(np.asarray(membrane, float), np.asarray(spikes, float),
+                            np.asarray(drive, float), beta, cfg)
 
 
 def lif_layer(cfg, n, timesteps, decay_raw=None, recurrent=None):
